@@ -8,6 +8,15 @@ Two independent discretizations are provided on purpose:
   equation itself, isolating the newest sample from the j=0 terms of the
   GL sums.  It shares no model-building code with the state-space path
   and serves as its oracle.
+
+The two share only the GL history primitive of `glcalc`: `gl_convolve`
+for series known in advance (the input's share of every equation, and
+the state-space output y, which is never fed back) and `GlHistory` for
+the sums over the series being solved for.  Terms of one equation that
+act on the same series are merged into one kernel first.  A full-memory
+run of n steps costs O(n log^2 n).  `memory_len` keeps its exact
+short-memory meaning: every kernel is cut off after
+floor(memory_len / step) + 1 weights.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError, ResourceLimitError, SingularStepError
-from .glcalc import gl_coefficients
+from .glcalc import GlHistory, _truncation, gl_coefficients, gl_convolve
 from .model import INPUT, PdController, PiController, Plant, StateModel
 
 __all__ = [
@@ -58,10 +67,12 @@ class SimConfig:
     def __post_init__(self):
         if not (0 < self.step <= 0.1):
             raise ValueError(f"step must be in (0, 0.1], got {self.step}")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < 10 * self.step:
             raise ValueError("t_end must cover at least 10 steps")
-        if self.memory_len is not None and self.memory_len <= 0:
-            raise ValueError("memory_len must be positive")
+        if self.memory_len is not None and not (0 < self.memory_len < math.inf):
+            raise ValueError(f"memory_len must be positive and finite, got {self.memory_len}")
 
     @property
     def n_steps(self) -> int:
@@ -101,66 +112,80 @@ def _input_samples(cfg: SimConfig, n: int) -> np.ndarray:
     return w[: n + 1]
 
 
-def _gl_sum(coeffs, series, k, n_mem):
-    n = min(k, n_mem)
-    return np.dot(coeffs[: n + 1], series[k - n : k + 1][::-1])
-
-
 def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
     """Explicit Euler integration of a StateModel from zero initial state."""
     h = cfg.step
     n = cfg.n_steps
     w = _input_samples(cfg, n)
-    n_mem = n if cfg.memory_len is None else min(n, int(math.floor(cfg.memory_len / h)))
-
-    tables = {}
-    for eq in list(model.state_terms) + [model.output_terms]:
-        for term in eq:
-            if term.order != 0 and term.order not in tables:
-                tables[term.order] = gl_coefficients(term.order, n_mem).coeffs
-
+    n_mem = _truncation(n, h, cfg.memory_len)
     x = np.zeros((model.dim, n + 1))
-    y = np.zeros(n + 1)
 
     def series(target):
         return w if target == INPUT else x[target]
 
-    # (series, coeffs or None for order 0, gain * h^-order)
-    eqs = [
-        [(series(t.target), tables.get(t.order), t.gain * h ** (-t.order)) for t in eq]
-        for eq in model.state_terms
-    ]
-    out_terms = [
-        (series(t.target), tables.get(t.order), t.gain * h ** (-t.order))
-        for t in model.output_terms
-    ]
+    def split(terms):
+        """Summed order-0 gains and one merged GL kernel, per target."""
+        scalars, kernels = {}, {}
+        for t in terms:
+            if t.order == 0:
+                scalars[t.target] = scalars.get(t.target, 0.0) + t.gain
+            else:
+                weights = t.gain * h ** (-t.order) * gl_coefficients(t.order, n_mem).coeffs
+                if t.target in kernels:
+                    kernels[t.target] += weights
+                else:
+                    kernels[t.target] = weights
+        return scalars, kernels
 
-    def output_at(k):
-        total = 0.0
-        for ser, coeffs, scale in out_terms:
-            total += scale * (ser[k] if coeffs is None else _gl_sum(coeffs, ser, k, n_mem))
-        return total
+    def equation(row, terms):
+        """(row, (series, gain) pairs read at the current step, history sums).
 
-    def partial(upto):
-        return Trajectory(step=h, states=tuple(x[i, :upto].copy() for i in range(model.dim)),
-                          output=y[:upto].copy(), input=w[:upto].copy())
+        The input is known in advance, so its fractional share is convolved
+        once.  The j = 0 weight of a state kernel multiplies the state's
+        current sample like an order-0 gain; an online history sum covers
+        its lags j >= 1.
+        """
+        scalars, kernels = split(terms)
+        current = [(series(target), c) for target, c in scalars.items()]
+        if INPUT in kernels:
+            current.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
+        current += [(x[target], kernel[0]) for target, kernel in kernels.items()]
+        return row, current, [GlHistory(kernel, x[target]) for target, kernel in kernels.items()]
 
+    # the history buffers are freed when _euler_steps returns
+    upto = _euler_steps([equation(row, terms) for row, terms in zip(x, model.state_terms)],
+                        h, n)
+
+    # y is never fed back, so it is formed from the finished series
+    scalars, kernels = split(model.output_terms)
+    y = np.zeros(upto)
+    for target, c in scalars.items():
+        y += c * series(target)[:upto]
+    for target, kernel in kernels.items():
+        y += gl_convolve(kernel, series(target)[:upto])
+    traj = Trajectory(step=h, states=tuple(x[:, :upto]), output=y, input=w[:upto])
+    if upto <= n:
+        bad = np.max(np.abs(x[:, upto]))
+        raise DivergedError(f"state magnitude {bad:.3g} at step {upto} (t={h * upto:.6g})",
+                            index=upto, trajectory=traj)
+    return traj
+
+
+def _euler_steps(eqs, h, n) -> int:
+    """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges."""
     for k in range(n):
-        y[k] = output_at(k)
-        for i in range(model.dim):
+        finite = True
+        for row, current, sums in eqs:
             rhs = 0.0
-            for ser, coeffs, scale in eqs[i]:
-                rhs += scale * (ser[k] if coeffs is None else _gl_sum(coeffs, ser, k, n_mem))
-            x[i, k + 1] = x[i, k] + h * rhs
-        bad = np.max(np.abs(x[:, k + 1]))
-        if not np.isfinite(bad) or bad > DIVERGENCE_LIMIT:
-            raise DivergedError(
-                f"state magnitude {bad:.3g} at step {k + 1} (t={h * (k + 1):.6g})",
-                index=k + 1,
-                trajectory=partial(k + 1),
-            )
-    y[n] = output_at(n)
-    return Trajectory(step=h, states=tuple(x[i] for i in range(model.dim)), output=y, input=w)
+            for ser, c in current:
+                rhs += c * ser[k]
+            for history in sums:
+                rhs += history(k)
+            row[k + 1] = value = row[k] + h * rhs
+            finite = finite and abs(value) <= DIVERGENCE_LIMIT
+        if not finite:
+            return k + 1
+    return n + 1
 
 
 def _direct_terms(plant: Plant, ctrl):
@@ -195,31 +220,24 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     h = cfg.step
     n = cfg.n_steps
     w = _input_samples(cfg, n)
-    n_mem = n if cfg.memory_len is None else min(n, int(math.floor(cfg.memory_len / h)))
+    n_mem = _truncation(n, h, cfg.memory_len)
 
     y_terms, w_terms = _direct_terms(plant, ctrl)
-    y_parts = [(c * h ** (-q), gl_coefficients(q, n_mem).coeffs) for c, q in y_terms]
-    w_parts = [(c * h ** (-q), gl_coefficients(q, n_mem).coeffs) for c, q in w_terms]
-
-    pivot = sum(scale for scale, _ in y_parts)  # j=0 weights are all 1
-    denom_scale = max(abs(scale) for scale, _ in y_parts)
-    if abs(pivot) <= 1e-14 * denom_scale:
+    y_scales = [c * h ** (-q) for c, q in y_terms]
+    pivot = sum(y_scales)  # j=0 weights are all 1
+    if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):
         raise SingularStepError(f"leading GL weights sum to {pivot:.3g}")
 
+    drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
+                            for c, q in w_terms), w)
     y = np.zeros(n + 1)
+    history = GlHistory(sum(scale * gl_coefficients(q, n_mem).coeffs
+                            for scale, (_, q) in zip(y_scales, y_terms)), y)
     for k in range(n + 1):
-        rhs = 0.0
-        for scale, coeffs in w_parts:
-            rhs += scale * _gl_sum(coeffs, w, k, n_mem)
-        if k > 0:
-            m = min(k, n_mem)
-            hist = y[k - m : k][::-1]
-            for scale, coeffs in y_parts:
-                rhs -= scale * np.dot(coeffs[1 : m + 1], hist)
-        y[k] = rhs / pivot
-        if not np.isfinite(y[k]) or abs(y[k]) > DIVERGENCE_LIMIT:
+        y[k] = value = (drive[k] - history(k)) / pivot
+        if not abs(value) <= DIVERGENCE_LIMIT:
             raise DivergedError(
-                f"output magnitude {abs(y[k]):.3g} at step {k} (t={h * k:.6g})",
+                f"output magnitude {abs(value):.3g} at step {k} (t={h * k:.6g})",
                 index=k,
                 trajectory=Trajectory(step=h, states=(), output=y[:k].copy(),
                                       input=w[:k].copy()),

@@ -211,6 +211,15 @@ class TestConfigErrors:
         doc = {"plant": PLANT, "controller": {"type": "pid"}, "sim": GOLDEN_SIM}
         assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
 
+    @pytest.mark.parametrize("key, value", [("memory_len", math.nan), ("t_end", math.inf)])
+    def test_nonfinite_sim_value(self, tmp_path, capsys, key, value):
+        # JSON from Python carries NaN and Infinity; both are config errors
+        sim = dict(GOLDEN_SIM, **{key: value})
+        doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
+                                              "delta": 0.71859}, "sim": sim}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_out_dir_option(self, tmp_path):
         doc = {
             "plant": PLANT,

@@ -6,12 +6,44 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, gamma
 
-from fracreg.glcalc import SampledSignal, gl_apply, gl_coefficients, gl_series
+from fracreg.glcalc import (GlHistory, SampledSignal, gl_apply, gl_coefficients, gl_convolve,
+                            gl_series)
 
 
 def binom_oracle(order, j):
     """Independent weight formula (-1)^j C(order, j) via scipy's binomial."""
     return (-1.0) ** j * binom(order, j)
+
+
+def lgamma_weights(order, count):
+    """(-1)^j C(order, j) = Gamma(j - order) / (Gamma(-order) Gamma(j + 1)), j = 0..count.
+
+    Built from math.lgamma, independently of the recurrence; `order` must
+    not be a non-negative integer.
+    """
+    sign0 = math.copysign(1.0, math.gamma(-order))
+    out = np.empty(count + 1)
+    for j in range(count + 1):
+        x = j - order
+        sign = sign0 * (math.copysign(1.0, math.gamma(x)) if x < 0 else 1.0)
+        out[j] = sign * math.exp(math.lgamma(x) - math.lgamma(-order) - math.lgamma(j + 1))
+    return out
+
+
+def naive_convolve(kernel, series):
+    """out[k] = sum_{j=0..min(k, M)} kernel[j] series[k-j]: one dot product per sample."""
+    m = len(kernel) - 1
+    return np.array([np.dot(kernel[:min(k, m) + 1], series[k::-1][:min(k, m) + 1])
+                     for k in range(len(series))])
+
+
+def fft_atol(kernel, series):
+    """Absolute error allowed to an FFT convolution: a few ulps of |kernel| |series|."""
+    return 1e-13 * np.linalg.norm(kernel) * np.linalg.norm(series)
+
+
+#: Lengths on both sides of the 64-sample block and the 4096-sample FFT piece.
+EDGE_LENGTHS = [1, 63, 64, 65, 4095, 4096, 4097, 9000]
 
 
 class TestGlCoefficients:
@@ -151,6 +183,104 @@ class TestGlSeries:
         full = gl_series(sig, 0.8)
         trunc = gl_series(sig, 0.8, memory_len=sig.duration + 1.0)
         np.testing.assert_array_equal(full.values, trunc.values)
+
+
+class TestGlConvolve:
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    @pytest.mark.parametrize("kernel_len", ["same", 65, 5000])
+    def test_matches_naive_loop(self, n, kernel_len):
+        rng = np.random.default_rng(n)
+        kernel = rng.normal(size=n if kernel_len == "same" else kernel_len)
+        series = rng.normal(size=n)
+        want = naive_convolve(kernel, series)
+        np.testing.assert_allclose(gl_convolve(kernel, series), want, rtol=0,
+                                   atol=fft_atol(kernel[:n], series))
+
+
+class TestGlHistory:
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    def test_matches_naive_loop(self, n):
+        rng = np.random.default_rng(n + 1)
+        kernel = rng.normal(size=n + 1)
+        series = rng.normal(size=n)
+        history = GlHistory(kernel, series)
+        got = np.array([history(t) for t in range(n)])
+        want = naive_convolve(np.r_[0.0, kernel[1:]], series)
+        np.testing.assert_allclose(got, want, rtol=0, atol=fft_atol(kernel, series))
+
+    @pytest.mark.parametrize("n_mem", [10, 63, 64, 65, 300, 5000])
+    def test_truncated_window(self, n_mem):
+        rng = np.random.default_rng(n_mem)
+        n = 9000
+        kernel = gl_coefficients(0.6, n_mem).coeffs
+        series = rng.normal(size=n)
+        history = GlHistory(kernel, series)
+        got = np.array([history(t) for t in range(n)])
+        want = naive_convolve(np.r_[0.0, kernel[1:]], series)
+        np.testing.assert_allclose(got, want, rtol=0, atol=fft_atol(kernel, series))
+
+    @pytest.mark.parametrize("n", [65, 4097])
+    def test_fed_back_series(self, n):
+        # x_t = u_t - sum_{j>=1} b_j x_{t-j}: each sample depends on the sums
+        # over the ones before it, as in the simulators
+        rng = np.random.default_rng(n)
+        b = lgamma_weights(0.6, n)
+        u = rng.normal(size=n)
+        x = np.zeros(n)
+        history = GlHistory(b, x)
+        for t in range(n):
+            x[t] = u[t] - history(t)
+        want = np.zeros(n)
+        for t in range(n):
+            want[t] = u[t] - np.dot(b[1:t + 1], want[t - 1::-1][:t])
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_integer_orders_are_stencils(self, order):
+        rng = np.random.default_rng(order)
+        x = rng.normal(size=300)
+        history = GlHistory(gl_coefficients(order, 299).coeffs, x)
+        got = np.array([history(t) for t in range(300)])
+        padded = np.r_[0.0, 0.0, x]
+        want = {0: np.zeros(300), 1: -padded[1:-1],
+                2: padded[:-2] - 2 * padded[1:-1]}[order]
+        np.testing.assert_array_equal(got, want)
+
+
+class TestGlSeriesOracles:
+    @pytest.mark.parametrize("n", EDGE_LENGTHS)
+    @pytest.mark.parametrize("order", [-0.4, 0.7, 1.6])
+    def test_matches_lgamma_weights(self, n, order):
+        h = 0.01
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n)
+        weights = lgamma_weights(order, n - 1)
+        want = h ** (-order) * naive_convolve(weights, values)
+        got = gl_series(SampledSignal(h, values), order).values
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=h ** (-order) * fft_atol(weights, values))
+
+    @pytest.mark.parametrize("n_mem", [10, 64, 65, 300, 5000])
+    def test_memory_window(self, n_mem):
+        h = 0.01
+        rng = np.random.default_rng(n_mem)
+        values = rng.normal(size=9000)
+        weights = lgamma_weights(0.7, n_mem)
+        want = h ** -0.7 * naive_convolve(weights, values)
+        got = gl_series(SampledSignal(h, values), 0.7, memory_len=(n_mem + 0.5) * h).values
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=h ** -0.7 * fft_atol(weights, values))
+
+    @pytest.mark.parametrize("n", [5, 4097])
+    def test_integer_orders_are_exact_stencils(self, n):
+        h = 0.1
+        x = np.random.default_rng(n).normal(size=n)
+        padded = np.r_[0.0, 0.0, x]
+        np.testing.assert_array_equal(gl_series(SampledSignal(h, x), 0).values, x)
+        np.testing.assert_array_equal(gl_series(SampledSignal(h, x), 1).values,
+                                      (padded[2:] - padded[1:-1]) * h ** -1)
+        np.testing.assert_array_equal(gl_series(SampledSignal(h, x), 2).values,
+                                      (padded[2:] - 2 * padded[1:-1] + padded[:-2]) * h ** -2)
 
 
 class TestSampledSignal:

@@ -131,6 +131,42 @@ class TestDirect:
         assert 1.6 <= ratio <= 2.4
 
 
+class TestRegressionPins:
+    """Trajectory fingerprints recorded from the direct O(n^2) GL sums.
+
+    Faster history sums only reorder floating-point additions, which moves
+    these values by ~1e-13; a changed discretization moves them far more.
+    """
+
+    @pytest.mark.parametrize("simulate, y_end, y_norm", [
+        ("state_space", 0.9603460069966308, 106.38846340122824),
+        ("direct", 0.9603437612508036, 106.3500095201064),
+    ])
+    def test_golden_loop(self, simulate, y_end, y_norm):
+        cfg = SimConfig(step=0.001, t_end=12.0)
+        if simulate == "state_space":
+            traj = simulate_state_space(build_pd_model(BENCH_PLANT, GOLDEN_PD), cfg)
+        else:
+            traj = simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
+        assert traj.output[-1] == pytest.approx(y_end, rel=1e-9)
+        assert np.linalg.norm(traj.output) == pytest.approx(y_norm, rel=1e-9)
+
+    def test_unstable_loop_divergence_index(self):
+        cfg = SimConfig(step=0.001, t_end=20.0)
+        with pytest.raises(DivergedError) as ss:
+            simulate_state_space(build_pd_model(BENCH_PLANT, UNSTABLE_PD), cfg)
+        with pytest.raises(DivergedError) as direct:
+            simulate_direct(BENCH_PLANT, UNSTABLE_PD, cfg)
+        assert (ss.value.index, direct.value.index) == (15333, 14855)
+
+    def test_short_memory_end_value(self):
+        cfg = SimConfig(step=0.001, t_end=5.0, memory_len=0.6)
+        ss = simulate_state_space(build_pd_model(BENCH_PLANT, GOLDEN_PD), cfg)
+        direct = simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
+        assert ss.output[-1] == pytest.approx(0.9144246889130041, rel=1e-9)
+        assert direct.output[-1] == pytest.approx(0.9426581495614794, rel=1e-9)
+
+
 class TestSteadyState:
     def test_constant_output(self):
         traj = Trajectory(step=0.1, states=(), output=np.full(50, 2.5), input=np.ones(50))
