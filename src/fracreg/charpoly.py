@@ -136,7 +136,7 @@ def _polish(p: FracPoly, points, cfg: RootFindConfig):
             continue
         res = abs(eval_fracpoly(p, s))
         if res <= scale:
-            out.append(s)
+            out.append(complex(s))
     return out
 
 
@@ -145,6 +145,10 @@ def newton_roots(p: FracPoly, cfg: RootFindConfig | None = None):
 
     Returns principal-sheet roots (deduplicated, conjugate-reflected,
     sorted by real then imaginary part).  Not guaranteed complete.
+
+    Each iteration evaluates only the starts still live: converged ones
+    are set aside and diverged ones dropped.  Only the distinct converged
+    points of the upper half-plane are polished (see `_distinct_roots`).
     """
     cfg = cfg or RootFindConfig()
     pn, _ = normalize(p)
@@ -158,25 +162,36 @@ def newton_roots(p: FracPoly, cfg: RootFindConfig | None = None):
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j  # keep starts off the origin
 
     limit = 1e6 * cfg.search_radius
+    converged = []
     for _ in range(cfg.max_iter):
-        f, fp = _eval_vec(coeffs, expts, s)
-        bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
-        done = np.abs(f) <= scale_n
-        active = ~(bad | done)
-        if not active.any():
+        if not s.size:
             break
-        step = np.zeros_like(s)
-        step[active] = f[active] / fp[active]
-        s = s - step
-        escaped = ~np.isfinite(s) | (np.abs(s) > limit) | (np.abs(s) < 1e-14)
-        s[escaped] = np.nan
-    f, _ = _eval_vec(coeffs, expts, np.where(np.isfinite(s), s, 1.0))
-    converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
+        f, fp = _eval_vec(coeffs, expts, s)
+        done = np.abs(f) <= scale_n
+        converged.append(s[done])
+        live = ~done & np.isfinite(f) & np.isfinite(fp) & (fp != 0)
+        s = s[live] - f[live] / fp[live]
+        mag = np.abs(s)
+        s = s[(mag <= limit) & (mag >= 1e-14)]  # also drops non-finite steps
+    else:
+        f, _ = _eval_vec(coeffs, expts, s)
+        converged.append(s[np.abs(f) <= scale_n])
+    return _distinct_roots(p, np.concatenate(converged), cfg)
 
-    # real coefficients: reflect so conjugate partners are never missed
-    candidates = list(converged) + [z.conjugate() for z in converged]
-    roots = _polish(p, candidates, cfg)
-    return sorted(_dedupe(roots, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
+
+def _distinct_roots(p: FracPoly, points, cfg: RootFindConfig):
+    """Polished, conjugate-closed, sorted roots from converged Newton points.
+
+    The coefficients are real, so the points are folded onto Im >= 0 and
+    reduced to one per dedupe_tol grid cell before polishing; the polished
+    roots are then reflected.  The final `_dedupe` merges representatives
+    split by a cell edge and real roots that reflect onto themselves.
+    """
+    folded = np.where(points.imag < 0, points.conj(), points)
+    _, first = np.unique(np.round(folded / cfg.dedupe_tol), return_index=True)
+    roots = _polish(p, folded[first], cfg)
+    candidates = roots + [z.conjugate() for z in roots]
+    return sorted(_dedupe(candidates, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
 
 
 def commensurate_base(p: FracPoly, max_denominator: int):
@@ -214,14 +229,13 @@ def commensurate_roots(p: FracPoly, cfg: RootFindConfig | None = None):
     return sorted(_dedupe(roots, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
 
 
-def classify_stability(roots, method: str, stability_margin: float = 0.0,
-                       searched: bool = True):
+def classify_stability(roots, method: str, stability_margin: float = 0.0):
     """Map a root set to (verdict, coverage_caveat).
 
     An unstable verdict is certain; a stable verdict from the Newton grid
     carries a coverage caveat since the search is not provably complete.
     """
-    if not roots and (not searched or method != "commensurate"):
+    if not roots and method != "commensurate":
         return INCONCLUSIVE, True
     if any(z.real > stability_margin for z in roots):
         return UNSTABLE, False

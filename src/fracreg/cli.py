@@ -2,7 +2,8 @@
 
 Configurations are JSON documents (see README for the schema).  Exit
 codes: 0 ok, 2 config error, 3 diverged simulation, 4 unstable design,
-5 solver failure or inconclusive root search.
+5 solver failure (including an exceeded step budget or a singular step)
+or inconclusive root search.
 """
 
 from __future__ import annotations
@@ -174,6 +175,28 @@ def _char_poly_for(plant, ctrl):
     return char_poly_pi(plant, ctrl)
 
 
+def _roots_payload(doc, plant, ctrl, **timings):
+    """Closed-loop roots of `ctrl` on `plant`: the report and the JSON payload."""
+    poly = _char_poly_for(plant, ctrl)
+    t0 = time.perf_counter()
+    report = find_roots(poly, RootFindConfig())
+    roots_s = time.perf_counter() - t0
+    payload = {
+        "config": doc,
+        "controller": _controller_dict(ctrl),
+        "characteristic_polynomial": [[c, e] for c, e in poly.terms],
+        **_report_roots(report),
+        "timings": {**timings, "roots_s": roots_s},
+    }
+    return report, payload
+
+
+def _write_json(doc, args, key, default, payload):
+    path = _out_path(doc, args, key, default)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(path)
+
+
 def cmd_simulate(args) -> int:
     doc = load_config(args.config)
     plant = parse_plant(doc)
@@ -241,20 +264,8 @@ def cmd_design(args) -> int:
     except NoSolutionError as exc:
         print(f"design solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    poly = _char_poly_for(plant, ctrl)
-    t0 = time.perf_counter()
-    report = find_roots(poly, RootFindConfig())
-    roots_s = time.perf_counter() - t0
-    payload = {
-        "config": doc,
-        "controller": _controller_dict(ctrl),
-        "characteristic_polynomial": [[c, e] for c, e in poly.terms],
-        **_report_roots(report),
-        "timings": {"design_s": design_s, "roots_s": roots_s},
-    }
-    report_path = _out_path(doc, args, "report_json", "report.json")
-    report_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(report_path)
+    report, payload = _roots_payload(doc, plant, ctrl, design_s=design_s)
+    _write_json(doc, args, "report_json", "report.json", payload)
     return EXIT_UNSTABLE if report.verdict == "unstable" else EXIT_OK
 
 
@@ -262,19 +273,8 @@ def cmd_poles(args) -> int:
     doc = load_config(args.config)
     plant = parse_plant(doc)
     ctrl = parse_controller(doc)
-    poly = _char_poly_for(plant, ctrl)
-    t0 = time.perf_counter()
-    report = find_roots(poly, RootFindConfig())
-    payload = {
-        "config": doc,
-        "controller": _controller_dict(ctrl),
-        "characteristic_polynomial": [[c, e] for c, e in poly.terms],
-        **_report_roots(report),
-        "timings": {"roots_s": time.perf_counter() - t0},
-    }
-    out_path = _out_path(doc, args, "roots_json", "poles.json")
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(out_path)
+    report, payload = _roots_payload(doc, plant, ctrl)
+    _write_json(doc, args, "roots_json", "poles.json", payload)
     if report.verdict == "inconclusive":
         print("root search was inconclusive", file=sys.stderr)
         return EXIT_SOLVER

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracreg import charpoly
 from fracreg.charpoly import (RootFindConfig, classify_stability,
                               commensurate_roots, eval_fracpoly, find_roots,
                               newton_roots, normalize)
+from fracreg.design import DesignSpecPd, design_pd_fractional
 from fracreg.model import FracPoly, PdController, Plant, char_poly_pd
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
@@ -32,6 +34,9 @@ def integer_fracpoly(roots):
     coeffs = np.real(np.poly(roots))
     degree = len(roots)
     return FracPoly.from_terms((c, float(degree - i)) for i, c in enumerate(coeffs))
+
+
+MIXED_INTEGER_POLY = integer_fracpoly([-1.0, 2.0, -0.5 + 3j, -0.5 - 3j])
 
 
 def set_distance(a, b):
@@ -126,6 +131,114 @@ class TestFindRoots:
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
+
+
+def reference_newton_roots(p, cfg):
+    """Newton grid that polishes every converged start and its conjugate.
+
+    The original algorithm, kept as an oracle: all starts are evaluated on
+    every iteration and deduplication happens only after polishing.
+    """
+    pn, _ = normalize(p)
+    coeffs = np.array(pn.coefficients, dtype=complex)
+    expts = np.array(pn.exponents, dtype=float)
+    scale_n = charpoly._residual_scale(pn, cfg.newton_tol)
+    axis = np.linspace(-cfg.search_radius, cfg.search_radius, cfg.grid_density)
+    re, im = np.meshgrid(axis, axis)
+    s = (re + 1j * im).ravel()
+    s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j
+    limit = 1e6 * cfg.search_radius
+    for _ in range(cfg.max_iter):
+        f, fp = charpoly._eval_vec(coeffs, expts, s)
+        bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
+        done = np.abs(f) <= scale_n
+        active = ~(bad | done)
+        if not active.any():
+            break
+        step = np.zeros_like(s)
+        step[active] = f[active] / fp[active]
+        s = s - step
+        escaped = ~np.isfinite(s) | (np.abs(s) > limit) | (np.abs(s) < 1e-14)
+        s[escaped] = np.nan
+    f, _ = charpoly._eval_vec(coeffs, expts, np.where(np.isfinite(s), s, 1.0))
+    converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
+    candidates = list(converged) + [z.conjugate() for z in converged]
+    roots = charpoly._polish(p, candidates, cfg)
+    return sorted(charpoly._dedupe(roots, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
+
+
+def seeded_pd_poly(seed):
+    """PD^delta loop of the bundled plant, pole in [-2, -0.5] x [3, 8]i, e_ss 2-8 %."""
+    rng = np.random.default_rng([seed, 3])
+    pole = complex(rng.uniform(-2.0, -0.5), rng.uniform(3.0, 8.0))
+    spec = DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=rng.uniform(2.0, 8.0))
+    return char_poly_pd(BENCH_PLANT, design_pd_fractional(spec))
+
+
+@pytest.fixture
+def polished(monkeypatch):
+    """Every point handed to charpoly._polish while the test runs."""
+    points = []
+    original = charpoly._polish
+
+    def counting(p, pts, cfg):
+        points.extend(pts)
+        return original(p, pts, cfg)
+
+    monkeypatch.setattr(charpoly, "_polish", counting)
+    return points
+
+
+class TestNewtonGrid:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_polish_everything_reference(self, seed):
+        poly = seeded_pd_poly(seed)
+        cfg = RootFindConfig()
+        want = reference_newton_roots(poly, cfg)
+        got = newton_roots(poly, cfg)
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY, seeded_pd_poly(50),
+                                      MIXED_INTEGER_POLY])
+    def test_conjugate_closed_and_sorted(self, poly):
+        cfg = RootFindConfig()
+        roots = newton_roots(poly, cfg)
+        assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
+        for z in roots:
+            # a real root reflects onto itself and is kept once
+            assert z.conjugate() in roots or abs(z.imag) <= cfg.dedupe_tol
+        assert len(roots) == len(set(roots))
+
+    def test_points_across_a_cell_edge_give_one_root(self, polished):
+        cfg = RootFindConfig()
+        root = max(newton_roots(GOLDEN_POLY, cfg), key=lambda z: z.imag)
+        tol = cfg.dedupe_tol
+        edge = (np.floor(root.real / tol) + 0.5) * tol
+        points = np.array([complex(edge - 5e-10, root.imag), complex(edge + 5e-10, root.imag)])
+        keys = np.round(points / tol)
+        assert keys[0] != keys[1]  # the two points lie in different grid cells
+        polished.clear()  # count only what _distinct_roots polishes
+        roots = charpoly._distinct_roots(GOLDEN_POLY, points, cfg)
+        assert len(polished) == 2
+        assert len(roots) == 2
+        assert roots[1] == roots[0].conjugate()
+        assert abs(roots[1] - root) <= 1e-9
+
+    @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
+                                      MIXED_INTEGER_POLY])
+    def test_polishes_only_distinct_roots(self, poly, polished):
+        roots = newton_roots(poly, RootFindConfig())
+        assert roots
+        assert len(polished) <= 2 * len(roots)
+
+    @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
+                                      FracPoly.from_terms([(1.0, 2.0), (3.0, 1.0), (1.0, 0.0)])])
+    def test_roots_are_builtin_complex(self, poly):
+        cfg = RootFindConfig()
+        found = newton_roots(poly, cfg) + (commensurate_roots(poly, cfg) or [])
+        assert found
+        assert all(type(z) is complex for z in found)
 
 
 class TestScalingInvariance:
