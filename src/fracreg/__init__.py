@@ -5,9 +5,9 @@ PI^lambda controllers, root finding for fractional characteristic
 polynomials, stability classification and pole-placement design.
 """
 
-from .charpoly import (RootFindConfig, RootResult, StabilityReport,
-                       classify_stability, commensurate_roots, eval_fracpoly,
-                       find_roots, newton_roots, normalize)
+from .charpoly import (RootResult, StabilityReport, classify_stability,
+                       commensurate_roots, eval_fracpoly, find_roots,
+                       newton_roots, normalize)
 from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                      design_pd_integer, design_pi, gain_from_ss_error)
 from .errors import (ConfigError, DivergedError, FracregError, NoSolutionError,

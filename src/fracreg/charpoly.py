@@ -6,9 +6,17 @@ closed-loop poles and are ignored.
 
 Two root finders are provided: a multi-start Newton iteration over a grid
 of complex starting points (general, not provably complete) and, for
-commensurate exponent sets (all multiples of 1/m), an exact reduction to
-an integer polynomial in w = s^(1/m) solved by companion-matrix
-eigenvalues and mapped back to the principal sheet.
+commensurate exponent sets (all multiples of 1/m, m <= MAX_DENOMINATOR),
+an exact reduction to an integer polynomial in w = s^(1/m) solved by
+companion-matrix eigenvalues and mapped back to the principal sheet.
+
+Both finish through `_distinct_roots`: candidates are folded onto Im >= 0,
+reduced to one per DEDUPE_TOL cell, Newton-polished to a residual within
+NEWTON_TOL (relative to the coefficient size), reflected into exact
+conjugate pairs, deduplicated and sorted.  The Newton grid has
+GRID_DENSITY x GRID_DENSITY starts on the square of half-width
+SEARCH_RADIUS and runs at most MAX_ITER iterations.  These are fixed
+constants, not settings.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import numpy as np
 from .model import FracPoly
 
 __all__ = [
-    "RootFindConfig",
     "RootResult",
     "StabilityReport",
     "eval_fracpoly",
@@ -35,25 +42,14 @@ __all__ = [
 #: Verdict strings used throughout.
 STABLE, UNSTABLE, INCONCLUSIVE = "stable", "unstable", "inconclusive"
 
+SEARCH_RADIUS = 20.0
+GRID_DENSITY = 40
+NEWTON_TOL = 1e-10
+MAX_ITER = 80
+DEDUPE_TOL = 1e-6
+MAX_DENOMINATOR = 12
+
 _COMMENSURATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RootFindConfig:
-    search_radius: float = 20.0
-    grid_density: int = 40
-    newton_tol: float = 1e-10
-    max_iter: int = 80
-    dedupe_tol: float = 1e-6
-    commensurate_max_denominator: int = 12
-    stability_margin: float = 0.0
-
-    def __post_init__(self):
-        if min(self.search_radius, self.grid_density, self.newton_tol,
-               self.max_iter, self.dedupe_tol, self.commensurate_max_denominator) <= 0:
-            raise ValueError("all RootFindConfig parameters must be positive")
-        if self.newton_tol > 1e-8:
-            raise ValueError("newton_tol must be <= 1e-8")
 
 
 @dataclass(frozen=True)
@@ -70,18 +66,14 @@ class StabilityReport:
     coverage_caveat: bool
 
 
-def _principal_pow(s, q):
-    """s**q on the principal branch; works elementwise on arrays."""
-    return np.asarray(s, dtype=complex) ** q
-
-
 def eval_fracpoly(p: FracPoly, s: complex) -> complex:
     """Evaluate sum coeff * s^exponent on the principal branch."""
     if s == 0:
         if any(e < 0 for e in p.exponents):
             raise ValueError("s=0 is outside the domain: negative exponent present")
         return complex(sum(c for c, e in p.terms if e == 0))
-    return complex(sum(c * _principal_pow(s, e) for c, e in p.terms))
+    z = np.asarray(s, dtype=complex)  # ndarray ** 0.5 is np.sqrt, unlike a scalar's
+    return complex(sum(c * z ** e for c, e in p.terms))
 
 
 def normalize(p: FracPoly):
@@ -105,8 +97,8 @@ def _eval_vec(coeffs, expts, s):
     return f, fp
 
 
-def _residual_scale(p: FracPoly, tol: float) -> float:
-    return tol * (1.0 + max(abs(c) for c in p.coefficients))
+def _residual_scale(p: FracPoly) -> float:
+    return NEWTON_TOL * (1.0 + max(abs(c) for c in p.coefficients))
 
 
 def _dedupe(points, tol):
@@ -117,9 +109,13 @@ def _dedupe(points, tol):
     return kept
 
 
-def _polish(p: FracPoly, points, cfg: RootFindConfig):
-    """A few Newton steps on the original polynomial; keep true roots only."""
-    scale = _residual_scale(p, cfg.newton_tol)
+def _polish(p: FracPoly, points):
+    """A few Newton steps on the original polynomial; keep true roots only.
+
+    A root within DEDUPE_TOL of the real axis is put on it when its real
+    part passes the same residual test.
+    """
+    scale = _residual_scale(p)
     coeffs = np.array(p.coefficients, dtype=complex)
     expts = np.array(p.exponents, dtype=float)
     out = []
@@ -134,13 +130,15 @@ def _polish(p: FracPoly, points, cfg: RootFindConfig):
             s = s - f[0] / fp[0]
         if s == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
             continue
-        res = abs(eval_fracpoly(p, s))
-        if res <= scale:
-            out.append(complex(s))
+        if abs(eval_fracpoly(p, s)) > scale:
+            continue
+        if 0 < abs(s.imag) <= DEDUPE_TOL and abs(eval_fracpoly(p, s.real)) <= scale:
+            s = complex(s.real, 0.0)
+        out.append(complex(s))
     return out
 
 
-def newton_roots(p: FracPoly, cfg: RootFindConfig | None = None):
+def newton_roots(p: FracPoly):
     """Multi-start Newton search on a square grid of starting points.
 
     Returns principal-sheet roots (deduplicated, conjugate-reflected,
@@ -150,20 +148,19 @@ def newton_roots(p: FracPoly, cfg: RootFindConfig | None = None):
     are set aside and diverged ones dropped.  Only the distinct converged
     points of the upper half-plane are polished (see `_distinct_roots`).
     """
-    cfg = cfg or RootFindConfig()
     pn, _ = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
-    scale_n = _residual_scale(pn, cfg.newton_tol)
+    scale_n = _residual_scale(pn)
 
-    axis = np.linspace(-cfg.search_radius, cfg.search_radius, cfg.grid_density)
+    axis = np.linspace(-SEARCH_RADIUS, SEARCH_RADIUS, GRID_DENSITY)
     re, im = np.meshgrid(axis, axis)
     s = (re + 1j * im).ravel()
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j  # keep starts off the origin
 
-    limit = 1e6 * cfg.search_radius
+    limit = 1e6 * SEARCH_RADIUS
     converged = []
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if not s.size:
             break
         f, fp = _eval_vec(coeffs, expts, s)
@@ -176,42 +173,41 @@ def newton_roots(p: FracPoly, cfg: RootFindConfig | None = None):
     else:
         f, _ = _eval_vec(coeffs, expts, s)
         converged.append(s[np.abs(f) <= scale_n])
-    return _distinct_roots(p, np.concatenate(converged), cfg)
+    return _distinct_roots(p, np.concatenate(converged))
 
 
-def _distinct_roots(p: FracPoly, points, cfg: RootFindConfig):
-    """Polished, conjugate-closed, sorted roots from converged Newton points.
+def _distinct_roots(p: FracPoly, points):
+    """Polished, conjugate-closed, sorted roots from candidate points.
 
     The coefficients are real, so the points are folded onto Im >= 0 and
-    reduced to one per dedupe_tol grid cell before polishing; the polished
+    reduced to one per DEDUPE_TOL grid cell before polishing; the polished
     roots are then reflected.  The final `_dedupe` merges representatives
     split by a cell edge and real roots that reflect onto themselves.
     """
     folded = np.where(points.imag < 0, points.conj(), points)
-    _, first = np.unique(np.round(folded / cfg.dedupe_tol), return_index=True)
-    roots = _polish(p, folded[first], cfg)
+    _, first = np.unique(np.round(folded / DEDUPE_TOL), return_index=True)
+    roots = _polish(p, folded[first])
     candidates = roots + [z.conjugate() for z in roots]
-    return sorted(_dedupe(candidates, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
+    return sorted(_dedupe(candidates, DEDUPE_TOL), key=lambda z: (z.real, z.imag))
 
 
-def commensurate_base(p: FracPoly, max_denominator: int):
-    """Smallest m <= max_denominator with all exponents multiples of 1/m."""
+def commensurate_base(p: FracPoly):
+    """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m."""
     pn, _ = normalize(p)
-    for m in range(1, max_denominator + 1):
+    for m in range(1, MAX_DENOMINATOR + 1):
         if all(abs(e * m - round(e * m)) <= _COMMENSURATE_TOL * m for e in pn.exponents):
             return m
     return None
 
 
-def commensurate_roots(p: FracPoly, cfg: RootFindConfig | None = None):
+def commensurate_roots(p: FracPoly):
     """Complete principal-sheet root set via the w = s^(1/m) substitution.
 
-    Returns None when no commensurate base m <= the configured maximum
-    exists.  Roots w of the integer polynomial map back as s = w^m only
-    when |arg w| <= pi/m (the principal sheet).
+    Returns None when no commensurate base m <= MAX_DENOMINATOR exists.
+    Roots w of the integer polynomial map back as s = w^m only when
+    |arg w| <= pi/m (the principal sheet).
     """
-    cfg = cfg or RootFindConfig()
-    m = commensurate_base(p, cfg.commensurate_max_denominator)
+    m = commensurate_base(p)
     if m is None:
         return None
     pn, _ = normalize(p)
@@ -220,16 +216,15 @@ def commensurate_roots(p: FracPoly, cfg: RootFindConfig | None = None):
     for (c, _), d in zip(pn.terms, degrees):
         vec[degrees[0] - d] += c
     w_roots = np.roots(vec)
-    s_roots = [
-        complex(w ** m)
+    s_roots = np.array([
+        w ** m
         for w in w_roots
         if abs(w) > 0 and abs(np.angle(w)) <= math.pi / m + 1e-12
-    ]
-    roots = _polish(p, s_roots, cfg)
-    return sorted(_dedupe(roots, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
+    ], dtype=complex)
+    return _distinct_roots(p, s_roots)
 
 
-def classify_stability(roots, method: str, stability_margin: float = 0.0):
+def classify_stability(roots, method: str):
     """Map a root set to (verdict, coverage_caveat).
 
     An unstable verdict is certain; a stable verdict from the Newton grid
@@ -237,29 +232,28 @@ def classify_stability(roots, method: str, stability_margin: float = 0.0):
     """
     if not roots and method != "commensurate":
         return INCONCLUSIVE, True
-    if any(z.real > stability_margin for z in roots):
+    if any(z.real > 0 for z in roots):
         return UNSTABLE, False
     if method == "commensurate":
         return STABLE, False
     return STABLE, True
 
 
-def find_roots(p: FracPoly, cfg: RootFindConfig | None = None) -> StabilityReport:
+def find_roots(p: FracPoly) -> StabilityReport:
     """Locate principal-sheet roots and classify closed-loop stability.
 
     Prefers the complete commensurate method when the exponent set allows
     it, falling back to the multi-start Newton grid otherwise.
     """
-    cfg = cfg or RootFindConfig()
     pn, _ = normalize(p)
     if len(pn.terms) < 2:
         raise ValueError("need at least two terms after normalization")
-    roots = commensurate_roots(p, cfg)
+    roots = commensurate_roots(p)
     method = "commensurate"
     if roots is None:
-        roots = newton_roots(p, cfg)
+        roots = newton_roots(p)
         method = "newton-grid"
-    verdict, caveat = classify_stability(roots, method, cfg.stability_margin)
+    verdict, caveat = classify_stability(roots, method)
     results = tuple(RootResult(z, abs(eval_fracpoly(p, z))) for z in roots)
     return StabilityReport(roots=results, verdict=verdict, method=method,
                            coverage_caveat=caveat)

@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .charpoly import RootFindConfig, find_roots
+from .charpoly import find_roots
 from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                      design_pd_integer, design_pi)
 from .errors import ConfigError, DivergedError, FracregError, NoSolutionError
@@ -179,7 +179,7 @@ def _roots_payload(doc, plant, ctrl, **timings):
     """Closed-loop roots of `ctrl` on `plant`: the report and the JSON payload."""
     poly = _char_poly_for(plant, ctrl)
     t0 = time.perf_counter()
-    report = find_roots(poly, RootFindConfig())
+    report = find_roots(poly)
     roots_s = time.perf_counter() - t0
     payload = {
         "config": doc,

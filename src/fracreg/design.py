@@ -248,12 +248,15 @@ def _pi_seed(plant: Plant, reps, lam: float):
     return float(sol[0]), float(sol[1]), resid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def design_pi(spec: DesignSpecPi) -> PiController:
     """Solve for (K, Ti, lambda > 0) placing all three poles.
 
     For each lambda starting value (K, Ti) is seeded from the linear
     least-squares subproblem; starts are tried in order of increasing
     seed residual, so an exactly attainable lambda is recovered first.
+    Iterates from an infeasible pole set may overflow; that only fails
+    the start, so numpy's overflow and invalid-value warnings are off.
     """
     plant = spec.plant
     reps = spec.residual_poles()

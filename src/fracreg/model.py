@@ -103,14 +103,12 @@ class PiController:
 class StateModel:
     """First-derivative state equations with fractional terms on the right.
 
-    xdot_i = sum of state_terms[i]; y = sum of output_terms.  States in
-    `integer_chain` have purely order-zero right-hand sides.
+    xdot_i = sum of state_terms[i]; y = sum of output_terms.
     """
 
     dim: int
     state_terms: tuple
     output_terms: tuple
-    integer_chain: tuple
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -186,7 +184,7 @@ def build_pd_model(plant: Plant, ctrl: PdController) -> StateModel:
         Term(INPUT, 2 - alpha, 1.0 / a2),
     )
     out = (Term(0, 0.0, K), Term(1, delta - 1, Td))
-    return StateModel(dim=2, state_terms=(eq1, eq2), output_terms=out, integer_chain=(0,))
+    return StateModel(dim=2, state_terms=(eq1, eq2), output_terms=out)
 
 
 def build_pi_model(plant: Plant, ctrl: PiController) -> StateModel:
@@ -212,7 +210,7 @@ def build_pi_model(plant: Plant, ctrl: PiController) -> StateModel:
         Term(INPUT, 2 - alpha, K / a2),
     )
     out = (Term(1, 0.0, 1.0),)
-    return StateModel(dim=3, state_terms=(eq1, eq2, eq3), output_terms=out, integer_chain=(0, 1))
+    return StateModel(dim=3, state_terms=(eq1, eq2, eq3), output_terms=out)
 
 
 def char_poly_pd(plant: Plant, ctrl: PdController) -> FracPoly:

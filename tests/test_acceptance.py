@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import binom, gamma
 
-from fracreg.charpoly import (RootFindConfig, commensurate_roots,
-                              eval_fracpoly, find_roots, newton_roots)
+from fracreg.charpoly import (commensurate_roots, eval_fracpoly, find_roots,
+                              newton_roots)
 from fracreg.cli import main
 from fracreg.design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                             design_pd_integer, design_pi)
@@ -193,7 +193,6 @@ def test_criterion_8_pi_properties():
 
 
 def test_criterion_9_commensurate_completeness():
-    cfg = RootFindConfig()
     failures = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -213,8 +212,8 @@ def test_criterion_9_commensurate_completeness():
         from fracreg.model import FracPoly
 
         poly = FracPoly.from_terms((c, float(degree - i)) for i, c in enumerate(coeffs))
-        newton = newton_roots(poly, cfg)
-        companion = commensurate_roots(poly, cfg)
+        newton = newton_roots(poly)
+        companion = commensurate_roots(poly)
         agree = (
             companion is not None
             and len(newton) == len(companion)

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracreg import charpoly
-from fracreg.charpoly import (RootFindConfig, classify_stability,
-                              commensurate_roots, eval_fracpoly, find_roots,
-                              newton_roots, normalize)
+from fracreg.charpoly import (classify_stability, commensurate_roots,
+                              eval_fracpoly, find_roots, newton_roots,
+                              normalize)
 from fracreg.design import DesignSpecPd, design_pd_fractional
-from fracreg.model import FracPoly, PdController, Plant, char_poly_pd
+from fracreg.model import (FracPoly, PdController, PiController, Plant,
+                           char_poly_pd, char_poly_pi)
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 GOLDEN_POLY = char_poly_pd(BENCH_PLANT, PdController(K=24.0, Td=6.9407, delta=0.71859))
@@ -37,6 +38,8 @@ def integer_fracpoly(roots):
 
 
 MIXED_INTEGER_POLY = integer_fracpoly([-1.0, 2.0, -0.5 + 3j, -0.5 - 3j])
+PI_INTEGER_POLY = char_poly_pi(Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0),
+                               PiController(K=5.0, Ti=4.0, lam=1.0))
 
 
 def set_distance(a, b):
@@ -103,7 +106,7 @@ class TestFindRoots:
     def test_unstable_extra_real_root(self):
         report = find_roots(UNSTABLE_POLY)
         real_roots = [r.value for r in report.roots if abs(r.value.imag) < 1e-6]
-        assert any(abs(v.real - 1.98) < 0.02 for v in real_roots)
+        assert any(abs(v.real - 1.98) < 0.02 and v.imag == 0.0 for v in real_roots)
         assert report.verdict == "unstable"
         assert not report.coverage_caveat
 
@@ -115,10 +118,9 @@ class TestFindRoots:
         assert values[1] == pytest.approx(1j, abs=1e-10)
 
     def test_root_residual_invariant(self):
-        cfg = RootFindConfig()
         for poly in (GOLDEN_POLY, UNSTABLE_POLY):
-            report = find_roots(poly, cfg)
-            bound = cfg.newton_tol * (1 + sum(abs(c) for c in poly.coefficients))
+            report = find_roots(poly)
+            bound = charpoly.NEWTON_TOL * (1 + sum(abs(c) for c in poly.coefficients))
             assert all(r.residual <= bound for r in report.roots)
 
     def test_conjugate_pairing(self):
@@ -133,7 +135,7 @@ class TestFindRoots:
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
 
 
-def reference_newton_roots(p, cfg):
+def reference_newton_roots(p):
     """Newton grid that polishes every converged start and its conjugate.
 
     The original algorithm, kept as an oracle: all starts are evaluated on
@@ -142,13 +144,13 @@ def reference_newton_roots(p, cfg):
     pn, _ = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
-    scale_n = charpoly._residual_scale(pn, cfg.newton_tol)
-    axis = np.linspace(-cfg.search_radius, cfg.search_radius, cfg.grid_density)
+    scale_n = charpoly._residual_scale(pn)
+    axis = np.linspace(-charpoly.SEARCH_RADIUS, charpoly.SEARCH_RADIUS, charpoly.GRID_DENSITY)
     re, im = np.meshgrid(axis, axis)
     s = (re + 1j * im).ravel()
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j
-    limit = 1e6 * cfg.search_radius
-    for _ in range(cfg.max_iter):
+    limit = 1e6 * charpoly.SEARCH_RADIUS
+    for _ in range(charpoly.MAX_ITER):
         f, fp = charpoly._eval_vec(coeffs, expts, s)
         bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
         done = np.abs(f) <= scale_n
@@ -163,8 +165,8 @@ def reference_newton_roots(p, cfg):
     f, _ = charpoly._eval_vec(coeffs, expts, np.where(np.isfinite(s), s, 1.0))
     converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
     candidates = list(converged) + [z.conjugate() for z in converged]
-    roots = charpoly._polish(p, candidates, cfg)
-    return sorted(charpoly._dedupe(roots, cfg.dedupe_tol), key=lambda z: (z.real, z.imag))
+    roots = charpoly._polish(p, candidates)
+    return sorted(charpoly._dedupe(roots, charpoly.DEDUPE_TOL), key=lambda z: (z.real, z.imag))
 
 
 def seeded_pd_poly(seed):
@@ -181,9 +183,9 @@ def polished(monkeypatch):
     points = []
     original = charpoly._polish
 
-    def counting(p, pts, cfg):
+    def counting(p, pts):
         points.extend(pts)
-        return original(p, pts, cfg)
+        return original(p, pts)
 
     monkeypatch.setattr(charpoly, "_polish", counting)
     return points
@@ -193,33 +195,34 @@ class TestNewtonGrid:
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_polish_everything_reference(self, seed):
         poly = seeded_pd_poly(seed)
-        cfg = RootFindConfig()
-        want = reference_newton_roots(poly, cfg)
-        got = newton_roots(poly, cfg)
+        want = reference_newton_roots(poly)
+        got = newton_roots(poly)
         assert len(got) == len(want)
         assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY, seeded_pd_poly(50),
-                                      MIXED_INTEGER_POLY])
-    def test_conjugate_closed_and_sorted(self, poly):
-        cfg = RootFindConfig()
-        roots = newton_roots(poly, cfg)
+    @pytest.mark.parametrize(
+        "finder, poly",
+        [(newton_roots, GOLDEN_POLY), (newton_roots, UNSTABLE_POLY),
+         (newton_roots, seeded_pd_poly(50)), (newton_roots, MIXED_INTEGER_POLY),
+         (commensurate_roots, MIXED_INTEGER_POLY), (commensurate_roots, PI_INTEGER_POLY)],
+        ids=["poly0", "poly1", "poly2", "poly3", "commensurate-mixed", "commensurate-pi"])
+    def test_conjugate_closed_and_sorted(self, finder, poly):
+        roots = finder(poly)
         assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
         for z in roots:
             # a real root reflects onto itself and is kept once
-            assert z.conjugate() in roots or abs(z.imag) <= cfg.dedupe_tol
+            assert z.conjugate() in roots or abs(z.imag) <= charpoly.DEDUPE_TOL
         assert len(roots) == len(set(roots))
 
     def test_points_across_a_cell_edge_give_one_root(self, polished):
-        cfg = RootFindConfig()
-        root = max(newton_roots(GOLDEN_POLY, cfg), key=lambda z: z.imag)
-        tol = cfg.dedupe_tol
+        root = max(newton_roots(GOLDEN_POLY), key=lambda z: z.imag)
+        tol = charpoly.DEDUPE_TOL
         edge = (np.floor(root.real / tol) + 0.5) * tol
         points = np.array([complex(edge - 5e-10, root.imag), complex(edge + 5e-10, root.imag)])
         keys = np.round(points / tol)
         assert keys[0] != keys[1]  # the two points lie in different grid cells
         polished.clear()  # count only what _distinct_roots polishes
-        roots = charpoly._distinct_roots(GOLDEN_POLY, points, cfg)
+        roots = charpoly._distinct_roots(GOLDEN_POLY, points)
         assert len(polished) == 2
         assert len(roots) == 2
         assert roots[1] == roots[0].conjugate()
@@ -228,15 +231,14 @@ class TestNewtonGrid:
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
                                       MIXED_INTEGER_POLY])
     def test_polishes_only_distinct_roots(self, poly, polished):
-        roots = newton_roots(poly, RootFindConfig())
+        roots = newton_roots(poly)
         assert roots
         assert len(polished) <= 2 * len(roots)
 
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
                                       FracPoly.from_terms([(1.0, 2.0), (3.0, 1.0), (1.0, 0.0)])])
     def test_roots_are_builtin_complex(self, poly):
-        cfg = RootFindConfig()
-        found = newton_roots(poly, cfg) + (commensurate_roots(poly, cfg) or [])
+        found = newton_roots(poly) + (commensurate_roots(poly) or [])
         assert found
         assert all(type(z) is complex for z in found)
 
@@ -258,14 +260,13 @@ class TestCommensurateNewtonAgreement:
         rng = np.random.default_rng(seed)
         degree = int(rng.integers(2, 7))
         poly = integer_fracpoly(random_conjugate_closed_roots(rng, degree))
-        cfg = RootFindConfig()
-        newton = newton_roots(poly, cfg)
-        companion = commensurate_roots(poly, cfg)
+        newton = newton_roots(poly)
+        companion = commensurate_roots(poly)
         assert companion is not None
         assert set_distance(newton, companion) < 1e-6
 
     def test_non_commensurate_returns_none(self):
-        assert commensurate_roots(GOLDEN_POLY, RootFindConfig()) is None
+        assert commensurate_roots(GOLDEN_POLY) is None
 
 
 class TestClassify:

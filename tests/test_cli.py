@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
 from fracreg.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PLANT = {"a0": 1.0, "a1": 0.5, "a2": 0.8, "alpha": 2.2, "beta": 0.9}
 GOLDEN_SIM = {"h": 0.001, "t_end": 12.0, "input": {"type": "step", "amplitude": 1.0}}
 
@@ -136,13 +139,21 @@ class TestDesign:
         assert report["controller"]["type"] == "pi"
         assert report["controller"]["lambda"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_infeasible_pi_design_exit5(self, tmp_path):
-        doc = {
-            "plant": {"a0": 1.0, "a1": 4.0, "a2": 1.0, "alpha": 2.0, "beta": 1.0},
-            "design": {"type": "pi", "poles": [[-1e6, 0.0], [-1e-6, 0.0], [-1.0, 0.0]]},
-        }
-        code = main(["design", "--config", str(write_config(tmp_path, doc))])
-        assert code == 5
+    def test_infeasible_pi_design_exit5(self, tmp_path, capsys):
+        # the second pole set overflows the solver's iterates on the way
+        cases = [
+            ({"a0": 1.0, "a1": 4.0, "a2": 1.0, "alpha": 2.0, "beta": 1.0},
+             [[-1e6, 0.0], [-1e-6, 0.0], [-1.0, 0.0]]),
+            (PLANT, [[-1.0, 2.0], [-1.0, -2.0], [-3.0, 0.0]]),
+        ]
+        for plant, poles in cases:
+            doc = {"plant": plant, "design": {"type": "pi", "poles": poles}}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["design", "--config", str(write_config(tmp_path, doc))])
+            assert code == 5
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("design solver failed")
 
 
 class TestPoles:
@@ -167,6 +178,15 @@ class TestPoles:
         assert code == 0
         report = json.loads((tmp_path / "poles.json").read_text())
         assert report["method"] == "commensurate"
+
+    def test_real_root_is_written_real(self, tmp_path):
+        code = main(["poles", "--config", str(CONFIGS / "unstable_pd_sim.json"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        roots = json.loads((tmp_path / "poles.json").read_text())["roots"]
+        real = [r for r in roots if abs(r["re"] - 1.989) < 0.01]
+        assert len(real) == 1
+        assert real[0]["im"] == 0.0 and math.copysign(1.0, real[0]["im"]) == 1.0
 
     def test_zero_controller_open_loop_roots(self, tmp_path):
         doc = {

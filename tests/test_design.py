@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracreg.charpoly import RootFindConfig, eval_fracpoly, find_roots
+from fracreg.charpoly import NEWTON_TOL, eval_fracpoly, find_roots
 from fracreg.design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                             design_pd_integer, design_pi, gain_from_ss_error)
 from fracreg.errors import NoSolutionError
@@ -113,11 +114,18 @@ class TestDesignPi:
             assert abs(eval_fracpoly(poly, p)) <= 1e-8 * abs(plant.a0 + ctrl.K)
 
     def test_infeasible_poles_raise(self):
-        # magnitudes 1e6 / 1e-6 / 1: no (K, Ti, lam>0) can satisfy all three
-        plant = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1)
-        poles = (complex(-1e6, 0), complex(-1e-6, 0), complex(-1, 0))
-        with pytest.raises(NoSolutionError):
-            design_pi(DesignSpecPi(plant=plant, poles=poles))
+        # magnitudes 1e6 / 1e-6 / 1: no (K, Ti, lam>0) can satisfy all three;
+        # for (-1 +- 2i, -3) the iterates overflow on the way, silently
+        cases = [
+            (Plant(a0=1, a1=4, a2=1, alpha=2, beta=1),
+             (complex(-1e6, 0), complex(-1e-6, 0), complex(-1, 0))),
+            (BENCH_PLANT, (-1 + 2j, -1 - 2j, -3 + 0j)),
+        ]
+        for plant, poles in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NoSolutionError):
+                    design_pi(DesignSpecPi(plant=plant, poles=poles))
 
     def test_conjugation_closure_required(self):
         with pytest.raises(ValueError):
@@ -130,19 +138,17 @@ class TestDesignPi:
 
 class TestRoundTrip:
     def test_designed_poly_has_requested_poles(self):
-        cfg = RootFindConfig()
         ctrl = design_pd_fractional(DesignSpecPd(plant=BENCH_PLANT, pole=POLE, ess_percent=4.0))
-        report = find_roots(char_poly_pd(BENCH_PLANT, ctrl), cfg)
+        report = find_roots(char_poly_pd(BENCH_PLANT, ctrl))
         values = [r.value for r in report.roots]
         for target in (POLE, POLE.conjugate()):
-            assert min(abs(v - target) for v in values) <= 10 * cfg.newton_tol
+            assert min(abs(v - target) for v in values) <= 10 * NEWTON_TOL
 
     def test_pi_round_trip(self):
-        cfg = RootFindConfig()
         plant = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1)
         poles = tuple(np.roots([1.0, 4.0, 6.0, 4.0]))
         ctrl = design_pi(DesignSpecPi(plant=plant, poles=poles))
-        report = find_roots(char_poly_pi(plant, ctrl), cfg)
+        report = find_roots(char_poly_pi(plant, ctrl))
         values = [r.value for r in report.roots]
         for target in poles:
-            assert min(abs(v - target) for v in values) <= 10 * cfg.newton_tol
+            assert min(abs(v - target) for v in values) <= 10 * NEWTON_TOL

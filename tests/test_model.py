@@ -40,7 +40,6 @@ class TestBuildPdModel:
     def test_benchmark_gains_and_orders(self):
         model = build_pd_model(BENCH_PLANT, GOLDEN_PD)
         assert model.dim == 2
-        assert model.integer_chain == (0,)
         eq2 = terms_by_target(model.state_terms[1])
         assert eq2[(0, -0.2)] == pytest.approx(-31.25)
         assert eq2[(1, -0.48141)] == pytest.approx(-8.675875)
