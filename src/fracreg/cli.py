@@ -40,11 +40,15 @@ def _get(block, key, path, expect=None):
     return value
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _num(block, key, path, default=None):
     if default is not None and key not in block:
         return default
     value = _get(block, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"key '{path}.{key}' must be a number", key=f"{path}.{key}")
     return float(value)
 
@@ -60,6 +64,12 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    output = doc.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("'output' must be an object", key="output")
+    for key, name in output.items():
+        if not (isinstance(name, str) and name):
+            raise ConfigError(f"'output.{key}' must be a file name", key=f"output.{key}")
     return doc
 
 
@@ -102,8 +112,8 @@ def _parse_poles(block, path):
     raw = _get(block, "poles", path, list)
     poles = []
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ConfigError(f"'{path}.poles' entries must be [re, im] pairs",
+        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
+            raise ConfigError(f"'{path}.poles' entries must be [re, im] pairs of numbers",
                               key=f"{path}.poles")
         poles.append(complex(item[0], item[1]))
     return poles
@@ -119,6 +129,9 @@ def parse_sim(doc) -> SimConfig:
         input_spec = StepInput(amplitude=_num(inp, "amplitude", "sim.input", default=1.0))
     elif kind == "samples":
         input_spec = _get(inp, "values", "sim.input", list)
+        if not all(map(_is_number, input_spec)):
+            raise ConfigError("'sim.input.values' must be a list of numbers",
+                              key="sim.input.values")
     else:
         raise ConfigError(f"unknown input type {kind!r}", key="sim.input.type")
     memory_len = block.get("memory_len")

@@ -8,6 +8,11 @@ where the weights b_j = (-1)^j C(q, j) satisfy the recurrence
 b_0 = 1, b_j = (1 - (1+q)/j) b_{j-1}.  Negative q gives the fractional
 integral with the same formula.  Signals are assumed at rest (zero)
 before t = 0.
+
+`gl_convolve` applies a weight sequence to a series known in advance.
+`GlHistory` serves a series that is being solved for, _BLOCK samples at a
+time: for each block it returns the sums over lags >= _BLOCK, which read
+only earlier samples, and leaves the lags below _BLOCK to the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 __all__ = ["GlTable", "GlHistory", "SampledSignal", "gl_coefficients", "gl_convolve",
            "gl_apply", "gl_series"]
 
-#: Lags within the current block of this many samples are summed directly.
+#: Samples per block: GlHistory sums the lags of at least this many samples,
+#: and the simulators solve the lags below it within each block.
 _BLOCK = 64
 #: Longest piece a known series is cut into for its FFT.
 _CHUNK = 4096
@@ -139,18 +145,22 @@ def gl_convolve(kernel, series) -> np.ndarray:
 
 
 class GlHistory:
-    """Online GL history sums of a series produced one sample at a time.
+    """GL history sums over the far lags of a series produced a block at a time.
 
-    `history(t)` returns sum_{j=1..t} kernel[j] * series[t-j], the GL sum
-    at sample t without its j = 0 term.  `series` is the caller's array; it
-    is read, never written, and series[:t] must be final when `history(t)`
-    is called, for t = 0, 1, 2, ... in increasing order.  A kernel cut off
-    after n_mem + 1 weights gives the short-memory sum exactly.
+    `history.block(t)`, for t = 0, _BLOCK, 2 * _BLOCK, ... in increasing
+    order, returns the sums over lags j >= _BLOCK,
 
-    Lags 1.._BLOCK-1, which carry the largest GL weights, are summed
-    directly by one short dot product per call.  Longer lags come from the
-    lag-doubling FFT scheme of Hairer, Lubich & Schlichte (SIAM J. Sci.
-    Stat. Comput. 6(3), 1985): when t reaches a multiple of _BLOCK, with
+        sum_{j>=_BLOCK} kernel[j] * series[s-j]   for s = t .. t + _BLOCK - 1,
+
+    as a read-only view of at most _BLOCK values.  `series` is the caller's
+    array; it is read, never written, and series[:t] must be final when
+    `block(t)` is called.  Every lag j >= _BLOCK of those samples reaches
+    back before t, so the sums are complete then.  Lags below _BLOCK, which
+    couple the samples of one block, are the caller's to solve.  A kernel
+    cut off after n_mem + 1 weights gives the short-memory sums exactly.
+
+    The sums come from the lag-doubling FFT scheme of Hairer, Lubich &
+    Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): at each t, with
     L = t & -t, the inputs [t-L, t) are added to the outputs [t, t+L)
     through lags _BLOCK..2L-1 by one FFT product, so n samples cost
     O(n log^2 n).
@@ -160,32 +170,32 @@ class GlHistory:
         kernel = _support(np.asarray(kernel, dtype=float))
         self._lags = len(kernel) - 1
         self._series = series
-        self._far = np.zeros(len(series) + 1)
-        near = np.zeros(_BLOCK)
-        near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
-        self._near = near[:0:-1].copy()  # near[i] = kernel[_BLOCK - 1 - i]
-        self._kernel = np.concatenate((np.zeros(min(_BLOCK, len(kernel))), kernel[_BLOCK:]))
+        self._far = np.zeros(len(series))
+        self._tail = kernel[_BLOCK:]  # tail[i] = kernel[_BLOCK + i]
 
-    def __call__(self, t: int) -> float:
-        if t % _BLOCK == 0 and t:
-            self._advance(t)
-        start = max(t - _BLOCK + 1, 0)
-        return self._far[t] + np.dot(self._near[start - t + _BLOCK - 1:], self._series[start:t])
+    def block(self, t: int) -> np.ndarray:
+        self._advance(t)
+        out = self._far[t:t + _BLOCK]
+        out.flags.writeable = False
+        return out
 
     def _advance(self, t):
         # a kernel with fewer lags than L only links inputs and outputs that
         # lie within `lags` of t, so the square shrinks to that width
         width = min(t & -t, self._lags)
         out = self._far[t:t + width]
-        if min(2 * width - 1, self._lags) < _BLOCK or not len(out):
-            return  # no lag of the square reaches the FFT part
+        if self._lags < _BLOCK or not len(out):
+            return  # no lag of the square reaches _BLOCK
+        # width >= _BLOCK here; output t + o takes input t - width + i through
+        # lag o + width - i, which is tail index o + width - _BLOCK - i
         inputs = self._series[t - width:t]
-        if width <= _BLOCK:
-            part = np.convolve(inputs, self._kernel[:2 * width])[width:2 * width]
+        tail = self._tail[:2 * width - _BLOCK]
+        if width == _BLOCK:
+            part = np.convolve(inputs, tail)[:width]
         else:
             size = 2 * width
-            spectrum = np.fft.rfft(inputs, size) * np.fft.rfft(self._kernel[:size], size)
-            part = np.fft.irfft(spectrum, size)[width:]
+            spectrum = np.fft.rfft(inputs, size) * np.fft.rfft(tail, size)
+            part = np.fft.irfft(spectrum, size)[width - _BLOCK:2 * width - _BLOCK]
         out += part[:len(out)]
 
 

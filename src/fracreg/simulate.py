@@ -13,10 +13,17 @@ The two share only the GL history primitive of `glcalc`: `gl_convolve`
 for series known in advance (the input's share of every equation, and
 the state-space output y, which is never fed back) and `GlHistory` for
 the sums over the series being solved for.  Terms of one equation that
-act on the same series are merged into one kernel first.  A full-memory
-run of n steps costs O(n log^2 n).  `memory_len` keeps its exact
-short-memory meaning: every kernel is cut off after
-floor(memory_len / step) + 1 weights.
+act on the same series are merged into one kernel first.
+
+Both step _BLOCK = 64 samples at a time.  `GlHistory` hands over the sums
+over lags >= _BLOCK for a whole block, which read only samples before it;
+the lags below _BLOCK couple the samples of the block, and each simulator
+solves them with its own small linear operator, formed once per run
+(`_euler_block` for the Euler steps, a triangular Toeplitz solve with one
+refinement step for the direct scheme).  A run of n steps thus costs
+n / 64 Python iterations plus the O(n log^2 n) FFT work of the history
+sums.  `memory_len` keeps its exact short-memory meaning: every kernel is
+cut off after floor(memory_len / step) + 1 weights.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError, ResourceLimitError, SingularStepError
-from .glcalc import GlHistory, _truncation, gl_coefficients, gl_convolve
+from .errors import ConfigError, DivergedError, ResourceLimitError, SingularStepError
+from .glcalc import _BLOCK, GlHistory, _truncation, gl_coefficients, gl_convolve
 from .model import INPUT, PdController, PiController, Plant, StateModel
 
 __all__ = [
@@ -47,7 +54,17 @@ _DEFAULT_MAX_STEPS = 10 ** 6
 
 
 def _max_steps() -> int:
-    return int(os.environ.get("FRACREG_MAX_STEPS", _DEFAULT_MAX_STEPS))
+    raw = os.environ.get("FRACREG_MAX_STEPS")
+    if raw is None:
+        return _DEFAULT_MAX_STEPS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ConfigError(f"FRACREG_MAX_STEPS must be a positive integer, got {raw!r}",
+                          key="FRACREG_MAX_STEPS")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -73,6 +90,15 @@ class SimConfig:
             raise ValueError("t_end must cover at least 10 steps")
         if self.memory_len is not None and not (0 < self.memory_len < math.inf):
             raise ValueError(f"memory_len must be positive and finite, got {self.memory_len}")
+        if isinstance(self.input, StepInput):
+            samples = np.array([self.input.amplitude], dtype=float)
+        else:
+            samples = np.asarray(self.input, dtype=float)
+            need = int(round(self.t_end / self.step)) + 1
+            if samples.ndim != 1 or len(samples) < need:
+                raise ValueError(f"explicit input has shape {samples.shape}, need {need} samples")
+        if not np.isfinite(samples).all():
+            raise ValueError("input samples must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -106,10 +132,7 @@ class Trajectory:
 def _input_samples(cfg: SimConfig, n: int) -> np.ndarray:
     if isinstance(cfg.input, StepInput):
         return np.full(n + 1, cfg.input.amplitude)
-    w = np.asarray(cfg.input, dtype=float)
-    if len(w) < n + 1:
-        raise ValueError(f"explicit input has {len(w)} samples, need {n + 1}")
-    return w[: n + 1]
+    return np.asarray(cfg.input, dtype=float)[: n + 1]
 
 
 def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
@@ -137,24 +160,34 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
                     kernels[t.target] = weights
         return scalars, kernels
 
-    def equation(row, terms):
-        """(row, (series, gain) pairs read at the current step, history sums).
+    def equations():
+        """(near, rows) of the state equations for `_block_steps`.
 
-        The input is known in advance, so its fractional share is convolved
-        once.  The j = 0 weight of a state kernel multiplies the state's
-        current sample like an order-0 gain; an online history sum covers
-        its lags j >= 1.
+        near[j][row, target] is the weight of x[target][k - j] in the
+        right-hand side of `row` at step k, j < _BLOCK.  Each row with more
+        than that gets (row, shares, sums): the input is known in advance,
+        so its share is formed once, and an online history sum covers each
+        state kernel's lags j >= _BLOCK.
         """
-        scalars, kernels = split(terms)
-        current = [(series(target), c) for target, c in scalars.items()]
-        if INPUT in kernels:
-            current.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
-        current += [(x[target], kernel[0]) for target, kernel in kernels.items()]
-        return row, current, [GlHistory(kernel, x[target]) for target, kernel in kernels.items()]
+        near = np.zeros((_BLOCK, model.dim, model.dim))
+        rows = []
+        for row, terms in enumerate(model.state_terms):
+            scalars, kernels = split(terms)
+            shares = [(w, c) for target, c in scalars.items() if target == INPUT]
+            if INPUT in kernels:
+                shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
+            for target, c in scalars.items():
+                if target != INPUT:
+                    near[0, row, target] += c
+            for target, kernel in kernels.items():
+                near[:min(_BLOCK, len(kernel)), row, target] += kernel[:_BLOCK]
+            sums = [GlHistory(kernel, x[target]) for target, kernel in kernels.items()]
+            if shares or sums:
+                rows.append((row, shares, sums))
+        return near, rows
 
-    # the history buffers are freed when _euler_steps returns
-    upto = _euler_steps([equation(row, terms) for row, terms in zip(x, model.state_terms)],
-                        h, n)
+    # the history buffers are freed when _block_steps returns
+    upto = _block_steps(x, *equations(), h, n)
 
     # y is never fed back, so it is formed from the finished series
     scalars, kernels = split(model.output_terms)
@@ -171,20 +204,72 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
     return traj
 
 
-def _euler_steps(eqs, h, n) -> int:
-    """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges."""
-    for k in range(n):
-        finite = True
-        for row, current, sums in eqs:
-            rhs = 0.0
-            for ser, c in current:
-                rhs += c * ser[k]
-            for history in sums:
-                rhs += history(k)
-            row[k + 1] = value = row[k] + h * rhs
-            finite = finite and abs(value) <= DIVERGENCE_LIMIT
-        if not finite:
-            return k + 1
+def _euler_block(near, h):
+    """(solve, carry): the right-hand sides of one block of Euler steps.
+
+    Step k evaluates g[k] = sum_{j<B} near[j] x[:, k-j] + f[k], where f is
+    the input share plus the far history sums, and sets
+    x[:, k+1] = x[:, k] + h g[k].  In the block of steps k = t..t+B-1 a
+    state x[:, t+i] is x[:, t] + h (g[t] + ... + g[t+i-1]), so with g and
+    v = x[:, t-B+1..t] flattened time-major,
+
+        (I - h N) g = carry @ v + f,   g = solve @ (carry @ v + f).
+
+    N[m, i] = cum[m-1-i] for i < m, with cum[l] = near[0] + ... + near[l],
+    is strictly block-lower and block-Toeplitz, so solve = (I - h N)^-1 is
+    block-Toeplitz too and its blocks come from one forward substitution.
+    carry[m, p] = near[m + B-1 - p] for m <= p < B-1 reaches back before
+    the block, and its last column, x[:, t] itself, is cum[m].  The
+    leading b*d rows and columns are the operator of the first b steps.
+    """
+    size, dim, _ = near.shape
+    cum = np.cumsum(near, axis=0)
+    flat = cum.transpose(1, 0, 2).reshape(dim, -1)  # [cum[0] cum[1] ...]
+    rev = np.zeros_like(near)  # rev[size-1-k] is solve's block at lag k
+    rev[-1] = np.eye(dim)
+    for k in range(1, size):
+        rev[-1 - k] = h * (flat[:, :k * dim] @ rev[-k:].reshape(-1, dim))
+    # a block that grows past the float range does so only after the states
+    # diverge, but a zero forcing must still give zero states, not 0 * inf
+    np.nan_to_num(rev, copy=False)
+    solve = np.zeros((size, dim, size, dim))
+    carry = np.zeros((size, dim, size, dim))
+    for m in range(size):
+        solve[m, :, :m + 1] = rev[size - 1 - m:].transpose(1, 0, 2)
+        carry[m, :, m:size - 1] = near[size - 1:m:-1].transpose(1, 0, 2)
+    carry[:, :, size - 1] = cum
+    return solve.reshape(size * dim, -1), carry.reshape(size * dim, -1)
+
+
+def _block_steps(x, near, rows, h, n) -> int:
+    """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges.
+
+    Each block of _BLOCK steps solves for its right-hand sides at once (see
+    `_euler_block`); f holds each row's input share and far history sums,
+    which read only states before the block.  The states then accumulate
+    the steps h g[k] one by one, as Euler's scheme adds them.  No state is
+    read after it diverges, so the block products run with overflow ignored.
+    """
+    dim = len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solve, carry = _euler_block(near, h)
+        for t in range(0, n, _BLOCK):
+            b = min(_BLOCK, n - t)
+            f = np.zeros((b, dim))
+            for row, shares, sums in rows:
+                for ser, c in shares:
+                    f[:, row] += c * ser[t:t + b]
+                for history in sums:
+                    f[:, row] += history.block(t)[:b]
+            g = f.reshape(-1)
+            if t:  # before t = 0 the states are at rest
+                g += carry[:b * dim] @ x[:, t - _BLOCK + 1:t + 1].T.reshape(-1)
+            states = x[:, t:t + b + 1]
+            states[:, 1:] = h * (solve[:b * dim, :b * dim] @ g).reshape(b, dim).T
+            np.cumsum(states, axis=1, out=states)
+            finite = (np.abs(states[:, 1:]) <= DIVERGENCE_LIMIT).all(axis=0)
+            if not finite.all():
+                return t + 1 + int(np.argmin(finite))
     return n + 1
 
 
@@ -214,7 +299,7 @@ def _direct_terms(plant: Plant, ctrl):
 def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     """GL discretization of the scalar closed-loop equation itself.
 
-    Solves for the newest output sample at every step; produces no state
+    Solves for the output _BLOCK samples at a time; produces no state
     trajectories, only y.
     """
     h = cfg.step
@@ -230,18 +315,52 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
 
     drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
                             for c, q in w_terms), w)
+    kernel = sum(scale * gl_coefficients(q, n_mem).coeffs
+                 for scale, (_, q) in zip(y_scales, y_terms))
+    near = np.zeros(_BLOCK)
+    near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
     y = np.zeros(n + 1)
-    history = GlHistory(sum(scale * gl_coefficients(q, n_mem).coeffs
-                            for scale, (_, q) in zip(y_scales, y_terms)), y)
-    for k in range(n + 1):
-        y[k] = value = (drive[k] - history(k)) / pivot
-        if not abs(value) <= DIVERGENCE_LIMIT:
-            raise DivergedError(
-                f"output magnitude {abs(value):.3g} at step {k} (t={h * k:.6g})",
-                index=k,
-                trajectory=Trajectory(step=h, states=(), output=y[:k].copy(),
-                                      input=w[:k].copy()),
-            )
+    history = GlHistory(kernel, y)
+
+    # One block solves near * y = drive - far for u = y[t..t+B-1]: lags
+    # within it form the lower-triangular Toeplitz matrix `lower` with the
+    # pivot on its diagonal, and lags reaching back into v = y[t-B..t-1] the
+    # strictly upper `upper`.  `inverse` is lower^-1, also Toeplitz, its first
+    # column formed by forward substitution.  Near a singular pivot that
+    # column overflows within the block, but only in rows past the output's
+    # own divergence; clipped to the float range, a zero forcing still gives
+    # a zero output.
+    lags = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    lower, upper = np.tril(near[lags]), np.triu(near[lags], 1)
+    first = np.zeros(_BLOCK)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first[0] = 1.0 / pivot
+        for k in range(1, _BLOCK):
+            first[k] = -np.dot(near[1:k + 1], first[k - 1::-1]) / pivot
+        inverse = np.tril(np.nan_to_num(first)[lags])
+        for t in range(0, n + 1, _BLOCK):
+            b = min(_BLOCK, n + 1 - t)
+            r = drive[t:t + b] - history.block(t)[:b]
+            if t:  # before t = 0 the output is at rest
+                r -= upper[:b] @ y[t - _BLOCK:t]
+            u = inverse[:b, :b] @ r
+            finite = np.abs(u) <= DIVERGENCE_LIMIT
+            diverged = not finite.all()
+            if diverged:
+                # the samples after the first bad one are not needed, and an
+                # overflowed one would turn into NaN (0 * inf) in the refinement
+                u[np.argmin(finite) + 1:] = 0.0
+            # one refinement step brings u to the accuracy of per-sample substitution
+            u += inverse[:b, :b] @ (r - lower[:b, :b] @ u)
+            y[t:t + b] = u
+            if diverged:
+                k = t + int(np.argmin(finite))
+                raise DivergedError(
+                    f"output magnitude {abs(y[k]):.3g} at step {k} (t={h * k:.6g})",
+                    index=k,
+                    trajectory=Trajectory(step=h, states=(), output=y[:k].copy(),
+                                          input=w[:k].copy()),
+                )
     return Trajectory(step=h, states=(), output=y, input=w)
 
 

@@ -240,6 +240,31 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, changes", [
+        ("simulate", {"sim": {"h": 0.01, "t_end": 1.0,
+                              "input": {"type": "samples", "values": [1.0] * 100}}}),
+        ("simulate", {"sim": {"h": 0.01, "t_end": 1.0,
+                              "input": {"type": "samples", "values": ["one"] * 101}}}),
+        ("simulate", {"output": "trajectory.csv"}),
+        ("simulate", {"output": {"trajectory_csv": 7}}),
+        ("design", {"design": {"type": "pd", "poles": [["-1", 6], ["-1", -6]], "ess": 4.0}}),
+    ], ids=["short-samples", "string-samples", "output-not-object", "output-name-not-string",
+            "string-poles"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, changes):
+        doc = {"plant": PLANT, "sim": {"h": 0.01, "t_end": 1.0}, **changes}
+        if command == "simulate":
+            doc["controller"] = {"type": "pd", "K": 24.0, "Td": 6.9407, "delta": 0.71859}
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+    def test_bad_step_cap_is_config_error(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("FRACREG_MAX_STEPS", cap)
+        doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
+                                              "delta": 0.71859}, "sim": {"h": 0.01, "t_end": 1.0}}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "FRACREG_MAX_STEPS" in capsys.readouterr().err
+
     def test_out_dir_option(self, tmp_path):
         doc = {
             "plant": PLANT,

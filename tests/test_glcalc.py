@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, gamma
 
-from fracreg.glcalc import (GlHistory, SampledSignal, gl_apply, gl_coefficients, gl_convolve,
-                            gl_series)
+from fracreg.glcalc import (_BLOCK, GlHistory, SampledSignal, gl_apply, gl_coefficients,
+                            gl_convolve, gl_series)
 
 
 def binom_oracle(order, j):
@@ -35,6 +35,26 @@ def naive_convolve(kernel, series):
     m = len(kernel) - 1
     return np.array([np.dot(kernel[:min(k, m) + 1], series[k::-1][:min(k, m) + 1])
                      for k in range(len(series))])
+
+
+class PerSampleHistory:
+    """sum_{j>=1} kernel[j] series[t-j] for t = 0, 1, 2, ... in turn.
+
+    GlHistory's block read gives the lags j >= _BLOCK; lags 1.._BLOCK-1 are
+    added by a naive dot product at every sample.
+    """
+
+    def __init__(self, kernel, series):
+        self.history = GlHistory(kernel, series)
+        self.near = np.zeros(_BLOCK)
+        self.near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
+        self.series = series
+
+    def __call__(self, t):
+        if t % _BLOCK == 0:
+            self.far = self.history.block(t)
+        lags = min(t, _BLOCK - 1)
+        return self.far[t % _BLOCK] + np.dot(self.near[1:lags + 1], self.series[t - lags:t][::-1])
 
 
 def fft_atol(kernel, series):
@@ -203,7 +223,7 @@ class TestGlHistory:
         rng = np.random.default_rng(n + 1)
         kernel = rng.normal(size=n + 1)
         series = rng.normal(size=n)
-        history = GlHistory(kernel, series)
+        history = PerSampleHistory(kernel, series)
         got = np.array([history(t) for t in range(n)])
         want = naive_convolve(np.r_[0.0, kernel[1:]], series)
         np.testing.assert_allclose(got, want, rtol=0, atol=fft_atol(kernel, series))
@@ -214,10 +234,27 @@ class TestGlHistory:
         n = 9000
         kernel = gl_coefficients(0.6, n_mem).coeffs
         series = rng.normal(size=n)
-        history = GlHistory(kernel, series)
+        history = PerSampleHistory(kernel, series)
         got = np.array([history(t) for t in range(n)])
         want = naive_convolve(np.r_[0.0, kernel[1:]], series)
         np.testing.assert_allclose(got, want, rtol=0, atol=fft_atol(kernel, series))
+
+    @pytest.mark.parametrize("n", [200, 4097])
+    def test_block_reads_only_earlier_samples(self, n):
+        # series[t:] is still NaN at block(t): the far sums must not touch it
+        rng = np.random.default_rng(n)
+        kernel = rng.normal(size=n + 1)
+        series = np.full(n, np.nan)
+        history = GlHistory(kernel, series)
+        got = []
+        for t in range(0, n, _BLOCK):
+            block = history.block(t)
+            assert len(block) == min(_BLOCK, n - t) and not block.flags.writeable
+            got.append(block.copy())
+            series[t:t + _BLOCK] = rng.normal(size=len(block))
+        want = naive_convolve(np.r_[np.zeros(_BLOCK), kernel[_BLOCK:]], series)
+        np.testing.assert_allclose(np.concatenate(got), want, rtol=0,
+                                   atol=fft_atol(kernel, series))
 
     @pytest.mark.parametrize("n", [65, 4097])
     def test_fed_back_series(self, n):
@@ -227,7 +264,7 @@ class TestGlHistory:
         b = lgamma_weights(0.6, n)
         u = rng.normal(size=n)
         x = np.zeros(n)
-        history = GlHistory(b, x)
+        history = PerSampleHistory(b, x)
         for t in range(n):
             x[t] = u[t] - history(t)
         want = np.zeros(n)
@@ -239,7 +276,7 @@ class TestGlHistory:
     def test_integer_orders_are_stencils(self, order):
         rng = np.random.default_rng(order)
         x = rng.normal(size=300)
-        history = GlHistory(gl_coefficients(order, 299).coeffs, x)
+        history = PerSampleHistory(gl_coefficients(order, 299).coeffs, x)
         got = np.array([history(t) for t in range(300)])
         padded = np.r_[0.0, 0.0, x]
         want = {0: np.zeros(300), 1: -padded[1:-1],

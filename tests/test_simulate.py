@@ -1,17 +1,124 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import lti
 
 from fracreg.errors import DivergedError, ResourceLimitError
-from fracreg.model import (PdController, PiController, Plant, build_pd_model,
+from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
+from fracreg.model import (INPUT, PdController, PiController, Plant, build_pd_model,
                            build_pi_model)
-from fracreg.simulate import (SimConfig, StepInput, Trajectory,
-                              simulate_direct, simulate_state_space,
-                              steady_state_estimate)
+from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
+                              _direct_terms, _input_samples, simulate_direct,
+                              simulate_state_space, steady_state_estimate)
+from test_glcalc import PerSampleHistory
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 GOLDEN_PD = PdController(K=24.0, Td=6.9407, delta=0.71859)
 UNSTABLE_PD = PdController(K=49.0, Td=-79.74427, delta=-0.55194)
+PI_PLANT = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1)
+#: (plant, controller, step): PD^delta (dim 2), PI^lambda (dim 3) and the GL-free PI
+#: loop.  The direct PI recurrences are of order 2.7 and 3, so they amplify rounding
+#: ~k^2-fold: reversing the reference's own near-lag dot moves its PI output by up
+#: to 7e-10 (relative) at h = 2e-3 and 4e-11 at h = 5e-3.
+LOOPS = {
+    "pd": (BENCH_PLANT, GOLDEN_PD, 0.002),
+    "pi": (BENCH_PLANT, PiController(K=2.0, Ti=1.0, lam=0.5), 0.005),
+    "pi_integer": (PI_PLANT, PiController(K=5.0, Ti=4.0, lam=1.0), 0.005),
+}
+#: Step counts on both sides of the 64-step block, and a long run.
+BLOCK_EDGES = [10, 63, 64, 65, 127, 128, 129, 4097]
+
+
+def reference_state_space(model, cfg):
+    """(states, output, divergence index or None) from the per-step Euler loop.
+
+    One step at a time: every history sum is read per sample and the newest
+    state enters through the j = 0 weights, as the GL sums are written.
+    """
+    h = cfg.step
+    n = cfg.n_steps
+    w = _input_samples(cfg, n)
+    n_mem = _truncation(n, h, cfg.memory_len)
+    x = np.zeros((model.dim, n + 1))
+
+    def series(target):
+        return w if target == INPUT else x[target]
+
+    def split(terms):
+        scalars, kernels = {}, {}
+        for t in terms:
+            if t.order == 0:
+                scalars[t.target] = scalars.get(t.target, 0.0) + t.gain
+            else:
+                weights = t.gain * h ** (-t.order) * gl_coefficients(t.order, n_mem).coeffs
+                kernels[t.target] = kernels.get(t.target, 0.0) + weights
+        return scalars, kernels
+
+    eqs = []
+    for row, terms in zip(x, model.state_terms):
+        scalars, kernels = split(terms)
+        current = [(series(target), c) for target, c in scalars.items()]
+        if INPUT in kernels:
+            current.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
+        current += [(x[target], kernel[0]) for target, kernel in kernels.items()]
+        eqs.append((row, current, [PerSampleHistory(kernel, x[target])
+                                   for target, kernel in kernels.items()]))
+    upto = n + 1
+    for k in range(n):
+        finite = True
+        for row, current, sums in eqs:
+            rhs = 0.0
+            for ser, c in current:
+                rhs += c * ser[k]
+            for history in sums:
+                rhs += history(k)
+            row[k + 1] = value = row[k] + h * rhs
+            finite = finite and abs(value) <= DIVERGENCE_LIMIT
+        if not finite:
+            upto = k + 1
+            break
+    scalars, kernels = split(model.output_terms)
+    y = np.zeros(upto)
+    for target, c in scalars.items():
+        y += c * series(target)[:upto]
+    for target, kernel in kernels.items():
+        y += gl_convolve(kernel, series(target)[:upto])
+    return x[:, :upto], y, upto if upto <= n else None
+
+
+def reference_direct(plant, ctrl, cfg):
+    """(output, divergence index or None) from solving for one sample at a time."""
+    h = cfg.step
+    n = cfg.n_steps
+    w = _input_samples(cfg, n)
+    n_mem = _truncation(n, h, cfg.memory_len)
+    y_terms, w_terms = _direct_terms(plant, ctrl)
+    y_scales = [c * h ** (-q) for c, q in y_terms]
+    pivot = sum(y_scales)
+    drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
+                            for c, q in w_terms), w)
+    y = np.zeros(n + 1)
+    history = PerSampleHistory(sum(scale * gl_coefficients(q, n_mem).coeffs
+                                   for scale, (_, q) in zip(y_scales, y_terms)), y)
+    for k in range(n + 1):
+        y[k] = (drive[k] - history(k)) / pivot
+        if not abs(y[k]) <= DIVERGENCE_LIMIT:
+            return y[:k], k
+    return y, None
+
+
+def run(simulate, *args):
+    """(trajectory, divergence index or None)."""
+    try:
+        return simulate(*args), None
+    except DivergedError as exc:
+        return exc.trajectory, exc.index
+
+
+def staircase(n):
+    """Reference levels 0.5, 0.75, 1, 1.25 switching every 37 samples, off the block grid."""
+    return 0.5 + 0.25 * (np.arange(n + 1) // 37 % 4)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +238,74 @@ class TestDirect:
         assert 1.6 <= ratio <= 2.4
 
 
+class TestBlockSteps:
+    """Both simulators against their per-step references, across block edges."""
+
+    @staticmethod
+    def check(loop, n, **options):
+        plant, ctrl, h = LOOPS[loop]
+        cfg = SimConfig(step=h, t_end=n * h, **options)
+        build = build_pd_model if loop == "pd" else build_pi_model
+        model = build(plant, ctrl)
+        states, y, index = reference_state_space(model, cfg)
+        traj, got_index = run(simulate_state_space, model, cfg)
+        assert got_index == index
+        scale = np.max(np.abs(states))
+        np.testing.assert_allclose(np.array(traj.states), states, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(traj.output, y, rtol=0, atol=1e-13 * np.max(np.abs(y)))
+        y, index = reference_direct(plant, ctrl, cfg)
+        traj, got_index = run(simulate_direct, plant, ctrl, cfg)
+        assert got_index == index
+        np.testing.assert_allclose(traj.output, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("loop", LOOPS)
+    @pytest.mark.parametrize("inp", ["step", "staircase"])
+    def test_matches_per_step_loop(self, n, loop, inp):
+        self.check(loop, n, input=StepInput() if inp == "step" else staircase(n))
+
+    @pytest.mark.parametrize("window", [10, 63, 64, 65, 300])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_memory_window(self, window, loop):
+        h = LOOPS[loop][2]
+        self.check(loop, 1000, memory_len=(window + 0.5) * h, input=staircase(1000))
+
+    @pytest.mark.parametrize("h", [5e-4, 1e-3, 2e-3])
+    def test_unstable_loop_divergence_index(self, h):
+        cfg = SimConfig(step=h, t_end=20.0)
+        _, _, index = reference_state_space(build_pd_model(BENCH_PLANT, UNSTABLE_PD), cfg)
+        traj, got = run(simulate_state_space, build_pd_model(BENCH_PLANT, UNSTABLE_PD), cfg)
+        assert got == index is not None
+        assert len(traj.output) == index
+        y, index = reference_direct(BENCH_PLANT, UNSTABLE_PD, cfg)
+        traj, got = run(simulate_direct, BENCH_PLANT, UNSTABLE_PD, cfg)
+        assert got == index is not None
+        np.testing.assert_allclose(traj.output, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
+
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1.0])
+    def test_operators_past_float_range(self, amplitude):
+        # a pivot cancelled to six digits (direct) and a2 = 1e-9 (Euler) grow
+        # ~1e6-fold per step, so both block operators pass 1e308 within a block
+        h = 0.01
+        cfg = SimConfig(step=h, t_end=100 * h, input=StepInput(amplitude))
+        p = BENCH_PLANT
+        pivot = p.a2 * h ** -p.alpha + p.a1 * h ** -p.beta + p.a0 + 24.0
+        ctrl = PdController(K=24.0, Td=-pivot * h ** 0.5 * (1 - 1e-6), delta=0.5)
+        stiff = build_pd_model(Plant(a0=1.0, a1=0.5, a2=1e-9, alpha=2.2, beta=0.9), GOLDEN_PD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct, direct_index = run(simulate_direct, p, ctrl, cfg)
+            ss, ss_index = run(simulate_state_space, stiff, cfg)
+        with np.errstate(all="ignore"):
+            y, index = reference_direct(p, ctrl, cfg)
+            states, _, ss_want = reference_state_space(stiff, cfg)
+        assert (direct_index, ss_index) == (index, ss_want)
+        assert (index is None) == (amplitude == 0.0)
+        np.testing.assert_allclose(direct.output, y, rtol=1e-10)
+        np.testing.assert_allclose(np.array(ss.states), states, rtol=1e-13)
+
+
 class TestRegressionPins:
     """Trajectory fingerprints recorded from the direct O(n^2) GL sums.
 
@@ -190,3 +365,10 @@ class TestSimConfig:
     def test_rejects_bad_memory(self):
         with pytest.raises(ValueError):
             SimConfig(step=0.01, t_end=1.0, memory_len=-1.0)
+
+    @pytest.mark.parametrize("inp", [StepInput(amplitude=float("nan")), [1.0] * 100,
+                                     [1.0] * 100 + [float("inf")], np.ones((101, 2))],
+                             ids=["nan-step", "short", "inf-sample", "2-d"])
+    def test_rejects_bad_input(self, inp):
+        with pytest.raises(ValueError):
+            SimConfig(step=0.01, t_end=1.0, input=inp)
