@@ -3,6 +3,9 @@
 Simulation of closed loops with fractional-order plants and PD^delta /
 PI^lambda controllers, root finding for fractional characteristic
 polynomials, stability classification and pole-placement design.
+
+Library diagnostics go to `logging.getLogger("fracreg")`, which is silent
+until the application configures logging.
 """
 
 from .charpoly import (RootResult, StabilityReport, classify_stability,

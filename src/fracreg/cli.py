@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .charpoly import find_roots
 from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                      design_pd_integer, design_pi)
@@ -29,6 +31,7 @@ EXIT_UNSTABLE = 4
 EXIT_SOLVER = 5
 
 _FLOAT_FMT = "%.12g"
+_CSV_CHUNK_ROWS = 512
 
 
 def _get(block, key, path, expect=None):
@@ -68,8 +71,10 @@ def load_config(path) -> dict:
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object", key="output")
     for key, name in output.items():
-        if not (isinstance(name, str) and name):
-            raise ConfigError(f"'output.{key}' must be a file name", key=f"output.{key}")
+        # a bare name: no directory part, so the file lands inside the output directory
+        if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
+            raise ConfigError(f"'output.{key}' must be a file name without a directory part",
+                              key=f"output.{key}")
     return doc
 
 
@@ -157,11 +162,14 @@ def _out_path(doc, args, key, default):
 
 def write_trajectory_csv(path, traj):
     header = ["t", "w", "y"] + [f"x{i + 1}" for i in range(len(traj.states))]
-    cols = [traj.times, traj.input, traj.output, *traj.states]
+    table = np.column_stack([traj.times, traj.input, traj.output, *traj.states])
+    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+        # rows go through Python floats, a chunk at a time to bound that copy
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            rows = table[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(row_fmt % tuple(row) for row in rows))
 
 
 def _controller_dict(ctrl):
@@ -179,6 +187,7 @@ def _report_roots(report):
         "method": report.method,
         "verdict": report.verdict,
         "coverage_caveat": report.coverage_caveat,
+        "root_count": report.root_count,
     }
 
 

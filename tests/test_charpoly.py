@@ -1,3 +1,9 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +107,7 @@ class TestFindRoots:
         assert min(abs(v - (-1 + 6j)) for v in values) < 5e-2
         assert min(abs(v - (-1 - 6j)) for v in values) < 5e-2
         assert report.verdict == "stable"
-        assert report.coverage_caveat  # newton-grid cannot certify
+        assert not report.coverage_caveat  # the root count certifies the search
 
     def test_unstable_extra_real_root(self):
         report = find_roots(UNSTABLE_POLY)
@@ -287,3 +293,104 @@ class TestClassify:
         verdict, caveat = classify_stability([-1 + 0j], "commensurate")
         assert verdict == "stable"
         assert not caveat
+
+
+def commensurate_fracpoly(roots, m):
+    """Polynomial in w = s^(1/m) with the given roots w."""
+    coeffs = np.real(np.poly(roots))
+    degree = len(roots)
+    return FracPoly.from_terms((c, (degree - i) / m) for i, c in enumerate(coeffs))
+
+
+def root_count(poly):
+    pn, _ = normalize(poly)
+    return charpoly._root_count(np.array(pn.coefficients, dtype=complex),
+                                np.array(pn.exponents, dtype=float))
+
+
+@pytest.fixture
+def densities(monkeypatch):
+    """The start-grid side of every Newton search while the test runs."""
+    sides = []
+    original = charpoly._newton_points
+
+    def recording(coeffs, expts, scale, density):
+        sides.append(density)
+        return original(coeffs, expts, scale, density)
+
+    monkeypatch.setattr(charpoly, "_newton_points", recording)
+    return sides
+
+
+class TestRootCount:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_companion_matrix(self, seed, m):
+        rng = np.random.default_rng(seed)
+        degree = int(rng.integers(2, 7))
+        poly = commensurate_fracpoly(random_conjugate_closed_roots(rng, degree), m)
+        assert root_count(poly) == len(commensurate_roots(poly))
+
+    @pytest.mark.parametrize("plant", [Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0),
+                                       Plant(a0=1.0, a1=0.5, a2=0.8, alpha=1.5, beta=0.5)])
+    @pytest.mark.parametrize("K, Ti", [(5.0, 4.0), (2.0, 1.0), (10.0, 8.0), (3.0, 0.5)])
+    def test_half_order_pi(self, plant, K, Ti):
+        poly = char_poly_pi(plant, PiController(K=K, Ti=Ti, lam=0.5))
+        assert charpoly.commensurate_base(poly) == 2
+        assert root_count(poly) == len(commensurate_roots(poly))
+
+    def test_root_on_the_cut_gives_none(self):
+        poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
+        assert root_count(poly) is None
+        assert set_distance(newton_roots(poly), commensurate_roots(poly)) < 1e-6
+
+    @pytest.mark.parametrize("kappa", [0.1, 5.0])
+    @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY], ids=["golden", "unstable"])
+    def test_scaled_variable_scales_the_roots(self, poly, kappa):
+        # P(s / kappa) has the roots kappa * s; at kappa = 5 the golden pair
+        # moves to -5 +- 30i, outside the SEARCH_RADIUS square
+        base = find_roots(poly)
+        scaled = find_roots(FracPoly.from_terms((c * kappa ** -e, e) for c, e in poly.terms))
+        want = [kappa * r.value for r in base.roots]
+        found = set_distance([r.value for r in scaled.roots], want) < 1e-9 * kappa
+        assert scaled.root_count == len(want)
+        assert found or scaled.coverage_caveat
+        assert scaled.verdict == base.verdict
+
+    def test_golden_never_reaches_the_full_grid(self, densities):
+        report = find_roots(GOLDEN_POLY)
+        assert densities == [charpoly.COARSE_DENSITY]
+        assert report.root_count == 2 and not report.coverage_caveat
+
+    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, densities,
+                                                             caplog):
+        monkeypatch.setattr(charpoly, "_root_count", lambda coeffs, expts: 4)
+        with caplog.at_level(logging.WARNING, logger="fracreg"):
+            report = find_roots(GOLDEN_POLY)
+        assert densities == [charpoly.COARSE_DENSITY, charpoly.GRID_DENSITY]
+        assert len(report.roots) == 2 and report.root_count == 4
+        assert report.verdict == "stable" and report.coverage_caveat
+        assert "found 2 distinct roots where the argument principle counts 4" in caplog.text
+
+    def test_count_exposes_roots_the_grid_misses(self, caplog):
+        # w-roots of seed 7 map to s = -64.4 +- 30.1i and 15.3: the pair lies
+        # outside the SEARCH_RADIUS square and no start converges to it
+        rng = np.random.default_rng(7)
+        degree = int(rng.integers(2, 7))
+        poly = commensurate_fracpoly(random_conjugate_closed_roots(rng, degree), 3)
+        with caplog.at_level(logging.WARNING, logger="fracreg"):
+            roots = newton_roots(poly)
+        assert len(roots) == 1 and len(commensurate_roots(poly)) == 3
+        assert "found 1 distinct roots where the argument principle counts 3" in caplog.text
+
+    def test_warning_is_silent_by_default(self):
+        # a fresh interpreter has no log handler anywhere, unlike pytest
+        code = ("from fracreg import charpoly\n"
+                "from fracreg.model import FracPoly\n"
+                "charpoly._root_count = lambda coeffs, expts: 4\n"
+                "poly = FracPoly.from_terms([(0.8, 2.2), (0.5, 0.9), (6.9, 0.72), (25.0, 0.0)])\n"
+                "print(charpoly.find_roots(poly).root_count)\n")
+        src = str(Path(charpoly.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout == "4\n" and done.stderr == ""

@@ -117,6 +117,17 @@ class TestDesign:
             abs(r["re"] - 1.98) < 0.02 and abs(r["im"]) < 1e-6 for r in report["roots"]
         )
 
+    def test_report_carries_the_root_count(self, tmp_path):
+        doc = {
+            "plant": PLANT,
+            "design": {"type": "pd", "poles": [[-1.0, 6.0], [-1.0, -6.0]], "ess": 4.0},
+        }
+        assert main(["design", "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["method"] == "newton-grid"
+        assert report["root_count"] == len(report["roots"]) == 2
+        assert report["coverage_caveat"] is False
+
     def test_integer_design(self, tmp_path):
         doc = {
             "plant": PLANT,
@@ -256,6 +267,24 @@ class TestConfigErrors:
             doc["controller"] = {"type": "pd", "K": 24.0, "Td": 6.9407, "delta": 0.71859}
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, name", [
+        ("simulate", "trajectory_csv", "missing/x.csv"),
+        ("design", "report_json", "nope/r.json"),
+        ("poles", "roots_json", "../escape.json"),
+    ])
+    def test_output_name_with_a_directory_is_config_error(self, tmp_path, capsys, command,
+                                                          key, name):
+        doc = {"plant": PLANT, "sim": {"h": 0.01, "t_end": 1.0}, "output": {key: name}}
+        if command == "design":
+            doc["design"] = {"type": "pd", "poles": [[-1.0, 6.0], [-1.0, -6.0]], "ess": 4.0}
+        else:
+            doc["controller"] = {"type": "pd", "K": 24.0, "Td": 6.9407, "delta": 0.71859}
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        assert f"output.{key}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "escape.json").exists()
 
     @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
     def test_bad_step_cap_is_config_error(self, tmp_path, capsys, monkeypatch, cap):
