@@ -22,11 +22,14 @@ or a count that fails (a root on the cut), leaves a stable or inconclusive
 verdict with its coverage caveat; the unmatched count is logged.  Each search runs at most
 MAX_ITER iterations.
 
-Both finders finish through `_distinct_roots`: candidates are folded onto
-Im >= 0, reduced to one per DEDUPE_TOL cell, Newton-polished to a residual
-within NEWTON_TOL (relative to the coefficient size), reflected into exact
-conjugate pairs, deduplicated and sorted.  These are fixed constants, not
-settings.
+Both finders search the polynomial normalized to a smallest exponent of
+0, which has the same roots s != 0 and none at s = 0, and finish through
+`_distinct_roots`: candidates are folded onto Im >= 0, reduced to one per
+DEDUPE_TOL cell, Newton-polished to a residual within NEWTON_TOL
+(relative to the coefficient size), reflected into exact conjugate pairs,
+deduplicated and sorted.  These are fixed constants, not settings.  When
+every exponent is positive, P(0) = 0 and both finders report the root
+s = 0 as exactly 0j; the count includes it and the verdict is unstable.
 """
 
 from __future__ import annotations
@@ -100,12 +103,13 @@ def eval_fracpoly(p: FracPoly, s: complex) -> complex:
 def normalize(p: FracPoly):
     """Shift exponents so the smallest is zero; returns (poly, shift).
 
-    Multiplication by s^shift changes no root away from s = 0.
+    Multiplication by s^shift changes no root away from s = 0, and the
+    shifted polynomial has none at s = 0.
     """
     if not p.terms:
         raise ValueError("empty polynomial")
     shift = -min(p.exponents)
-    if shift <= 0:
+    if shift == 0:
         return p, 0.0
     return FracPoly.from_terms((c, e + shift) for c, e in p.terms), shift
 
@@ -114,6 +118,11 @@ def _eval_vec(coeffs, expts, s):
     """Values and derivatives of the polynomial at an array of points."""
     powers = np.exp(np.log(s)[:, None] * expts)
     return powers @ coeffs, (powers @ (coeffs * expts)) / s
+
+
+def _zero_is_root(p: FracPoly) -> bool:
+    """Whether P(0) = 0: every exponent is positive, so no term survives at s = 0."""
+    return min(p.exponents) > 0
 
 
 def _residual_scale(p: FracPoly) -> float:
@@ -160,8 +169,7 @@ def _polish(p: FracPoly, points):
 def _root_count(coeffs, expts):
     """Number of principal-sheet roots s != 0 of sum coeffs * s^expts, or None.
 
-    The exponents are shifted so that the smallest is 0 (`normalize` leaves
-    a positive one alone); that changes no root s != 0.  Argument principle
+    The exponents are normalized: descending, the smallest 0.  Argument principle
     on a keyhole contour: the circle |s| = R0, both sides of the cut along
     the negative real axis down to |s| = eps, and the circle |s| = eps.  No
     root lies outside R0, where the leading term outweighs all others
@@ -173,7 +181,6 @@ def _root_count(coeffs, expts):
     """
     if expts.size < 2:
         return None
-    expts = expts - expts[-1]
     mags = np.abs(coeffs)
     log_radius = math.log(2.0) + max(
         0.0, math.log(mags[1:].sum() / mags[0]) / (expts[0] - expts[1]))
@@ -256,6 +263,8 @@ def _newton_search(p: FracPoly):
     expts = np.array(pn.exponents, dtype=float)
     scale_n = _residual_scale(pn)
     count = _root_count(coeffs, expts)
+    if count is not None and _zero_is_root(p):
+        count += 1
     if count is not None:
         roots = _distinct_roots(p, _newton_points(coeffs, expts, scale_n, COARSE_DENSITY))
         if len(roots) == count:
@@ -284,12 +293,16 @@ def _distinct_roots(p: FracPoly, points):
     reduced to one per DEDUPE_TOL grid cell before polishing; the polished
     roots are then reflected.  The final `_dedupe` merges representatives
     split by a cell edge and real roots that reflect onto themselves.
+    The points are roots s != 0; the root s = 0, where P(0) = 0, is added
+    exactly.
     """
     folded = np.where(points.imag < 0, points.conj(), points)
     _, first = np.unique(np.round(folded / DEDUPE_TOL), return_index=True)
     roots = _polish(p, folded[first])
-    candidates = roots + [z.conjugate() for z in roots]
-    return sorted(_dedupe(candidates, DEDUPE_TOL), key=lambda z: (z.real, z.imag))
+    distinct = _dedupe(roots + [z.conjugate() for z in roots], DEDUPE_TOL)
+    if _zero_is_root(p):
+        distinct.append(0j)
+    return sorted(distinct, key=lambda z: (z.real, z.imag))
 
 
 def commensurate_base(p: FracPoly):
@@ -328,13 +341,14 @@ def commensurate_roots(p: FracPoly):
 def classify_stability(roots, method: str):
     """Map a root set to (verdict, coverage_caveat).
 
-    An unstable verdict is certain; a stable verdict from the Newton grid
-    carries a coverage caveat unless `find_roots` certifies the root set
-    complete by its count.
+    A root with Re s > 0, or at s = 0 exactly, makes the verdict unstable,
+    and that is certain; a stable verdict from the Newton grid carries a
+    coverage caveat unless `find_roots` certifies the root set complete by
+    its count.
     """
     if not roots and method != "commensurate":
         return INCONCLUSIVE, True
-    if any(z.real > 0 for z in roots):
+    if any(z.real > 0 or z == 0 for z in roots):
         return UNSTABLE, False
     if method == "commensurate":
         return STABLE, False

@@ -10,9 +10,14 @@ integral with the same formula.  Signals are assumed at rest (zero)
 before t = 0.
 
 `gl_convolve` applies a weight sequence to a series known in advance.
-`GlHistory` serves a series that is being solved for, _BLOCK samples at a
-time: for each block it returns the sums over lags >= _BLOCK, which read
-only earlier samples, and leaves the lags below _BLOCK to the caller.
+`GlHistory` serves one equation row whose series are being solved for,
+_BLOCK samples at a time: for each block it returns the row's sums over
+lags >= _BLOCK of all its (kernel, series) pairs, which read only earlier
+samples, and leaves the lags below _BLOCK to the caller.  Its lag-doubling
+squares are direct convolutions up to a width of _DIRECT_WIDTH = 256 and
+FFT products beyond, with one inverse FFT per square for the whole row;
+the kernel spectra of a width up to _CACHE_WIDTH = 1024 are kept while a
+later square of that width is still to come.
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ __all__ = ["GlTable", "GlHistory", "SampledSignal", "gl_coefficients", "gl_convo
 _BLOCK = 64
 #: Longest piece a known series is cut into for its FFT.
 _CHUNK = 4096
+#: Widest GlHistory square summed by direct convolution rather than FFTs.
+_DIRECT_WIDTH = 256
+#: Widest GlHistory square whose kernel spectra are kept for its next square.
+_CACHE_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -145,33 +154,47 @@ def gl_convolve(kernel, series) -> np.ndarray:
 
 
 class GlHistory:
-    """GL history sums over the far lags of a series produced a block at a time.
+    """GL history sums over the far lags of series produced a block at a time.
 
-    `history.block(t)`, for t = 0, _BLOCK, 2 * _BLOCK, ... in increasing
-    order, returns the sums over lags j >= _BLOCK,
+    `GlHistory(kernel, series, *pairs)` serves one equation row: the sum of
+    kernel * series over the first pair and every further (kernel, series)
+    pair, all series of one length.  `history.block(t)`, for t = 0, _BLOCK,
+    2 * _BLOCK, ... in increasing order, returns the sums over lags
+    j >= _BLOCK,
 
-        sum_{j>=_BLOCK} kernel[j] * series[s-j]   for s = t .. t + _BLOCK - 1,
+        sum_pairs sum_{j>=_BLOCK} kernel[j] * series[s-j]   for s = t .. t + _BLOCK - 1,
 
-    as a read-only view of at most _BLOCK values.  `series` is the caller's
-    array; it is read, never written, and series[:t] must be final when
-    `block(t)` is called.  Every lag j >= _BLOCK of those samples reaches
-    back before t, so the sums are complete then.  Lags below _BLOCK, which
-    couple the samples of one block, are the caller's to solve.  A kernel
-    cut off after n_mem + 1 weights gives the short-memory sums exactly.
+    as a read-only view of at most _BLOCK values.  Each series is the
+    caller's array; it is read, never written, and series[:t] must be final
+    when `block(t)` is called.  Every lag j >= _BLOCK of those samples
+    reaches back before t, so the sums are complete then.  Lags below
+    _BLOCK, which couple the samples of one block, are the caller's to
+    solve.  A kernel cut off after n_mem + 1 weights gives the short-memory
+    sums exactly.
 
-    The sums come from the lag-doubling FFT scheme of Hairer, Lubich &
+    The sums come from the lag-doubling scheme of Hairer, Lubich &
     Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): at each t, with
     L = t & -t, the inputs [t-L, t) are added to the outputs [t, t+L)
-    through lags _BLOCK..2L-1 by one FFT product, so n samples cost
-    O(n log^2 n).
+    through lags _BLOCK..2L-1, so n samples cost O(n log^2 n).  A square
+    of width up to _DIRECT_WIDTH is one direct convolution per pair.  A
+    wider one is an FFT product per pair, summed in the frequency domain
+    and brought back by one inverse FFT.  Its kernel spectra depend only on
+    the width; up to _CACHE_WIDTH they are kept while a later square of
+    that width is still to come, and wider ones are formed, used and dropped.
     """
 
-    def __init__(self, kernel, series: np.ndarray):
-        kernel = _support(np.asarray(kernel, dtype=float))
-        self._lags = len(kernel) - 1
-        self._series = series
+    def __init__(self, kernel, series: np.ndarray, *pairs):
         self._far = np.zeros(len(series))
-        self._tail = kernel[_BLOCK:]  # tail[i] = kernel[_BLOCK + i]
+        self._pairs = []  # (tail, series), tail[i] = kernel[_BLOCK + i], per far-reaching pair
+        self._lags = 0
+        for weights, values in ((kernel, series), *pairs):
+            if len(values) != len(self._far):
+                raise ValueError("the series of one history must have one length")
+            weights = _support(np.asarray(weights, dtype=float))
+            if len(weights) > _BLOCK:
+                self._pairs.append((weights[_BLOCK:], values))
+                self._lags = max(self._lags, len(weights) - 1)
+        self._spectra = {}  # width -> the pairs' kernel tail spectra
 
     def block(self, t: int) -> np.ndarray:
         self._advance(t)
@@ -180,23 +203,39 @@ class GlHistory:
         return out
 
     def _advance(self, t):
-        # a kernel with fewer lags than L only links inputs and outputs that
+        # kernels with fewer lags than L only link inputs and outputs that
         # lie within `lags` of t, so the square shrinks to that width
         width = min(t & -t, self._lags)
         out = self._far[t:t + width]
-        if self._lags < _BLOCK or not len(out):
+        if width < _BLOCK or not len(out):
             return  # no lag of the square reaches _BLOCK
-        # width >= _BLOCK here; output t + o takes input t - width + i through
-        # lag o + width - i, which is tail index o + width - _BLOCK - i
-        inputs = self._series[t - width:t]
-        tail = self._tail[:2 * width - _BLOCK]
-        if width == _BLOCK:
-            part = np.convolve(inputs, tail)[:width]
-        else:
-            size = 2 * width
-            spectrum = np.fft.rfft(inputs, size) * np.fft.rfft(tail, size)
-            part = np.fft.irfft(spectrum, size)[width - _BLOCK:2 * width - _BLOCK]
-        out += part[:len(out)]
+        # output t + o takes input t - width + i through lag o + width - i,
+        # which is tail index o + width - _BLOCK - i: the full product's
+        # entries [width - _BLOCK, 2 * width - _BLOCK) over tail[:2 * width - _BLOCK]
+        lo, hi = width - _BLOCK, 2 * width - _BLOCK
+        if width <= _DIRECT_WIDTH:
+            for tail, series in self._pairs:
+                # a pair with fewer lags than the row has a shorter product
+                part = np.convolve(series[t - width:t], tail[:hi])[lo:lo + len(out)]
+                out[:len(part)] += part
+            return
+        size = 2 * width
+        # uncached, each kernel spectrum is formed just before its product
+        spectra = (self._spectra.pop(width, None)
+                   or (np.fft.rfft(tail[:hi], size) for tail, _ in self._pairs))
+        if width <= _CACHE_WIDTH and t + 2 * width < len(self._far):
+            # the next square of this width reuses them
+            spectra = self._spectra[width] = list(spectra)
+        total = None
+        for spectrum, (_, series) in zip(spectra, self._pairs):
+            product = np.fft.rfft(series[t - width:t], size)
+            product *= spectrum
+            if total is None:
+                total = product
+            else:
+                total += product
+            del spectrum, product  # freed before the next spectrum is formed: peak memory
+        out += np.fft.irfft(total, size)[lo:lo + len(out)]
 
 
 def gl_apply(history: SampledSignal, order: float, memory_len: float | None = None) -> float:

@@ -13,7 +13,10 @@ The two share only the GL history primitive of `glcalc`: `gl_convolve`
 for series known in advance (the input's share of every equation, and
 the state-space output y, which is never fed back) and `GlHistory` for
 the sums over the series being solved for.  Terms of one equation that
-act on the same series are merged into one kernel first.
+act on the same series are merged into one kernel first, and one
+`GlHistory` serves each equation row: the PD^delta row with kernels on
+x1 and x2 sums both products in the frequency domain and takes one
+inverse FFT per square.
 
 Both step _BLOCK = 64 samples at a time.  `GlHistory` hands over the sums
 over lags >= _BLOCK for a whole block, which read only samples before it;
@@ -21,9 +24,11 @@ the lags below _BLOCK couple the samples of the block, and each simulator
 solves them with its own small linear operator, formed once per run
 (`_euler_block` for the Euler steps, a triangular Toeplitz solve with one
 refinement step for the direct scheme).  A run of n steps thus costs
-n / 64 Python iterations plus the O(n log^2 n) FFT work of the history
-sums.  `memory_len` keeps its exact short-memory meaning: every kernel is
-cut off after floor(memory_len / step) + 1 weights.
+n / 64 Python iterations plus the O(n log^2 n) work of the history sums:
+direct convolutions for squares up to 256 samples wide, FFTs beyond, with
+the kernel spectra of widths up to 1024 cached.  `memory_len` keeps its
+exact short-memory meaning: every kernel is cut off after
+floor(memory_len / step) + 1 weights.
 """
 
 from __future__ import annotations
@@ -94,21 +99,25 @@ class SimConfig:
             samples = np.array([self.input.amplitude], dtype=float)
         else:
             samples = np.asarray(self.input, dtype=float)
-            need = int(round(self.t_end / self.step)) + 1
-            if samples.ndim != 1 or len(samples) < need:
-                raise ValueError(f"explicit input has shape {samples.shape}, need {need} samples")
+            # round(t_end / step) + 1 samples, compared before rounding: the
+            # ratio may overflow to inf
+            need = self.t_end / self.step + 1
+            if samples.ndim != 1 or not len(samples) > need - 0.5:
+                raise ValueError(f"explicit input has shape {samples.shape}, "
+                                 f"need {need:.0f} samples")
         if not np.isfinite(samples).all():
             raise ValueError("input samples must be finite")
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.step))
-        if n > _max_steps():
+        cap = _max_steps()
+        # the ratio is checked before it is rounded: it may be too large for an int
+        ratio = self.t_end / self.step
+        if ratio - 0.5 > cap:
             raise ResourceLimitError(
-                f"{n} steps exceed the cap of {_max_steps()} "
-                "(override with FRACREG_MAX_STEPS)"
+                f"{ratio:.3g} steps exceed the cap of {cap} (override with FRACREG_MAX_STEPS)"
             )
-        return n
+        return int(round(ratio))
 
 
 @dataclass(frozen=True)
@@ -165,9 +174,10 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
 
         near[j][row, target] is the weight of x[target][k - j] in the
         right-hand side of `row` at step k, j < _BLOCK.  Each row with more
-        than that gets (row, shares, sums): the input is known in advance,
-        so its share is formed once, and an online history sum covers each
-        state kernel's lags j >= _BLOCK.
+        than that gets (row, shares, history): the input is known in
+        advance, so its share is formed once, and one online history covers
+        the lags j >= _BLOCK of all the row's state kernels (None if it has
+        none).
         """
         near = np.zeros((_BLOCK, model.dim, model.dim))
         rows = []
@@ -175,15 +185,19 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
             scalars, kernels = split(terms)
             shares = [(w, c) for target, c in scalars.items() if target == INPUT]
             if INPUT in kernels:
-                shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
+                # a share past the float range makes the states diverge at
+                # its first step, which _block_steps reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
             for target, c in scalars.items():
                 if target != INPUT:
                     near[0, row, target] += c
             for target, kernel in kernels.items():
                 near[:min(_BLOCK, len(kernel)), row, target] += kernel[:_BLOCK]
-            sums = [GlHistory(kernel, x[target]) for target, kernel in kernels.items()]
-            if shares or sums:
-                rows.append((row, shares, sums))
+            pairs = [(kernel, x[target]) for target, kernel in kernels.items()]
+            history = GlHistory(*pairs[0], *pairs[1:]) if pairs else None
+            if shares or history is not None:
+                rows.append((row, shares, history))
         return near, rows
 
     # the history buffers are freed when _block_steps returns
@@ -256,10 +270,10 @@ def _block_steps(x, near, rows, h, n) -> int:
         for t in range(0, n, _BLOCK):
             b = min(_BLOCK, n - t)
             f = np.zeros((b, dim))
-            for row, shares, sums in rows:
+            for row, shares, history in rows:
                 for ser, c in shares:
                     f[:, row] += c * ser[t:t + b]
-                for history in sums:
+                if history is not None:
                     f[:, row] += history.block(t)[:b]
             g = f.reshape(-1)
             if t:  # before t = 0 the states are at rest
@@ -313,8 +327,9 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):
         raise SingularStepError(f"leading GL weights sum to {pivot:.3g}")
 
-    drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
-                            for c, q in w_terms), w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive diverges at once
+        drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
+                                for c, q in w_terms), w)
     kernel = sum(scale * gl_coefficients(q, n_mem).coeffs
                  for scale, (_, q) in zip(y_scales, y_terms))
     near = np.zeros(_BLOCK)

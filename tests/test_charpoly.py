@@ -20,6 +20,8 @@ from fracreg.model import (FracPoly, PdController, PiController, Plant,
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 GOLDEN_POLY = char_poly_pd(BENCH_PLANT, PdController(K=24.0, Td=6.9407, delta=0.71859))
 UNSTABLE_POLY = char_poly_pd(BENCH_PLANT, PdController(K=49.0, Td=-79.74427, delta=-0.55194))
+#: K = -a0 cancels the constant term, so P(0) = 0 (newton-grid path).
+CANCELLED_POLY = char_poly_pd(BENCH_PLANT, PdController(K=-1.0, Td=6.9407, delta=0.71859))
 
 
 def random_conjugate_closed_roots(rng, degree, min_sep=0.3, radius=5.0):
@@ -394,3 +396,40 @@ class TestRootCount:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout == "4\n" and done.stderr == ""
+
+
+class TestRootAtZero:
+    """When no term survives at s = 0, both finders report the root 0j exactly."""
+
+    def test_newton_grid(self, densities, caplog):
+        with caplog.at_level(logging.WARNING, logger="fracreg"):
+            report = find_roots(CANCELLED_POLY)
+        values = [r.value for r in report.roots]
+        assert report.method == "newton-grid"
+        assert values[-1] == 0j and type(values[-1]) is complex
+        assert all(abs(v) > 1 for v in values[:-1])  # no spurious root near the origin
+        assert report.root_count == len(values) == 3
+        assert report.verdict == "unstable" and not report.coverage_caveat
+        assert densities == [charpoly.COARSE_DENSITY]  # the count matched: no fallback
+        assert not caplog.records
+
+    def test_commensurate(self):
+        # s^2 + 6s
+        poly = char_poly_pd(Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0),
+                            PdController(K=-1.0, Td=2.0, delta=1.0))
+        report = find_roots(poly)
+        assert report.method == "commensurate"
+        assert [r.value for r in report.roots] == [-6.0, 0j]
+        assert report.root_count == 2
+        assert report.verdict == "unstable" and not report.coverage_caveat
+
+    def test_finders_agree(self):
+        newton = newton_roots(CANCELLED_POLY)
+        scaled = FracPoly.from_terms([(1.0, 2.5), (3.0, 1.5), (2.0, 0.5)])  # s^0.5 (s + 1)(s + 2)
+        assert newton.count(0j) == 1
+        assert newton_roots(scaled) == pytest.approx(commensurate_roots(scaled), abs=1e-9)
+        assert commensurate_roots(scaled) == pytest.approx([-2.0, -1.0, 0j], abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["newton-grid", "commensurate"])
+    def test_classified_unstable(self, method):
+        assert classify_stability([-6.0 + 0j, 0j], method) == ("unstable", False)

@@ -5,6 +5,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from fracreg.cli import main
 
@@ -286,6 +288,24 @@ class TestConfigErrors:
         assert f"output.{key}" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "escape.json").exists()
 
+    @pytest.mark.parametrize("h, t_end, count", [(1e-3, 1e308, "inf"),
+                                                 (1e-300, 12.0, "1.2e+301")])
+    def test_huge_step_count_is_resource_limit(self, tmp_path, capsys, h, t_end, count):
+        # t_end / h overflows a float, or rounds to a 300-digit int
+        doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
+                                              "delta": 0.71859}, "sim": {"h": h, "t_end": t_end}}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 5
+        err = capsys.readouterr().err
+        assert f"error: {count} steps exceed the cap" in err and "FRACREG_MAX_STEPS" in err
+
+    def test_huge_step_count_with_explicit_samples_is_config_error(self, tmp_path, capsys):
+        doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
+                                              "delta": 0.71859},
+               "sim": {"h": 1e-3, "t_end": 1e308,
+                       "input": {"type": "samples", "values": [1.0, 1.0, 1.0]}}}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "need inf samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
     def test_bad_step_cap_is_config_error(self, tmp_path, capsys, monkeypatch, cap):
         monkeypatch.setenv("FRACREG_MAX_STEPS", cap)
@@ -306,3 +326,39 @@ class TestConfigErrors:
         )
         assert code == 0
         assert (out / "trajectory.csv").exists()
+
+
+#: Edge values for a config number: signed zeros, a negative, subnormals, the float
+#: range's ends, NaN and the infinities.
+EXTREME_NUMBERS = [0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, 1e308,
+                   -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+class TestConfigFuzz:
+    """The `sim` numbers of the golden config, mutated, end in a documented exit."""
+
+    #: The keys mutated: where each sits in the `sim` block.
+    KEYS = {"h": (), "t_end": (), "memory_len": (), "amplitude": ("input",)}
+
+    @given(mutation=st.fixed_dictionaries({}, optional=dict.fromkeys(KEYS, st.one_of(
+        st.sampled_from(EXTREME_NUMBERS), st.floats(), st.floats(1e-4, 0.1),
+        st.floats(0.0, 3.0), st.floats(1e12, 1e308)))))
+    @settings(max_examples=200, derandomize=True, database=None, deadline=5000,
+              # the fixtures hold one temp dir and one cap for every example
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_sim_block(self, tmp_path, monkeypatch, capsys, mutation):
+        monkeypatch.setenv("FRACREG_MAX_STEPS", "3000")  # each run stays cheap
+        doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
+        for key, value in mutation.items():
+            block = doc["sim"]
+            for part in self.KEYS[key]:
+                block = block[part]
+            block[key] = value
+        code = main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        event(f"exit {code}")
+        assert code in {0, 2, 3, 5}
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith(("config error:", "simulation diverged:", "error:"))

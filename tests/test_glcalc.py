@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import binom, gamma
 
+from fracreg import glcalc
 from fracreg.glcalc import (_BLOCK, GlHistory, SampledSignal, gl_apply, gl_coefficients,
                             gl_convolve, gl_series)
 
@@ -282,6 +283,89 @@ class TestGlHistory:
         want = {0: np.zeros(300), 1: -padded[1:-1],
                 2: padded[:-2] - 2 * padded[1:-1]}[order]
         np.testing.assert_array_equal(got, want)
+
+
+def far_sums(history, n):
+    """The far-lag sums of `history` for samples 0..n-1, read block by block."""
+    return np.concatenate([history.block(t) for t in range(0, n, _BLOCK)])
+
+
+def naive_far_sums(pairs):
+    """sum over (kernel, series) of the lags j >= _BLOCK, by naive_convolve."""
+    return sum(naive_convolve(np.r_[np.zeros(_BLOCK), kernel[_BLOCK:]], series)
+               for kernel, series in pairs)
+
+
+class TestGlHistoryRow:
+    """One history for the sum of several (kernel, series) pairs of an equation row."""
+
+    #: Lengths on both sides of the direct-square limit (256), the widest
+    #: cached spectrum (1024) and the first uncached width (2048).
+    LENGTHS = [63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 4097]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_single_pair_sums(self, n):
+        rng = np.random.default_rng(n + 2)
+        # the order-1 stencil has no lag past _BLOCK and adds nothing
+        kernels = [rng.normal(size=n + 1), lgamma_weights(0.6, n), gl_coefficients(1.0, n).coeffs]
+        pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
+        history = GlHistory(*pairs[0], *pairs[1:])
+        got = far_sums(history, n)
+        atol = sum(fft_atol(kernel, series) for kernel, series in pairs)
+        np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0, atol=atol)
+        # every square's last one of its width has dropped the cached spectra
+        assert not history._spectra
+
+    @pytest.mark.parametrize("n_mem", [10, 65, 300, 5000])
+    def test_memory_windows(self, n_mem):
+        # two windows in one row: the squares follow the longer one
+        rng = np.random.default_rng(n_mem)
+        n = 9000
+        kernels = [gl_coefficients(0.6, n_mem).coeffs, gl_coefficients(-0.3, 2 * n_mem).coeffs]
+        pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
+        history = GlHistory(*pairs[0], *pairs[1:])
+        got = far_sums(history, n)
+        atol = sum(fft_atol(kernel, series) for kernel, series in pairs)
+        np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0, atol=atol)
+        assert not history._spectra
+
+    def test_series_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            GlHistory(np.ones(100), np.zeros(100), (np.ones(100), np.zeros(99)))
+
+    def test_transform_counts(self, monkeypatch):
+        n = 8000
+        rng = np.random.default_rng(8)
+        kernels = [rng.normal(size=n + 1), rng.normal(size=n + 1)]
+        pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
+        kernel_sizes = {0: [], 1: []}
+        series_sizes, inverse_sizes = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def counting_rfft(a, size):
+            owner = [i for i, kernel in enumerate(kernels) if np.shares_memory(a, kernel)]
+            (kernel_sizes[owner[0]] if owner else series_sizes).append(size)
+            return rfft(a, size)
+
+        def counting_irfft(a, size):
+            inverse_sizes.append(size)
+            return irfft(a, size)
+
+        monkeypatch.setattr(glcalc.np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(glcalc.np.fft, "irfft", counting_irfft)
+        history = GlHistory(*pairs[0], *pairs[1:])
+        got = far_sums(history, n)
+        # FFT squares below 8000 (t = width * odd): width 512 at 8 t, 1024 at 4,
+        # 2048 at 2 and 4096 at 1, each of transform size 2 * width
+        squares = [1024] * 8 + [2048] * 4 + [4096] * 2 + [8192]
+        assert sorted(inverse_sizes) == squares  # one inverse FFT per square for both pairs
+        assert sorted(series_sizes) == sorted(squares * 2)
+        for sizes in kernel_sizes.values():
+            # widths up to 1024 are transformed once per pair; wider ones per square
+            assert sorted(sizes) == [1024, 2048, 4096, 4096, 8192]
+        monkeypatch.undo()
+        np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0,
+                                   atol=sum(fft_atol(k, x) for k, x in pairs))
 
 
 class TestGlSeriesOracles:

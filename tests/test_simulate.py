@@ -306,6 +306,18 @@ class TestBlockSteps:
         np.testing.assert_allclose(np.array(ss.states), states, rtol=1e-13)
 
 
+@pytest.mark.parametrize("simulate", ["state_space", "direct"])
+def test_input_past_the_float_range_diverges_at_once(simulate):
+    # the input's GL share overflows; no RuntimeWarning may leak
+    cfg = SimConfig(step=0.001, t_end=0.2, input=StepInput(1e308))
+    with pytest.raises(DivergedError) as err:
+        if simulate == "state_space":
+            simulate_state_space(build_pd_model(BENCH_PLANT, GOLDEN_PD), cfg)
+        else:
+            simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
+    assert err.value.index == {"state_space": 1, "direct": 0}[simulate]
+
+
 class TestRegressionPins:
     """Trajectory fingerprints recorded from the direct O(n^2) GL sums.
 
