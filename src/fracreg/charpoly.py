@@ -13,14 +13,17 @@ principal sheet.
 The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane.  Newton first runs from COARSE_DENSITY x
-COARSE_DENSITY starts on the square of half-width SEARCH_RADIUS; when the
-distinct roots it finds match the count, the root set is complete and the
-search stops there (about 1 ms for the golden-design polynomial on a
-2-core VM).  Otherwise the GRID_DENSITY x GRID_DENSITY grid on the same
-square runs (about 3 ms more).  A count that the grid does not match either,
-or a count that fails (a root on the cut), leaves a stable or inconclusive
-verdict with its coverage caveat; the unmatched count is logged.  Each search runs at most
-MAX_ITER iterations.
+COARSE_DENSITY starts on the square of half-width SEARCH_RADIUS, and only
+until its converged points cover the count: they fill as many DEDUPE_TOL
+cells as there are roots, a cell off the real axis counting twice for its
+conjugate.  When the distinct roots it finds match the count, the root set
+is complete and the search stops there (about 0.35 ms for the
+golden-design polynomial on a 2-core VM).  Otherwise the GRID_DENSITY x
+GRID_DENSITY grid on the same square runs to the end (about 3 ms more), as
+it does when the count fails (a root on the cut).  A count that the grid
+does not match either, or a failed count, leaves a stable or inconclusive
+verdict with its coverage caveat; the unmatched count is logged.  Each
+search runs at most MAX_ITER iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
@@ -209,10 +212,10 @@ def _root_count(coeffs, expts):
 
 
 def _newton_points(coeffs, expts, scale_n, density):
-    """Converged points of Newton's method from a density x density start grid.
+    """Newton's method from a density x density start grid, one batch per iteration.
 
-    Each iteration evaluates only the starts still live: converged ones
-    are set aside and diverged ones dropped.
+    Each iteration evaluates only the starts still live and yields those
+    that have converged; diverged ones are dropped.
     """
     axis = np.linspace(-SEARCH_RADIUS, SEARCH_RADIUS, density)
     re, im = np.meshgrid(axis, axis)
@@ -220,21 +223,36 @@ def _newton_points(coeffs, expts, scale_n, density):
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j  # keep starts off the origin
 
     limit = 1e6 * SEARCH_RADIUS
-    converged = []
     for _ in range(MAX_ITER):
         if not s.size:
-            break
+            return
         f, fp = _eval_vec(coeffs, expts, s)
         done = np.abs(f) <= scale_n
-        converged.append(s[done])
+        yield s[done]
         live = ~done & np.isfinite(f) & np.isfinite(fp) & (fp != 0)
         s = s[live] - f[live] / fp[live]
         mag = np.abs(s)
         s = s[(mag <= limit) & (mag >= 1e-14)]  # also drops non-finite steps
-    else:
-        f, _ = _eval_vec(coeffs, expts, s)
-        converged.append(s[np.abs(f) <= scale_n])
-    return np.concatenate(converged)
+    f, _ = _eval_vec(coeffs, expts, s)
+    yield s[np.abs(f) <= scale_n]
+
+
+def _until_covered(batches, cells):
+    """The points of `batches`, drawn until they fill `cells` root cells.
+
+    A cell is a DEDUPE_TOL cell of the points folded onto Im >= 0, as
+    `_distinct_roots` reduces them; one off the real axis stands for a
+    conjugate pair and counts twice.  Once the points cover the root count,
+    later batches can only revisit roots already found.
+    """
+    drawn, keys = [], set()
+    for batch in batches:
+        drawn.append(batch)
+        folded = np.where(batch.imag < 0, batch.conj(), batch)
+        keys.update(np.round(folded / DEDUPE_TOL).tolist())
+        if sum(2 if key.imag else 1 for key in keys) >= cells:
+            break
+    return np.concatenate(drawn)
 
 
 def _log_warning(message, *args):
@@ -251,25 +269,27 @@ def _log_warning(message, *args):
     logger.warning(message, *args)
 
 
-def _newton_search(p: FracPoly):
+def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p` and its principal-sheet root count (or None).
 
-    The COARSE_DENSITY start grid runs first and is kept when its distinct
-    roots match the count; otherwise the GRID_DENSITY grid runs.  A count
-    the full grid does not match either is logged.
+    `pn` is `p` normalized.  The COARSE_DENSITY start grid runs first, only
+    until its converged points cover the count, and is kept when its
+    distinct roots match the count; otherwise the GRID_DENSITY grid runs to
+    the end.  A count the full grid does not match either is logged.
     """
-    pn, _ = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
     scale_n = _residual_scale(pn)
-    count = _root_count(coeffs, expts)
-    if count is not None and _zero_is_root(p):
-        count += 1
+    count = _root_count(coeffs, expts)  # the roots s != 0, all Newton on pn can find
     if count is not None:
-        roots = _distinct_roots(p, _newton_points(coeffs, expts, scale_n, COARSE_DENSITY))
+        points = _until_covered(_newton_points(coeffs, expts, scale_n, COARSE_DENSITY), count)
+        if _zero_is_root(p):
+            count += 1
+        roots = _distinct_roots(p, points)
         if len(roots) == count:
             return roots, count
-    roots = _distinct_roots(p, _newton_points(coeffs, expts, scale_n, GRID_DENSITY))
+    points = np.concatenate(list(_newton_points(coeffs, expts, scale_n, GRID_DENSITY)))
+    roots = _distinct_roots(p, points)
     if count is not None and len(roots) != count:
         _log_warning("newton-grid search found %d distinct roots where the argument "
                      "principle counts %d", len(roots), count)
@@ -283,7 +303,7 @@ def newton_roots(p: FracPoly):
     then imaginary part (see `_distinct_roots`).  Complete when their
     number matches the argument-principle count (see `_newton_search`).
     """
-    return _newton_search(p)[0]
+    return _newton_search(p, normalize(p)[0])[0]
 
 
 def _distinct_roots(p: FracPoly, points):
@@ -307,7 +327,10 @@ def _distinct_roots(p: FracPoly, points):
 
 def commensurate_base(p: FracPoly):
     """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m."""
-    pn, _ = normalize(p)
+    return _commensurate_base(normalize(p)[0])
+
+
+def _commensurate_base(pn: FracPoly):
     for m in range(1, MAX_DENOMINATOR + 1):
         if all(abs(e * m - round(e * m)) <= _COMMENSURATE_TOL * m for e in pn.exponents):
             return m
@@ -321,10 +344,14 @@ def commensurate_roots(p: FracPoly):
     Roots w of the integer polynomial map back as s = w^m only when
     |arg w| <= pi/m (the principal sheet).
     """
-    m = commensurate_base(p)
+    return _commensurate_roots(p, normalize(p)[0])
+
+
+def _commensurate_roots(p: FracPoly, pn: FracPoly):
+    """`commensurate_roots(p)`, with `pn` the normalized `p`."""
+    m = _commensurate_base(pn)
     if m is None:
         return None
-    pn, _ = normalize(p)
     degrees = [round(e * m) for e in pn.exponents]
     vec = np.zeros(degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
@@ -366,12 +393,12 @@ def find_roots(p: FracPoly) -> StabilityReport:
     pn, _ = normalize(p)
     if len(pn.terms) < 2:
         raise ValueError("need at least two terms after normalization")
-    roots = commensurate_roots(p)
+    roots = _commensurate_roots(p, pn)
     if roots is not None:
         method, count = "commensurate", len(roots)
     else:
         method = "newton-grid"
-        roots, count = _newton_search(p)
+        roots, count = _newton_search(p, pn)
     verdict, caveat = classify_stability(roots, method)
     if caveat and count == len(roots):  # the count certifies the search complete
         verdict, caveat = STABLE, False

@@ -130,7 +130,8 @@ def gl_convolve(kernel, series) -> np.ndarray:
     A short operand is convolved exactly and directly.  Otherwise both
     operands are cut into pieces of at most _CHUNK samples whose rFFT
     products are summed per output piece, so no transform is longer than
-    2 * _CHUNK points.
+    2 * _CHUNK points.  Sums past the float range come back as inf or nan,
+    without a RuntimeWarning.
     """
     series = np.asarray(series, dtype=float)
     n = len(series)
@@ -141,15 +142,16 @@ def gl_convolve(kernel, series) -> np.ndarray:
         return np.convolve(series[::-1], kernel[::-1])[::-1][:n]
     chunk = min(_CHUNK, 1 << (n - 1).bit_length())
     size = 2 * chunk
-    series_spectra = [np.fft.rfft(series[p:p + chunk], size) for p in range(0, n, chunk)]
-    kernel_spectra = [np.fft.rfft(kernel[q:q + chunk], size)
-                      for q in range(0, len(kernel), chunk)]
-    out = np.zeros((len(series_spectra) + 1) * chunk)
-    for m in range(len(series_spectra)):
-        # pieces p of the series and q of the kernel land at (p + q) * chunk
-        spectrum = sum(series_spectra[p] * kernel_spectra[m - p]
-                       for p in range(max(0, m - len(kernel_spectra) + 1), m + 1))
-        out[m * chunk:m * chunk + size] += np.fft.irfft(spectrum, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series_spectra = [np.fft.rfft(series[p:p + chunk], size) for p in range(0, n, chunk)]
+        kernel_spectra = [np.fft.rfft(kernel[q:q + chunk], size)
+                          for q in range(0, len(kernel), chunk)]
+        out = np.zeros((len(series_spectra) + 1) * chunk)
+        for m in range(len(series_spectra)):
+            # pieces p of the series and q of the kernel land at (p + q) * chunk
+            spectrum = sum(series_spectra[p] * kernel_spectra[m - p]
+                           for p in range(max(0, m - len(kernel_spectra) + 1), m + 1))
+            out[m * chunk:m * chunk + size] += np.fft.irfft(spectrum, size)
     return out[:n]
 
 
@@ -248,8 +250,13 @@ def gl_apply(history: SampledSignal, order: float, memory_len: float | None = No
 
 
 def gl_series(signal: SampledSignal, order: float, memory_len: float | None = None) -> SampledSignal:
-    """Apply the GL derivative at every sample; same grid as the input."""
+    """Apply the GL derivative at every sample; same grid as the input.
+
+    Values past the float range come back as inf or nan, without a
+    RuntimeWarning (see `gl_convolve`).
+    """
     n_max = _truncation(len(signal) - 1, signal.step, memory_len)
     values = gl_convolve(gl_coefficients(order, n_max).coeffs, signal.values)
-    values *= signal.step ** (-order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values *= signal.step ** (-order)
     return SampledSignal(step=signal.step, values=values)

@@ -187,8 +187,7 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
             if INPUT in kernels:
                 # a share past the float range makes the states diverge at
                 # its first step, which _block_steps reports
-                with np.errstate(over="ignore", invalid="ignore"):
-                    shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
+                shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
             for target, c in scalars.items():
                 if target != INPUT:
                     near[0, row, target] += c
@@ -212,7 +211,8 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
         y += gl_convolve(kernel, series(target)[:upto])
     traj = Trajectory(step=h, states=tuple(x[:, :upto]), output=y, input=w[:upto])
     if upto <= n:
-        bad = np.max(np.abs(x[:, upto]))
+        bad = np.abs(x[:, upto])  # a NaN state reads as inf, where max() would give nan
+        bad = bad.max() if np.isfinite(bad).all() else math.inf
         raise DivergedError(f"state magnitude {bad:.3g} at step {upto} (t={h * upto:.6g})",
                             index=upto, trajectory=traj)
     return traj

@@ -398,6 +398,64 @@ class TestRootCount:
         assert done.stdout == "4\n" and done.stderr == ""
 
 
+@pytest.fixture
+def batches(monkeypatch):
+    """(drawn, available) Newton iterations of every start grid while the test runs."""
+    runs = []
+    original = charpoly._newton_points
+
+    def drawing(coeffs, expts, scale, density):
+        run = [0, len(list(original(coeffs, expts, scale, density)))]
+        runs.append(run)
+        for batch in original(coeffs, expts, scale, density):
+            run[0] += 1
+            yield batch
+
+    monkeypatch.setattr(charpoly, "_newton_points", drawing)
+    return runs
+
+
+class TestCountTerminatedSearch:
+    """The coarse start grid stops once its converged points cover the count."""
+
+    def test_golden_evaluations(self, monkeypatch):
+        calls = []
+        original = charpoly._eval_vec
+
+        def counting(coeffs, expts, s):
+            calls.append(len(s))
+            return original(coeffs, expts, s)
+
+        monkeypatch.setattr(charpoly, "_eval_vec", counting)
+        find_roots(GOLDEN_POLY)
+        assert len(calls) <= 10  # 28 when the coarse grid runs every iteration
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_same_result_as_every_iteration(self, seed, monkeypatch, batches):
+        poly = seeded_pd_poly(seed)
+        stopped = find_roots(poly)
+        assert batches[0][0] < batches[0][1]  # the coarse grid stopped early
+        monkeypatch.setattr(charpoly, "_until_covered",
+                            lambda points, cells: np.concatenate(list(points)))
+        full = find_roots(poly)
+        assert stopped.roots == full.roots
+        assert (stopped.verdict, stopped.root_count) == (full.verdict, full.root_count)
+        assert stopped.coverage_caveat == full.coverage_caveat
+
+    def test_unknown_count_runs_every_iteration(self, batches):
+        poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
+        assert root_count(poly) is None
+        newton_roots(poly)
+        assert len(batches) == 1 and batches[0][0] == batches[0][1] > 1
+
+    def test_a_conjugate_pair_fills_two_cells(self):
+        pair = np.array([-1 + 6j, -1 - 6j + 1e-9])
+        real = np.array([-2.0 + 1e-12j, 3.0])
+        assert len(charpoly._until_covered(iter([pair[:1], pair[1:], real]), 2)) == 1
+        assert len(charpoly._until_covered(iter([real[:1], real[1:], pair]), 3)) == 4
+        assert len(charpoly._until_covered(iter([real, pair]), 5)) == 4  # not covered: all drawn
+
+
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 

@@ -68,6 +68,14 @@ class TestSimulate:
         header, rows = read_csv(tmp_path / "trajectory.csv")  # partial retained
         assert rows
 
+    def test_input_past_the_float_range_reports_an_infinite_magnitude(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
+        doc["sim"].update(t_end=2.0, input={"type": "step", "amplitude": 1e308})
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "simulation diverged: state magnitude inf at step 1 (t=0.001)" in err
+
     def test_zero_amplitude(self, tmp_path):
         doc = {
             "plant": PLANT,

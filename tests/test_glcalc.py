@@ -205,6 +205,13 @@ class TestGlSeries:
         trunc = gl_series(sig, 0.8, memory_len=sig.duration + 1.0)
         np.testing.assert_array_equal(full.values, trunc.values)
 
+    @pytest.mark.parametrize("n", [50, 200, 5000])  # direct, one-chunk and two-chunk sums
+    def test_values_past_the_float_range_come_back_non_finite(self, n):
+        # pytest turns any RuntimeWarning into an error (pyproject.toml)
+        out = gl_series(SampledSignal(step=1e-3, values=np.full(n, 1e308)), 0.5)
+        assert not np.isfinite(out.values[0])
+        assert not np.isfinite(gl_convolve(np.ones(n), np.full(n, 1e308))[-1])
+
 
 class TestGlConvolve:
     @pytest.mark.parametrize("n", EDGE_LENGTHS)
