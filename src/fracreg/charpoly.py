@@ -14,16 +14,17 @@ The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane.  Newton first runs from COARSE_DENSITY x
 COARSE_DENSITY starts on the square of half-width SEARCH_RADIUS, and only
-until its converged points cover the count: they fill as many DEDUPE_TOL
-cells as there are roots, a cell off the real axis counting twice for its
-conjugate.  When the distinct roots it finds match the count, the root set
-is complete and the search stops there (about 0.35 ms for the
-golden-design polynomial on a 2-core VM).  Otherwise the GRID_DENSITY x
-GRID_DENSITY grid on the same square runs to the end (about 3 ms more), as
-it does when the count fails (a root on the cut).  A count that the grid
-does not match either, or a failed count, leaves a stable or inconclusive
-verdict with its coverage caveat; the unmatched count is logged.  Each
-search runs at most MAX_ITER iterations.
+until its converged points cover the count: those resolved to a cell (next
+Newton step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are
+roots, a cell off the real axis counting twice for its conjugate.  When
+the distinct roots it finds match the count, the root set is complete and
+the search stops there (about 0.35 ms for the golden-design polynomial on
+a 2-core VM).  Otherwise the GRID_DENSITY x GRID_DENSITY grid on the same
+square runs to the end (about 3 ms more), as it does when the count fails
+(a root on the cut).  A count that the grid does not match either, or a
+failed count, leaves a stable or inconclusive verdict with its coverage
+caveat; the unmatched count is logged.  Each search runs at most MAX_ITER
+iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
@@ -215,7 +216,9 @@ def _newton_points(coeffs, expts, scale_n, density):
     """Newton's method from a density x density start grid, one batch per iteration.
 
     Each iteration evaluates only the starts still live and yields those
-    that have converged; diverged ones are dropped.
+    that have converged, with a mask of the ones resolved to a cell: their
+    next Newton step would be shorter than DEDUPE_TOL.  Diverged starts are
+    dropped.
     """
     axis = np.linspace(-SEARCH_RADIUS, SEARCH_RADIUS, density)
     re, im = np.meshgrid(axis, axis)
@@ -228,28 +231,36 @@ def _newton_points(coeffs, expts, scale_n, density):
             return
         f, fp = _eval_vec(coeffs, expts, s)
         done = np.abs(f) <= scale_n
-        yield s[done]
+        yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
         live = ~done & np.isfinite(f) & np.isfinite(fp) & (fp != 0)
         s = s[live] - f[live] / fp[live]
         mag = np.abs(s)
         s = s[(mag <= limit) & (mag >= 1e-14)]  # also drops non-finite steps
-    f, _ = _eval_vec(coeffs, expts, s)
-    yield s[np.abs(f) <= scale_n]
+    f, fp = _eval_vec(coeffs, expts, s)
+    done = np.abs(f) <= scale_n
+    yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
+
+
+def _cells(points):
+    """`points` folded onto Im >= 0, and the DEDUPE_TOL cells they fall in."""
+    folded = np.where(points.imag < 0, points.conj(), points)
+    return folded, np.round(folded / DEDUPE_TOL)
 
 
 def _until_covered(batches, cells):
-    """The points of `batches`, drawn until they fill `cells` root cells.
+    """The points of `batches`, drawn until their resolved ones fill `cells` root cells.
 
-    A cell is a DEDUPE_TOL cell of the points folded onto Im >= 0, as
-    `_distinct_roots` reduces them; one off the real axis stands for a
-    conjugate pair and counts twice.  Once the points cover the root count,
-    later batches can only revisit roots already found.
+    A cell off the real axis stands for a conjugate pair and counts twice.
+    Only resolved points count: the converged iterates of an ill-conditioned
+    root (small |P'|) can spread over several cells, and an over-count
+    would stop the draw before every root is found.  A cell count is no
+    proof, though (a root on a cell edge fills two): an early stop that
+    misses a root only costs the GRID_DENSITY fallback.
     """
     drawn, keys = [], set()
-    for batch in batches:
-        drawn.append(batch)
-        folded = np.where(batch.imag < 0, batch.conj(), batch)
-        keys.update(np.round(folded / DEDUPE_TOL).tolist())
+    for points, resolved in batches:
+        drawn.append(points)
+        keys.update(_cells(points[resolved])[1].tolist())
         if sum(2 if key.imag else 1 for key in keys) >= cells:
             break
     return np.concatenate(drawn)
@@ -269,14 +280,15 @@ def _log_warning(message, *args):
     logger.warning(message, *args)
 
 
-def _newton_search(p: FracPoly, pn: FracPoly):
+def _newton_search(p: FracPoly):
     """Newton roots of `p` and its principal-sheet root count (or None).
 
-    `pn` is `p` normalized.  The COARSE_DENSITY start grid runs first, only
-    until its converged points cover the count, and is kept when its
-    distinct roots match the count; otherwise the GRID_DENSITY grid runs to
-    the end.  A count the full grid does not match either is logged.
+    The COARSE_DENSITY start grid runs first, only until its converged
+    points cover the count, and is kept when its distinct roots match the
+    count; otherwise the GRID_DENSITY grid runs to the end.  A count the
+    full grid does not match either is logged.
     """
+    pn, _ = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
     scale_n = _residual_scale(pn)
@@ -288,7 +300,7 @@ def _newton_search(p: FracPoly, pn: FracPoly):
         roots = _distinct_roots(p, points)
         if len(roots) == count:
             return roots, count
-    points = np.concatenate(list(_newton_points(coeffs, expts, scale_n, GRID_DENSITY)))
+    points = np.concatenate([s for s, _ in _newton_points(coeffs, expts, scale_n, GRID_DENSITY)])
     roots = _distinct_roots(p, points)
     if count is not None and len(roots) != count:
         _log_warning("newton-grid search found %d distinct roots where the argument "
@@ -303,7 +315,7 @@ def newton_roots(p: FracPoly):
     then imaginary part (see `_distinct_roots`).  Complete when their
     number matches the argument-principle count (see `_newton_search`).
     """
-    return _newton_search(p, normalize(p)[0])[0]
+    return _newton_search(p)[0]
 
 
 def _distinct_roots(p: FracPoly, points):
@@ -316,8 +328,8 @@ def _distinct_roots(p: FracPoly, points):
     The points are roots s != 0; the root s = 0, where P(0) = 0, is added
     exactly.
     """
-    folded = np.where(points.imag < 0, points.conj(), points)
-    _, first = np.unique(np.round(folded / DEDUPE_TOL), return_index=True)
+    folded, cells = _cells(points)
+    _, first = np.unique(cells, return_index=True)
     roots = _polish(p, folded[first])
     distinct = _dedupe(roots + [z.conjugate() for z in roots], DEDUPE_TOL)
     if _zero_is_root(p):
@@ -327,10 +339,7 @@ def _distinct_roots(p: FracPoly, points):
 
 def commensurate_base(p: FracPoly):
     """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m."""
-    return _commensurate_base(normalize(p)[0])
-
-
-def _commensurate_base(pn: FracPoly):
+    pn, _ = normalize(p)
     for m in range(1, MAX_DENOMINATOR + 1):
         if all(abs(e * m - round(e * m)) <= _COMMENSURATE_TOL * m for e in pn.exponents):
             return m
@@ -344,14 +353,10 @@ def commensurate_roots(p: FracPoly):
     Roots w of the integer polynomial map back as s = w^m only when
     |arg w| <= pi/m (the principal sheet).
     """
-    return _commensurate_roots(p, normalize(p)[0])
-
-
-def _commensurate_roots(p: FracPoly, pn: FracPoly):
-    """`commensurate_roots(p)`, with `pn` the normalized `p`."""
-    m = _commensurate_base(pn)
+    m = commensurate_base(p)
     if m is None:
         return None
+    pn, _ = normalize(p)
     degrees = [round(e * m) for e in pn.exponents]
     vec = np.zeros(degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
@@ -393,12 +398,12 @@ def find_roots(p: FracPoly) -> StabilityReport:
     pn, _ = normalize(p)
     if len(pn.terms) < 2:
         raise ValueError("need at least two terms after normalization")
-    roots = _commensurate_roots(p, pn)
+    roots = commensurate_roots(p)
     if roots is not None:
         method, count = "commensurate", len(roots)
     else:
         method = "newton-grid"
-        roots, count = _newton_search(p, pn)
+        roots, count = _newton_search(p)
     verdict, caveat = classify_stability(roots, method)
     if caveat and count == len(roots):  # the count certifies the search complete
         verdict, caveat = STABLE, False

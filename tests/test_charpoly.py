@@ -430,17 +430,32 @@ class TestCountTerminatedSearch:
         find_roots(GOLDEN_POLY)
         assert len(calls) <= 10  # 28 when the coarse grid runs every iteration
 
+    @staticmethod
+    def every_iteration(monkeypatch):
+        monkeypatch.setattr(charpoly, "_until_covered",
+                            lambda batches, cells: np.concatenate([s for s, _ in batches]))
+
     @pytest.mark.parametrize("seed", range(50))
     def test_same_result_as_every_iteration(self, seed, monkeypatch, batches):
         poly = seeded_pd_poly(seed)
         stopped = find_roots(poly)
         assert batches[0][0] < batches[0][1]  # the coarse grid stopped early
-        monkeypatch.setattr(charpoly, "_until_covered",
-                            lambda points, cells: np.concatenate(list(points)))
+        self.every_iteration(monkeypatch)
         full = find_roots(poly)
         assert stopped.roots == full.roots
         assert (stopped.verdict, stopped.root_count) == (full.verdict, full.root_count)
         assert stopped.coverage_caveat == full.coverage_caveat
+
+    @pytest.mark.parametrize("gap", [1e-7, 2e-6])
+    @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
+    def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
+        # |P'| is small near the pair: its converged iterates spread over several
+        # cells, none of them resolved, and the coarse grid must not stop on them
+        pair = [root, root + gap * (1 + 0.3j)]
+        poly = integer_fracpoly(pair + [z.conjugate() for z in pair])
+        stopped = charpoly._newton_search(poly)
+        self.every_iteration(monkeypatch)
+        assert stopped == charpoly._newton_search(poly)
 
     def test_unknown_count_runs_every_iteration(self, batches):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
@@ -451,9 +466,24 @@ class TestCountTerminatedSearch:
     def test_a_conjugate_pair_fills_two_cells(self):
         pair = np.array([-1 + 6j, -1 - 6j + 1e-9])
         real = np.array([-2.0 + 1e-12j, 3.0])
-        assert len(charpoly._until_covered(iter([pair[:1], pair[1:], real]), 2)) == 1
-        assert len(charpoly._until_covered(iter([real[:1], real[1:], pair]), 3)) == 4
-        assert len(charpoly._until_covered(iter([real, pair]), 5)) == 4  # not covered: all drawn
+        yes = np.array([True, True])
+
+        def draw(batches, cells):
+            return len(charpoly._until_covered(iter(batches), cells))
+
+        assert draw([(pair[:1], yes[:1]), (pair[1:], yes[:1]), (real, yes)], 2) == 1
+        assert draw([(real[:1], yes[:1]), (real[1:], yes[:1]), (pair, yes)], 3) == 4
+        assert draw([(real, yes), (pair, yes)], 5) == 4  # not covered: all drawn
+
+    def test_unresolved_points_fill_no_cell(self):
+        spread = np.array([-1 + 6j, -1 + 6.00001j, -1 + 6.00002j])
+        yes, one = np.ones(3, dtype=bool), np.array([False, True, False])
+
+        def draw(batches, cells):
+            return len(charpoly._until_covered(iter(batches), cells))
+
+        assert draw([(spread, yes), (spread, yes)], 4) == 3  # three cells cover two pairs
+        assert draw([(spread, one), (spread[:1], yes[:1]), (spread, yes)], 4) == 4
 
 
 class TestRootAtZero:
