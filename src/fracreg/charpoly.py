@@ -7,8 +7,8 @@ closed-loop poles and are ignored.
 Two root finders are provided: a multi-start Newton iteration (general)
 and, for commensurate exponent sets (all multiples of 1/m,
 m <= MAX_DENOMINATOR), an exact reduction to an integer polynomial in
-w = s^(1/m) solved by companion-matrix eigenvalues and mapped back to the
-principal sheet.
+w = s^(1/m), of degree at most MAX_DEGREE, solved by companion-matrix
+eigenvalues and mapped back to the principal sheet.
 
 The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
@@ -66,6 +66,7 @@ NEWTON_TOL = 1e-10
 MAX_ITER = 80
 DEDUPE_TOL = 1e-6
 MAX_DENOMINATOR = 12
+MAX_DEGREE = 240
 
 _COMMENSURATE_TOL = 1e-9
 _COUNT_MIN_SAMPLES = 64
@@ -162,9 +163,11 @@ def _polish(p: FracPoly, points):
             s = s - f[0] / fp[0]
         if s == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
             continue
-        if abs(eval_fracpoly(p, s)) > scale:
+        # np.abs: inf past the float range, where abs() of a complex raises;
+        # a term past it makes the sum inf or nan, and neither is a root
+        if not np.abs(eval_fracpoly(p, s)) <= scale:
             continue
-        if 0 < abs(s.imag) <= DEDUPE_TOL and abs(eval_fracpoly(p, s.real)) <= scale:
+        if 0 < abs(s.imag) <= DEDUPE_TOL and np.abs(eval_fracpoly(p, s.real)) <= scale:
             s = complex(s.real, 0.0)
         out.append(complex(s))
     return out
@@ -186,11 +189,13 @@ def _root_count(coeffs, expts):
     if expts.size < 2:
         return None
     mags = np.abs(coeffs)
+    # np.log: a coefficient ratio that underflows to 0 gives -inf (and no count), where
+    # math.log raises
     log_radius = math.log(2.0) + max(
-        0.0, math.log(mags[1:].sum() / mags[0]) / (expts[0] - expts[1]))
+        0.0, np.log(mags[1:].sum() / mags[0]) / (expts[0] - expts[1]))
     log_eps = math.log(0.5) + min(
-        0.0, math.log(mags[-1] / (2.0 * mags[:-1].sum())) / expts[-2])
-    if expts[0] * max(log_radius, -log_eps) > 600.0:  # s^q would overflow
+        0.0, np.log(mags[-1] / (2.0 * mags[:-1].sum())) / expts[-2])
+    if not expts[0] * max(log_radius, -log_eps) <= 600.0:  # s^q would overflow
         return None
     p_eps = np.exp(log_eps * expts) @ coeffs  # real and near c0
     n = _COUNT_MIN_SAMPLES
@@ -280,13 +285,16 @@ def _log_warning(message, *args):
     logger.warning(message, *args)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_search(p: FracPoly):
     """Newton roots of `p` and its principal-sheet root count (or None).
 
     The COARSE_DENSITY start grid runs first, only until its converged
     points cover the count, and is kept when its distinct roots match the
     count; otherwise the GRID_DENSITY grid runs to the end.  A count the
-    full grid does not match either is logged.
+    full grid does not match either is logged.  Values past the float range
+    (huge exponents or coefficients) drop their starts without a numpy
+    warning.
     """
     pn, _ = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
@@ -338,20 +346,29 @@ def _distinct_roots(p: FracPoly, points):
 
 
 def commensurate_base(p: FracPoly):
-    """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m."""
+    """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m.
+
+    None also when the integer polynomial in s^(1/m) would have a degree
+    above MAX_DEGREE: its companion matrix would cost too much.
+    """
     pn, _ = normalize(p)
     for m in range(1, MAX_DENOMINATOR + 1):
+        if pn.exponents[0] * m > MAX_DEGREE:
+            return None
         if all(abs(e * m - round(e * m)) <= _COMMENSURATE_TOL * m for e in pn.exponents):
             return m
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def commensurate_roots(p: FracPoly):
     """Complete principal-sheet root set via the w = s^(1/m) substitution.
 
-    Returns None when no commensurate base m <= MAX_DENOMINATOR exists.
-    Roots w of the integer polynomial map back as s = w^m only when
-    |arg w| <= pi/m (the principal sheet).
+    Returns None when no commensurate base m <= MAX_DENOMINATOR exists, when
+    the degree would exceed MAX_DEGREE, or when the coefficient ratios of the
+    companion matrix leave the float range.  Roots w of the integer
+    polynomial map back as s = w^m only when |arg w| <= pi/m (the principal
+    sheet).  Values past the float range give no numpy warning.
     """
     m = commensurate_base(p)
     if m is None:
@@ -361,6 +378,8 @@ def commensurate_roots(p: FracPoly):
     vec = np.zeros(degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
         vec[degrees[0] - d] += c
+    if not np.isfinite(vec / vec[0]).all():  # the companion matrix overflows
+        return None
     w_roots = np.roots(vec)
     s_roots = np.array([
         w ** m
@@ -398,6 +417,8 @@ def find_roots(p: FracPoly) -> StabilityReport:
     pn, _ = normalize(p)
     if len(pn.terms) < 2:
         raise ValueError("need at least two terms after normalization")
+    if not all(map(math.isfinite, pn.coefficients)):
+        raise ValueError("coefficients must be finite")
     roots = commensurate_roots(p)
     if roots is not None:
         method, count = "commensurate", len(roots)

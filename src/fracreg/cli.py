@@ -4,11 +4,19 @@ Configurations are JSON documents (see README for the schema).  Exit
 codes: 0 ok, 2 config error, 3 diverged simulation, 4 unstable design,
 5 solver failure (including an exceeded step budget or a singular step)
 or inconclusive root search.
+
+`simulate` writes a CSV trajectory: a header line `t,w,y,x1,...,xN` (one
+`x` column per state, none for a trajectory without states), then one line
+per sample, in time order, each value formatted with `%.12g` and separated
+by commas, every line ending in a newline.  These bytes are the contract; how
+the writer forms them (one format operation per chunk of rows, constant
+columns formatted once) does not change them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -161,15 +169,38 @@ def _out_path(doc, args, key, default):
 
 
 def write_trajectory_csv(path, traj):
+    """Write `traj` to `path` as CSV: the header `t,w,y,x1,...`, then `%.12g` rows.
+
+    The bytes are those of formatting every value of every row with
+    `%.12g`.  A column whose values are all bitwise equal (the `w` of a
+    step input) is formatted once and written as a literal; `0.0` and
+    `-0.0`, or NaNs with different payloads, are not equal bitwise, so such
+    a column goes through the per-value path.  Each chunk of
+    `_CSV_CHUNK_ROWS` rows is formatted by one `%` operation.
+    """
     header = ["t", "w", "y"] + [f"x{i + 1}" for i in range(len(traj.states))]
-    table = np.column_stack([traj.times, traj.input, traj.output, *traj.states])
-    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
+    columns = [np.asarray(c, dtype=float)
+               for c in (traj.times, traj.input, traj.output, *traj.states)]
+    fields, varying = [], []
+    for column in columns:
+        bits = column.view(np.int64)
+        if len(bits) and (bits == bits[0]).all():
+            fields.append((_FLOAT_FMT % column[0]).replace("%", "%%"))
+        else:
+            fields.append(_FLOAT_FMT)
+            varying.append(column)
+    row_fmt = ",".join(fields) + "\n"
+    chunk_fmt = row_fmt * _CSV_CHUNK_ROWS
+    n_rows = len(columns[0])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        # rows go through Python floats, a chunk at a time to bound that copy
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            rows = table[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(row_fmt % tuple(row) for row in rows))
+        # values go through Python floats a chunk at a time, to bound that copy
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, n_rows)
+            values = (tuple(np.column_stack([c[start:stop] for c in varying]).ravel().tolist())
+                      if varying else ())
+            fmt = chunk_fmt if stop - start == _CSV_CHUNK_ROWS else row_fmt * (stop - start)
+            fh.write(fmt % values)
 
 
 def _controller_dict(ctrl):
@@ -201,7 +232,10 @@ def _roots_payload(doc, plant, ctrl, **timings):
     """Closed-loop roots of `ctrl` on `plant`: the report and the JSON payload."""
     poly = _char_poly_for(plant, ctrl)
     t0 = time.perf_counter()
-    report = find_roots(poly)
+    try:
+        report = find_roots(poly)
+    except ValueError as exc:  # e.g. a coefficient sum past the float range
+        raise ConfigError(f"invalid closed-loop polynomial: {exc}", key="controller")
     roots_s = time.perf_counter() - t0
     payload = {
         "config": doc,
@@ -230,13 +264,15 @@ def cmd_simulate(args) -> int:
         model = build_pi_model(plant, ctrl)
     csv_path = _out_path(doc, args, "trajectory_csv", "trajectory.csv")
     try:
-        traj = simulate_state_space(model, cfg)
+        traj, diverged = simulate_state_space(model, cfg), None
     except DivergedError as exc:
-        if exc.trajectory is not None:
-            write_trajectory_csv(csv_path, exc.trajectory)
-        print(f"simulation diverged: {exc}", file=sys.stderr)
+        # written once this block ends: its traceback holds the run's arrays
+        traj, diverged = exc.trajectory, str(exc)
+    if traj is not None:
+        write_trajectory_csv(csv_path, traj)
+    if diverged is not None:
+        print(f"simulation diverged: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
-    write_trajectory_csv(csv_path, traj)
     print(csv_path)
     return EXIT_OK
 
@@ -303,7 +339,9 @@ def cmd_poles(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fracreg` argument parser, built once per process and shared by `main`."""
     parser = argparse.ArgumentParser(
         prog="fracreg",
         description="Fractional-order control loop simulation, pole analysis and design.",

@@ -163,7 +163,10 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
     (-pi/2, pi/2] comes first.
     """
     s = complex(pole)
-    r = -(plant.a2 * s ** plant.alpha + plant.a1 * s ** plant.beta + plant.a0 + K)
+    try:
+        r = -(plant.a2 * s ** plant.alpha + plant.a1 * s ** plant.beta + plant.a0 + K)
+    except OverflowError:  # a pole this far out leaves only the fixed starts
+        return []
     if r == 0:
         return [(0.0, 1.0)]
     theta = np.angle(s)
@@ -176,17 +179,20 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
             if abs(delta) >= 3:  # outside the supported order range
                 continue
             td = sign * abs(r) / abs(s) ** delta
-            candidates.append((td, delta))
+            if math.isfinite(td):
+                candidates.append((td, delta))
     candidates.sort(key=lambda c: abs(c[1] * theta))
     return candidates
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def design_pd_fractional(spec: DesignSpecPd) -> PdController:
     """Solve for (Td, delta) placing the conjugate pair, K fixed by spec.
 
     Newton starts are seeded from the closed-form branch candidates (the
     small-|delta| branch first), with a fixed fallback list; the first
-    converging start wins.
+    converging start wins.  A pole far out may overflow the iterates; that
+    only fails the start, so numpy's floating-point warnings are off.
     """
     K = spec.resolve_gain()
     plant, pole = spec.plant, spec.pole
@@ -213,7 +219,10 @@ def design_pd_fractional(spec: DesignSpecPd) -> PdController:
 def design_pd_integer(spec: DesignSpecPd) -> PdController:
     """Classical PD (delta = 1): the pole placement is linear in (K, Td)."""
     plant, pole = spec.plant, spec.pole
-    base = (plant.a2 * pole ** plant.alpha + plant.a1 * pole ** plant.beta + plant.a0)
+    try:
+        base = (plant.a2 * pole ** plant.alpha + plant.a1 * pole ** plant.beta + plant.a0)
+    except OverflowError:
+        raise NoSolutionError(f"pole {pole} is past the float range for integer PD design")
     mat = np.array([[1.0, pole.real], [0.0, pole.imag]])
     rhs = -np.array([base.real, base.imag])
     try:
@@ -227,14 +236,17 @@ def _pi_seed(plant: Plant, reps, lam: float):
     """Least-squares (K, Ti) for a fixed lambda: the placement is linear.
 
     Returns (K, Ti, residual_norm); the residual ranks candidate lambda
-    starting points.
+    starting points, and is inf for a pole whose powers leave the float range.
     """
     rows, rhs = [], []
     for p in reps:
         s = complex(p)
-        lhs = -(plant.a2 * s ** (plant.alpha + lam)
-                + plant.a1 * s ** (plant.beta + lam)
-                + plant.a0 * s ** lam)
+        try:
+            lhs = -(plant.a2 * s ** (plant.alpha + lam)
+                    + plant.a1 * s ** (plant.beta + lam)
+                    + plant.a0 * s ** lam)
+        except OverflowError:
+            return 0.0, 0.0, math.inf
         sl = s ** lam
         rows.append([sl.real, 1.0])
         rhs.append(lhs.real)

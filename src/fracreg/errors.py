@@ -29,7 +29,8 @@ class DivergedError(FracregError):
 
 
 class SingularStepError(FracregError):
-    """The leading coefficient of the per-step solve vanished."""
+    """The per-step solve cannot be formed: its leading coefficient vanished,
+    or a GL weight factor h^-order left the float range."""
 
 
 class NoSolutionError(FracregError):

@@ -258,5 +258,5 @@ def gl_series(signal: SampledSignal, order: float, memory_len: float | None = No
     n_max = _truncation(len(signal) - 1, signal.step, memory_len)
     values = gl_convolve(gl_coefficients(order, n_max).coeffs, signal.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        values *= signal.step ** (-order)
+        values *= np.float64(signal.step) ** -order  # inf, not OverflowError, past the range
     return SampledSignal(step=signal.step, values=values)

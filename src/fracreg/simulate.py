@@ -138,6 +138,20 @@ class Trajectory:
         return (len(self.output) - 1) * self.step
 
 
+def _gl_scale(gain: float, order: float, h: float) -> float:
+    """gain * h^-order, the factor on a GL term's weights.
+
+    Raises SingularStepError when it leaves the float range (a tiny step
+    with a large order): the per-step solve cannot be formed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = gain * np.float64(h) ** -order
+    if not np.isfinite(scale):
+        raise SingularStepError(f"step {h:.3g} is too small for GL order {order:g}: "
+                                f"gain * h^-order = {scale:.3g}")
+    return float(scale)
+
+
 def _input_samples(cfg: SimConfig, n: int) -> np.ndarray:
     if isinstance(cfg.input, StepInput):
         return np.full(n + 1, cfg.input.amplitude)
@@ -162,7 +176,7 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
             if t.order == 0:
                 scalars[t.target] = scalars.get(t.target, 0.0) + t.gain
             else:
-                weights = t.gain * h ** (-t.order) * gl_coefficients(t.order, n_mem).coeffs
+                weights = _gl_scale(t.gain, t.order, h) * gl_coefficients(t.order, n_mem).coeffs
                 if t.target in kernels:
                     kernels[t.target] += weights
                 else:
@@ -322,13 +336,13 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     n_mem = _truncation(n, h, cfg.memory_len)
 
     y_terms, w_terms = _direct_terms(plant, ctrl)
-    y_scales = [c * h ** (-q) for c, q in y_terms]
+    y_scales = [_gl_scale(c, q, h) for c, q in y_terms]
     pivot = sum(y_scales)  # j=0 weights are all 1
     if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):
         raise SingularStepError(f"leading GL weights sum to {pivot:.3g}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive diverges at once
-        drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
+        drive = gl_convolve(sum(_gl_scale(c, q, h) * gl_coefficients(q, n_mem).coeffs
                                 for c, q in w_terms), w)
     kernel = sum(scale * gl_coefficients(q, n_mem).coeffs
                  for scale, (_, q) in zip(y_scales, y_terms))

@@ -142,6 +142,33 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
 
+    def test_infinite_coefficient_rejected(self):
+        # a0 + K + Td merge at exponent 0 and overflow
+        ctrl = PdController(K=3.8e307, Td=1.7976931348623157e308, delta=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            find_roots(char_poly_pd(BENCH_PLANT, ctrl))
+
+    @pytest.mark.parametrize("ctrl", [
+        PdController(K=24.0, Td=6.9407, delta=1.6e130),  # commensurate degree past MAX_DEGREE
+        PdController(K=24.0, Td=6.9407, delta=2e307),  # delta * m overflows
+        PdController(K=0.1, Td=1e12, delta=1e12),
+        PdController(K=24.0, Td=1.7976931348623157e308, delta=0.71859),  # log(0) in the count
+        PdController(K=2.4e16, Td=6.9407, delta=-99.0),  # P(s) overflows near 0: nan residuals
+        PdController(K=-54.566053430604754, Td=6.9407, delta=-54.566053430604754),
+    ])
+    def test_values_past_the_float_range_give_a_report(self, ctrl):
+        # no OverflowError, MemoryError or RuntimeWarning (pytest makes those errors)
+        report = find_roots(char_poly_pd(BENCH_PLANT, ctrl))
+        assert all(r.residual <= charpoly._residual_scale(char_poly_pd(BENCH_PLANT, ctrl))
+                   for r in report.roots)
+
+    def test_commensurate_degree_is_bounded(self):
+        p = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE + 1.0), (1.0, 0.0)])
+        assert charpoly.commensurate_base(p) is None
+        assert find_roots(p).method == "newton-grid"
+        q = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE / 2), (1.0, 0.0)])
+        assert charpoly.commensurate_base(q) == 1
+
 
 def reference_newton_roots(p):
     """Newton grid that polishes every converged start and its conjugate.

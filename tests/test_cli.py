@@ -1,14 +1,20 @@
 import csv
+import functools
 import json
 import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from fracreg.cli import main
+from fracreg.cli import build_parser, main, write_trajectory_csv
+from fracreg.errors import DivergedError
+from fracreg.model import (PdController, PiController, Plant, build_pd_model,
+                           build_pi_model)
+from fracreg.simulate import SimConfig, Trajectory, simulate_direct, simulate_state_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 PLANT = {"a0": 1.0, "a1": 0.5, "a2": 0.8, "alpha": 2.2, "beta": 0.9}
@@ -97,6 +103,114 @@ class TestSimulate:
         assert code == 0
         header, _ = read_csv(tmp_path / "trajectory.csv")
         assert header == ["t", "w", "y", "x1", "x2", "x3"]
+
+
+def per_row_csv(path, traj):
+    """The per-row writer the chunked one replaced: one `%.12g` per value, row by row."""
+    header = ["t", "w", "y"] + [f"x{i + 1}" for i in range(len(traj.states))]
+    table = np.column_stack([traj.times, traj.input, traj.output, *traj.states])
+    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(row_fmt % tuple(row) for row in table.tolist()))
+
+
+def _golden():
+    pd = PdController(K=24.0, Td=6.9407, delta=0.71859)
+    return simulate_state_space(build_pd_model(Plant(**PLANT), pd),
+                                SimConfig(step=0.001, t_end=12.0))
+
+
+def _pi():
+    plant = Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0)
+    return simulate_state_space(build_pi_model(plant, PiController(K=5.0, Ti=4.0, lam=1.0)),
+                                SimConfig(step=0.005, t_end=15.0))
+
+
+def _diverged():
+    unstable = PdController(K=49.0, Td=-79.74427, delta=-0.55194)
+    with pytest.raises(DivergedError) as err:
+        simulate_state_space(build_pd_model(Plant(**PLANT), unstable),
+                             SimConfig(step=0.001, t_end=16.0))
+    return err.value.trajectory
+
+
+def _samples():
+    values = list(np.sin(np.arange(2001) * 0.01))
+    pd = PdController(K=24.0, Td=6.9407, delta=0.71859)
+    return simulate_state_space(build_pd_model(Plant(**PLANT), pd),
+                                SimConfig(step=0.001, t_end=2.0, input=values))
+
+
+def _direct():
+    pd = PdController(K=24.0, Td=6.9407, delta=0.71859)
+    return simulate_direct(Plant(**PLANT), pd, SimConfig(step=0.001, t_end=3.0))
+
+
+def _rows(n):
+    rng = np.random.default_rng(n)
+    return Trajectory(step=0.01, states=(rng.normal(size=n), rng.normal(size=n) * 1e-9),
+                      output=rng.normal(size=n) * 1e6, input=np.full(n, 1.5))
+
+
+def _signed_zeros():
+    n = 700
+    zeros = np.where(np.arange(n) % 3 == 1, -0.0, 0.0)
+    return Trajectory(step=0.001, states=(np.full(n, -0.0),), output=zeros, input=zeros[::-1])
+
+
+def _non_finite():
+    n = 600
+    payloads = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000] * 200,
+                        dtype=np.uint64).view(np.float64)
+    return Trajectory(step=0.25, states=(np.full(n, np.inf), np.full(n, -np.inf), payloads),
+                      output=np.full(n, np.nan), input=np.full(n, 1e308))
+
+
+class TestTrajectoryCsv:
+    """The chunked writer gives the per-row writer's bytes."""
+
+    @pytest.mark.parametrize("make", [
+        _golden, _pi, _diverged, _samples, _direct,
+        *(functools.partial(_rows, n) for n in (1, 511, 512, 513, 1025)),
+        _signed_zeros, _non_finite,
+    ], ids=["golden", "pi", "diverged", "samples", "direct", "rows-1", "rows-511", "rows-512",
+            "rows-513", "rows-1025", "signed-zeros", "non-finite"])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, make):
+        traj = make()
+        write_trajectory_csv(tmp_path / "chunked.csv", traj)
+        per_row_csv(tmp_path / "per_row.csv", traj)
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_two_commands_parse_independently(self, tmp_path, capsys):
+        doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
+                                              "delta": 0.71859}, "sim": {"h": 0.01, "t_end": 1.0}}
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 0
+        design = {"plant": PLANT,
+                  "design": {"type": "pd", "poles": [[-1.0, 6.0], [-1.0, -6.0]], "ess": 4.0}}
+        # no --out this time: the report lands next to the config, not in `out`
+        assert main(["design", "--config", str(write_config(tmp_path, design, "d.json"))]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / "trajectory.csv"),
+                                                        str(tmp_path / "report.json")]
+        assert (tmp_path / "report.json").exists() and not (out / "report.json").exists()
+
+    def test_good_call_after_an_argparse_failure(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])  # --config is required
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        code = main(["poles", "--config", str(CONFIGS / "golden_pd_sim.json"),
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == f"{tmp_path / 'poles.json'}\n"
 
 
 class TestDesign:
@@ -322,6 +436,27 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
         assert "FRACREG_MAX_STEPS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("controller, reason", [
+        ({"K": -1.0, "Td": -0.8, "delta": 2.2}, "need at least two terms"),  # only a1 s^beta left
+        ({"K": 3.8e307, "Td": 1.7976931348623157e308, "delta": 0.0}, "must be finite"),
+    ])
+    def test_degenerate_closed_loop_is_config_error(self, tmp_path, capsys, controller, reason):
+        doc = {"plant": PLANT, "controller": {"type": "pd", **controller}}
+        assert main(["poles", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid closed-loop polynomial") and reason in err
+
+    def test_tiny_step_with_a_large_order_is_exit5(self, tmp_path, capsys):
+        # h^-order of the PI state model's order 3 - alpha - lambda = 2.3 leaves the float range
+        doc = {"plant": {"a0": 1.0, "a1": 0.5, "a2": 1.0, "alpha": 0.5, "beta": 0.2},
+               "controller": {"type": "pi", "K": 1.0, "Ti": 1.0, "lambda": 0.2},
+               "sim": {"h": 1e-300, "t_end": 1e-298}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(write_config(tmp_path, doc))])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("error: step 1e-300 is too small")
+
     def test_out_dir_option(self, tmp_path):
         doc = {
             "plant": PLANT,
@@ -342,31 +477,78 @@ EXTREME_NUMBERS = [0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e
                    -1e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 
 
+#: A mutated config number: the edge values, any float, and ranges around the bundled ones.
+NUMBERS = st.one_of(st.sampled_from(EXTREME_NUMBERS), st.floats(), st.floats(1e-4, 0.1),
+                    st.floats(0.0, 3.0), st.floats(1e12, 1e308))
+
+
+def mutations(keys, numbers=NUMBERS):
+    """Any subset of `keys`, each mapped to a number."""
+    return st.fixed_dictionaries({}, optional=dict.fromkeys(keys, numbers))
+
+
+#: Derandomized, no example database; the fixtures hold one temp dir for every example.
+FUZZ = settings(derandomize=True, database=None, deadline=5000,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestConfigFuzz:
-    """The `sim` numbers of the golden config, mutated, end in a documented exit."""
+    """Numbers of the bundled configs, mutated, end in a documented exit."""
 
-    #: The keys mutated: where each sits in the `sim` block.
-    KEYS = {"h": (), "t_end": (), "memory_len": (), "amplitude": ("input",)}
+    #: The path of each mutated number in its config.
+    SIM_KEYS = {"h": ("sim", "h"), "t_end": ("sim", "t_end"),
+                "memory_len": ("sim", "memory_len"), "amplitude": ("sim", "input", "amplitude")}
+    DESIGN_KEYS = {"re1": ("design", "poles", 0, 0), "im1": ("design", "poles", 0, 1),
+                   "re2": ("design", "poles", 1, 0), "im2": ("design", "poles", 1, 1),
+                   "ess": ("design", "ess")}
+    POLES_KEYS = {key: ("controller", key) for key in ("K", "Td", "delta")}
 
-    @given(mutation=st.fixed_dictionaries({}, optional=dict.fromkeys(KEYS, st.one_of(
-        st.sampled_from(EXTREME_NUMBERS), st.floats(), st.floats(1e-4, 0.1),
-        st.floats(0.0, 3.0), st.floats(1e12, 1e308)))))
-    @settings(max_examples=200, derandomize=True, database=None, deadline=5000,
-              # the fixtures hold one temp dir and one cap for every example
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_mutated_sim_block(self, tmp_path, monkeypatch, capsys, mutation):
-        monkeypatch.setenv("FRACREG_MAX_STEPS", "3000")  # each run stays cheap
-        doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
+    def run(self, tmp_path, capsys, command, name, keys, mutation):
+        """(exit code, stderr) of `command` on the bundled config `name`, mutated."""
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
         for key, value in mutation.items():
-            block = doc["sim"]
-            for part in self.KEYS[key]:
+            *parents, last = keys[key]
+            block = doc
+            for part in parents:
                 block = block[part]
-            block[key] = value
-        code = main(["simulate", "--config", str(write_config(tmp_path, doc)),
+            block[last] = value
+        code = main([command, "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         event(f"exit {code}")
-        assert code in {0, 2, 3, 5}
         assert "Traceback" not in err
+        return code, err
+
+    @given(mutation=mutations(SIM_KEYS))
+    @settings(FUZZ, max_examples=200)
+    def test_mutated_sim_block(self, tmp_path, monkeypatch, capsys, mutation):
+        monkeypatch.setenv("FRACREG_MAX_STEPS", "3000")  # each run stays cheap
+        code, err = self.run(tmp_path, capsys, "simulate", "golden_pd_sim", self.SIM_KEYS,
+                             mutation)
+        assert code in {0, 2, 3, 5}
         if code:
             assert err.startswith(("config error:", "simulation diverged:", "error:"))
+
+    @given(mutation=mutations(DESIGN_KEYS, st.one_of(NUMBERS, st.floats(-10.0, 10.0))))
+    @settings(FUZZ, max_examples=150)
+    def test_mutated_design_block(self, tmp_path, capsys, mutation):
+        code, err = self.run(tmp_path, capsys, "design", "design_pd_ess4", self.DESIGN_KEYS,
+                             mutation)
+        assert code in {0, 2, 4, 5}
+        if code in {2, 5}:
+            assert err.startswith(("config error:", "design solver failed:", "solver failure:",
+                                   "error:"))
+        else:  # a designed loop, stable or not
+            assert err == ""
+
+    @given(mutation=mutations(POLES_KEYS, st.one_of(NUMBERS, st.floats(-100.0, 100.0))))
+    @settings(FUZZ, max_examples=150)
+    def test_mutated_poles_controller(self, tmp_path, capsys, mutation):
+        code, err = self.run(tmp_path, capsys, "poles", "golden_pd_sim", self.POLES_KEYS,
+                             mutation)
+        assert code in {0, 2, 4, 5}
+        if code:
+            assert err.startswith(("config error:", "root search was inconclusive",
+                                   "solver failure:", "error:"))
+        else:
+            assert err == ""

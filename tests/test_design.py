@@ -94,6 +94,19 @@ class TestDesignPdInteger:
         assert ctrl.Td == pytest.approx(2.0)
         assert ctrl.K == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("design, pole", [
+        (design_pd_fractional, 4.36e307 - 1e-5j),  # s^alpha overflows a Python complex
+        (design_pd_fractional, 3.481503277165808e34 + 6j),  # the residual norm overflows
+        (design_pd_fractional, -1.72e65 + 2.2j),  # the branch candidates overflow
+        (design_pd_fractional, 5.3e73 + 1e-308j),  # arg(pole) underflows to 0
+        (design_pd_integer, 4.36e307 + 1j),
+    ])
+    def test_pole_past_the_float_range_is_no_solution(self, design, pole):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoSolutionError):
+                design(DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=4.0))
+
 
 class TestDesignPi:
     def test_planted_integer_solution(self):
@@ -126,6 +139,14 @@ class TestDesignPi:
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(NoSolutionError):
                     design_pi(DesignSpecPi(plant=plant, poles=poles))
+
+    def test_pole_past_the_float_range_is_no_solution(self):
+        poles = (-1e300 + 0j, -1 + 1j, -1 - 1j)  # s^(alpha + lambda) overflows a Python complex
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoSolutionError):
+                design_pi(DesignSpecPi(plant=Plant(a0=1, a1=4, a2=1, alpha=2, beta=1),
+                                       poles=poles))
 
     def test_conjugation_closure_required(self):
         with pytest.raises(ValueError):

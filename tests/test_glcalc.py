@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ class TestGlSeries:
         out = gl_series(SampledSignal(step=1e-3, values=np.full(n, 1e308)), 0.5)
         assert not np.isfinite(out.values[0])
         assert not np.isfinite(gl_convolve(np.ones(n), np.full(n, 1e308))[-1])
+
+    def test_tiny_step_with_a_large_order_comes_back_non_finite(self):
+        # h^-order = 1e400 is past the float range: inf and nan, no OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = gl_series(SampledSignal(1e-200, np.ones(10)), 2.0)
+        assert out.values[0] == math.inf and not np.isfinite(out.values).any()
 
 
 class TestGlConvolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lti
 
-from fracreg.errors import DivergedError, ResourceLimitError
+from fracreg.errors import DivergedError, ResourceLimitError, SingularStepError
 from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
 from fracreg.model import (INPUT, PdController, PiController, Plant, build_pd_model,
                            build_pi_model)
@@ -316,6 +316,21 @@ def test_input_past_the_float_range_diverges_at_once(simulate):
         else:
             simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
     assert err.value.index == {"state_space": 1, "direct": 0}[simulate]
+
+
+@pytest.mark.parametrize("simulate", ["state_space", "direct"])
+def test_tiny_step_with_a_large_order_is_singular(simulate):
+    # h^-order leaves the float range: the direct path's alpha = 2.2, and the
+    # PI state model's 3 - alpha - lambda = 2.3
+    cfg = SimConfig(step=1e-300, t_end=1e-298)
+    with warnings.catch_warnings(), pytest.raises(SingularStepError, match="too small"):
+        warnings.simplefilter("error", RuntimeWarning)
+        if simulate == "state_space":
+            plant = Plant(a0=1.0, a1=0.5, a2=1.0, alpha=0.5, beta=0.2)
+            simulate_state_space(build_pi_model(plant, PiController(K=1.0, Ti=1.0, lam=0.2)),
+                                 cfg)
+        else:
+            simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
 
 
 class TestRegressionPins:
