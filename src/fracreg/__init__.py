@@ -16,7 +16,7 @@ from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
 from .errors import (ConfigError, DivergedError, FracregError, NoSolutionError,
                      ResourceLimitError, SingularStepError,
                      UnsupportedOrderError)
-from .glcalc import GlTable, SampledSignal, gl_apply, gl_coefficients, gl_series
+from .glcalc import GlTable, SampledSignal, gl_coefficients, gl_series
 from .model import (FracPoly, PdController, PiController, Plant, StateModel,
                     Term, build_pd_model, build_pi_model, char_poly_pd,
                     char_poly_pi)

@@ -105,18 +105,18 @@ def eval_fracpoly(p: FracPoly, s: complex) -> complex:
     return complex(sum(c * z ** e for c, e in p.terms))
 
 
-def normalize(p: FracPoly):
-    """Shift exponents so the smallest is zero; returns (poly, shift).
+def normalize(p: FracPoly) -> FracPoly:
+    """`p` with its exponents shifted so the smallest is zero.
 
-    Multiplication by s^shift changes no root away from s = 0, and the
+    Multiplication by a power of s changes no root away from s = 0, and the
     shifted polynomial has none at s = 0.
     """
     if not p.terms:
         raise ValueError("empty polynomial")
     shift = -min(p.exponents)
     if shift == 0:
-        return p, 0.0
-    return FracPoly.from_terms((c, e + shift) for c, e in p.terms), shift
+        return p
+    return FracPoly.from_terms((c, e + shift) for c, e in p.terms)
 
 
 def _eval_vec(coeffs, expts, s):
@@ -296,7 +296,7 @@ def _newton_search(p: FracPoly):
     (huge exponents or coefficients) drop their starts without a numpy
     warning.
     """
-    pn, _ = normalize(p)
+    pn = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
     scale_n = _residual_scale(pn)
@@ -351,7 +351,7 @@ def commensurate_base(p: FracPoly):
     None also when the integer polynomial in s^(1/m) would have a degree
     above MAX_DEGREE: its companion matrix would cost too much.
     """
-    pn, _ = normalize(p)
+    pn = normalize(p)
     for m in range(1, MAX_DENOMINATOR + 1):
         if pn.exponents[0] * m > MAX_DEGREE:
             return None
@@ -373,7 +373,7 @@ def commensurate_roots(p: FracPoly):
     m = commensurate_base(p)
     if m is None:
         return None
-    pn, _ = normalize(p)
+    pn = normalize(p)
     degrees = [round(e * m) for e in pn.exponents]
     vec = np.zeros(degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
@@ -389,21 +389,21 @@ def commensurate_roots(p: FracPoly):
     return _distinct_roots(p, s_roots)
 
 
-def classify_stability(roots, method: str):
+def classify_stability(roots, complete: bool):
     """Map a root set to (verdict, coverage_caveat).
 
     A root with Re s > 0, or at s = 0 exactly, makes the verdict unstable,
-    and that is certain; a stable verdict from the Newton grid carries a
-    coverage caveat unless `find_roots` certifies the root set complete by
-    its count.
+    and that is certain.  Otherwise a root set known to be `complete` is
+    certainly stable; an incomplete one is stable with a coverage caveat,
+    or inconclusive when it is empty.
     """
-    if not roots and method != "commensurate":
-        return INCONCLUSIVE, True
     if any(z.real > 0 or z == 0 for z in roots):
         return UNSTABLE, False
-    if method == "commensurate":
+    if complete:
         return STABLE, False
-    return STABLE, True
+    if roots:
+        return STABLE, True
+    return INCONCLUSIVE, True
 
 
 def find_roots(p: FracPoly) -> StabilityReport:
@@ -414,7 +414,7 @@ def find_roots(p: FracPoly) -> StabilityReport:
     root set whose size matches the root count is complete: its verdict is
     certain, with no coverage caveat.
     """
-    pn, _ = normalize(p)
+    pn = normalize(p)
     if len(pn.terms) < 2:
         raise ValueError("need at least two terms after normalization")
     if not all(map(math.isfinite, pn.coefficients)):
@@ -425,9 +425,7 @@ def find_roots(p: FracPoly) -> StabilityReport:
     else:
         method = "newton-grid"
         roots, count = _newton_search(p)
-    verdict, caveat = classify_stability(roots, method)
-    if caveat and count == len(roots):  # the count certifies the search complete
-        verdict, caveat = STABLE, False
+    verdict, caveat = classify_stability(roots, count == len(roots))
     results = tuple(RootResult(z, abs(eval_fracpoly(p, z))) for z in roots)
     return StabilityReport(roots=results, verdict=verdict, method=method,
                            coverage_caveat=caveat, root_count=count)

@@ -44,10 +44,10 @@ _CSV_CHUNK_ROWS = 512
 
 def _get(block, key, path, expect=None):
     if key not in block:
-        raise ConfigError(f"missing key '{path}.{key}'", key=f"{path}.{key}")
+        raise ConfigError(f"missing key '{path}.{key}'")
     value = block[key]
     if expect is not None and not isinstance(value, expect):
-        raise ConfigError(f"key '{path}.{key}' has wrong type", key=f"{path}.{key}")
+        raise ConfigError(f"key '{path}.{key}' has wrong type")
     return value
 
 
@@ -60,7 +60,7 @@ def _num(block, key, path, default=None):
         return default
     value = _get(block, key, path)
     if not _is_number(value):
-        raise ConfigError(f"key '{path}.{key}' must be a number", key=f"{path}.{key}")
+        raise ConfigError(f"key '{path}.{key}' must be a number")
     return float(value)
 
 
@@ -77,12 +77,11 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     output = doc.get("output", {})
     if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object", key="output")
+        raise ConfigError("'output' must be an object")
     for key, name in output.items():
         # a bare name: no directory part, so the file lands inside the output directory
         if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
-            raise ConfigError(f"'output.{key}' must be a file name without a directory part",
-                              key=f"output.{key}")
+            raise ConfigError(f"'output.{key}' must be a file name without a directory part")
     return doc
 
 
@@ -97,7 +96,7 @@ def parse_plant(doc) -> Plant:
             beta=_num(block, "beta", "plant"),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid 'plant' block: {exc}", key="plant")
+        raise ConfigError(f"invalid 'plant' block: {exc}")
 
 
 def parse_controller(doc):
@@ -117,8 +116,8 @@ def parse_controller(doc):
                 lam=_num(block, "lambda", "controller"),
             )
     except ValueError as exc:
-        raise ConfigError(f"invalid 'controller' block: {exc}", key="controller")
-    raise ConfigError(f"unknown controller type {kind!r}", key="controller.type")
+        raise ConfigError(f"invalid 'controller' block: {exc}")
+    raise ConfigError(f"unknown controller type {kind!r}")
 
 
 def _parse_poles(block, path):
@@ -126,8 +125,7 @@ def _parse_poles(block, path):
     poles = []
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
-            raise ConfigError(f"'{path}.poles' entries must be [re, im] pairs of numbers",
-                              key=f"{path}.poles")
+            raise ConfigError(f"'{path}.poles' entries must be [re, im] pairs of numbers")
         poles.append(complex(item[0], item[1]))
     return poles
 
@@ -136,17 +134,16 @@ def parse_sim(doc) -> SimConfig:
     block = _get(doc, "sim", "", dict)
     inp = block.get("input", {"type": "step", "amplitude": 1.0})
     if not isinstance(inp, dict):
-        raise ConfigError("'sim.input' must be an object", key="sim.input")
+        raise ConfigError("'sim.input' must be an object")
     kind = inp.get("type", "step")
     if kind == "step":
         input_spec = StepInput(amplitude=_num(inp, "amplitude", "sim.input", default=1.0))
     elif kind == "samples":
         input_spec = _get(inp, "values", "sim.input", list)
         if not all(map(_is_number, input_spec)):
-            raise ConfigError("'sim.input.values' must be a list of numbers",
-                              key="sim.input.values")
+            raise ConfigError("'sim.input.values' must be a list of numbers")
     else:
-        raise ConfigError(f"unknown input type {kind!r}", key="sim.input.type")
+        raise ConfigError(f"unknown input type {kind!r}")
     memory_len = block.get("memory_len")
     if memory_len is not None:
         memory_len = _num(block, "memory_len", "sim")
@@ -158,7 +155,7 @@ def parse_sim(doc) -> SimConfig:
             input=input_spec,
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid 'sim' block: {exc}", key="sim")
+        raise ConfigError(f"invalid 'sim' block: {exc}")
 
 
 def _out_path(doc, args, key, default):
@@ -235,7 +232,7 @@ def _roots_payload(doc, plant, ctrl, **timings):
     try:
         report = find_roots(poly)
     except ValueError as exc:  # e.g. a coefficient sum past the float range
-        raise ConfigError(f"invalid closed-loop polynomial: {exc}", key="controller")
+        raise ConfigError(f"invalid closed-loop polynomial: {exc}")
     roots_s = time.perf_counter() - t0
     payload = {
         "config": doc,
@@ -285,8 +282,7 @@ def _resolve_design(doc, plant):
         poles = _parse_poles(block, "design")
         pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
         if pole is None:
-            raise ConfigError("'design.poles' must contain at least one pole",
-                              key="design.poles")
+            raise ConfigError("'design.poles' must contain at least one pole")
         try:
             if block.get("integer"):
                 spec = DesignSpecPd(plant=plant, pole=pole)
@@ -300,15 +296,15 @@ def _resolve_design(doc, plant):
                 )
                 ctrl = design_pd_fractional(spec)
         except ValueError as exc:
-            raise ConfigError(f"invalid 'design' block: {exc}", key="design")
+            raise ConfigError(f"invalid 'design' block: {exc}")
     elif kind == "pi":
         poles = _parse_poles(block, "design")
         try:
             ctrl = design_pi(DesignSpecPi(plant=plant, poles=tuple(poles)))
         except ValueError as exc:
-            raise ConfigError(f"invalid 'design' block: {exc}", key="design")
+            raise ConfigError(f"invalid 'design' block: {exc}")
     else:
-        raise ConfigError(f"unknown design type {kind!r}", key="design.type")
+        raise ConfigError(f"unknown design type {kind!r}")
     return ctrl, time.perf_counter() - t0
 
 
@@ -316,7 +312,7 @@ def cmd_design(args) -> int:
     doc = load_config(args.config)
     plant = parse_plant(doc)
     if "controller" in doc and "design" in doc:
-        raise ConfigError("give 'controller' or 'design', not both", key="design")
+        raise ConfigError("give 'controller' or 'design', not both")
     try:
         ctrl, design_s = _resolve_design(doc, plant)
     except NoSolutionError as exc:

@@ -1,12 +1,15 @@
 """Pole-placement synthesis of PD^delta and PI^lambda controllers.
 
 The proportional gain of the PD loop follows from the steady-state error
-requirement, K = (100/e_ss - 1) a0.  The remaining parameters are found
-by forcing the characteristic polynomial to vanish at the desired poles:
-a damped Newton iteration on the real/imaginary residuals with a central
-difference Jacobian.  A successful design is not necessarily stable
-(negative derivative orders can introduce extra right-half-plane poles);
-stability is reported separately, never enforced here.
+requirement, K = (100/e_ss - 1) a0.  The derivative pair then has a closed
+form: Td s^delta = R at the pole, with R the rest of the characteristic
+polynomial negated, is solved branch by branch (`_pd_branch_candidates`),
+and the first branch whose residual is within tolerance is the design.
+Only the PI^lambda placement needs an iterative solve: a damped Newton
+iteration on the real/imaginary residuals with a central difference
+Jacobian.  A successful design is not necessarily stable (negative
+derivative orders can introduce extra right-half-plane poles); stability
+is reported separately, never enforced here.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ __all__ = [
 #: Acceptable characteristic residual, relative to a0 + K.
 RESIDUAL_REL_TOL = 1e-8
 
-_PD_STARTS = ((1.0, 0.5), (1.0, 1.0), (-1.0, -0.5), (10.0, 0.7))
 _PI_LAMBDA_STARTS = (0.25, 0.5, 0.75, 1.0)
+#: Newton iterations per start, and step halvings per iteration.
+_NEWTON_MAX_ITER = 100
+_NEWTON_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def gain_from_ss_error(a0: float, ess_percent: float) -> float:
     return (100.0 / ess_percent - 1.0) * a0
 
 
-def _damped_newton(func, x0, tol, max_iter=100, max_halvings=30):
+def _damped_newton(func, x0, tol):
     """Newton with central-difference Jacobian and step halving.
 
     Iterates well past `tol` (down to a relative floor) so accepted
@@ -118,7 +123,7 @@ def _damped_newton(func, x0, tol, max_iter=100, max_halvings=30):
     f = np.asarray(func(x), dtype=float)
     best = float(np.linalg.norm(f))
     best_x = x.copy()
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         norm = float(np.linalg.norm(f))
         if norm < best:
             best, best_x = norm, x.copy()
@@ -138,7 +143,7 @@ def _damped_newton(func, x0, tol, max_iter=100, max_halvings=30):
             break
         if not np.all(np.isfinite(step)):
             break
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_MAX_HALVINGS):
             x_new = x - step
             f_new = np.asarray(func(x_new), dtype=float)
             if np.all(np.isfinite(f_new)) and np.linalg.norm(f_new) < norm:
@@ -153,19 +158,22 @@ def _damped_newton(func, x0, tol, max_iter=100, max_halvings=30):
     return (best_x, best) if best <= tol else (None, best)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
-    """Closed-form (Td, delta) candidates from Td s^delta = R at the pole.
+    """Closed-form (Td, delta) pairs solving Td s^delta = R at the pole.
 
     With R = -(a2 s^alpha + a1 s^beta + a0 + K) and theta = arg(pole),
     each branch delta = (arg R - {0, pi} + 2 pi n) / theta with matching
-    Td = +-|R| / |s|^delta places the pair.  Candidates are ordered by
-    |delta * theta|, so the representative with the derivative phase in
+    Td = +-|R| / |s|^delta places the pair.  Pairs with a non-finite Td or
+    delta (a pole whose argument underflows to 0, powers past the float
+    range) are dropped, without a numpy warning.  The rest are ordered by
+    |delta * theta|, so the branch with the derivative phase in
     (-pi/2, pi/2] comes first.
     """
     s = complex(pole)
     try:
         r = -(plant.a2 * s ** plant.alpha + plant.a1 * s ** plant.beta + plant.a0 + K)
-    except OverflowError:  # a pole this far out leaves only the fixed starts
+    except OverflowError:  # a pole this far out leaves no branch in the float range
         return []
     if r == 0:
         return [(0.0, 1.0)]
@@ -174,12 +182,9 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
     candidates = []
     for offset, sign in ((0.0, 1.0), (math.pi, -1.0)):
         for n in range(-2, 3):
-            phase = phi - offset + 2 * math.pi * n
-            delta = phase / theta
-            if abs(delta) >= 3:  # outside the supported order range
-                continue
+            delta = (phi - offset + 2 * math.pi * n) / theta
             td = sign * abs(r) / abs(s) ** delta
-            if math.isfinite(td):
+            if math.isfinite(delta) and math.isfinite(td):
                 candidates.append((td, delta))
     candidates.sort(key=lambda c: abs(c[1] * theta))
     return candidates
@@ -187,33 +192,27 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def design_pd_fractional(spec: DesignSpecPd) -> PdController:
-    """Solve for (Td, delta) placing the conjugate pair, K fixed by spec.
+    """(Td, delta) placing the conjugate pair by the branch formula, K fixed by spec.
 
-    Newton starts are seeded from the closed-form branch candidates (the
-    small-|delta| branch first), with a fixed fallback list; the first
-    converging start wins.  A pole far out may overflow the iterates; that
-    only fails the start, so numpy's floating-point warnings are off.
+    The design is the first candidate of `_pd_branch_candidates` (smallest
+    |delta * theta| first) whose characteristic residual at the pole is
+    within RESIDUAL_REL_TOL * |a0 + K|.  A pole far out may take a
+    candidate's powers past the float range; that only fails the
+    candidate, so numpy's floating-point warnings are off.
     """
     K = spec.resolve_gain()
     plant, pole = spec.plant, spec.pole
     tol = RESIDUAL_REL_TOL * abs(plant.a0 + K)
-
-    def residual(x):
-        ctrl = PdController(K=K, Td=x[0], delta=x[1])
-        v = eval_fracpoly(char_poly_pd(plant, ctrl), pole)
-        return [v.real, v.imag]
-
     best = math.inf
-    starts = _pd_branch_candidates(plant, K, pole) + list(_PD_STARTS)
-    for start in starts:
-        x, norm = _damped_newton(residual, start, tol)
-        if x is not None:
-            return PdController(K=K, Td=float(x[0]), delta=float(x[1]))
-        best = min(best, norm)
+    for td, delta in _pd_branch_candidates(plant, K, pole):
+        ctrl = PdController(K=K, Td=float(td), delta=float(delta))
+        # np.abs: inf past the float range, where abs() of a complex raises
+        residual = np.abs(eval_fracpoly(char_poly_pd(plant, ctrl), pole))
+        if residual <= tol:
+            return ctrl
+        best = min(best, residual)
     raise NoSolutionError(
-        f"PD^delta design did not converge for pole {pole}; best residual {best:.3g}",
-        last_residual=best,
-    )
+        f"PD^delta design found no branch placing pole {pole}; best residual {best:.3g}")
 
 
 def design_pd_integer(spec: DesignSpecPd) -> PdController:
@@ -313,6 +312,4 @@ def design_pi(spec: DesignSpecPi) -> PiController:
         best = min(best, max(residuals))
     raise NoSolutionError(
         f"PI^lambda design did not converge for poles {spec.poles}; "
-        f"best residual {best:.3g}",
-        last_residual=best,
-    )
+        f"best residual {best:.3g}")

@@ -34,24 +34,8 @@ class SingularStepError(FracregError):
 
 
 class NoSolutionError(FracregError):
-    """A design solve failed from every starting point.
-
-    Attributes:
-        last_residual: residual norm at the best point seen, or None.
-    """
-
-    def __init__(self, message, last_residual=None):
-        super().__init__(message)
-        self.last_residual = last_residual
+    """A design found no controller placing the requested poles."""
 
 
 class ConfigError(FracregError):
-    """A run configuration is missing or malformed.
-
-    Attributes:
-        key: dotted path of the offending key, when known.
-    """
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
+    """A run configuration is missing or malformed; the message names the key."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["GlTable", "GlHistory", "SampledSignal", "gl_coefficients", "gl_convolve",
-           "gl_apply", "gl_series"]
+           "gl_series"]
 
 #: Samples per block: GlHistory sums the lags of at least this many samples,
 #: and the simulators solve the lags below it within each block.
@@ -45,15 +45,11 @@ _CACHE_WIDTH = 1024
 class GlTable:
     """GL weight sequence b_0..b_N for one derivative order."""
 
-    order: float
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         self.coeffs.setflags(write=False)
-
-    def __len__(self):
-        return len(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def gl_coefficients(order: float, count: int) -> GlTable:
     if count > 0:
         j = np.arange(1, count + 1, dtype=float)
         coeffs[1:] = np.cumprod(1.0 - (1.0 + order) / j)
-    return GlTable(order=order, coeffs=coeffs)
+    return GlTable(coeffs=coeffs)
 
 
 def _truncation(k: int, step: float, memory_len) -> int:
@@ -238,15 +234,6 @@ class GlHistory:
                 total += product
             del spectrum, product  # freed before the next spectrum is formed: peak memory
         out += np.fft.irfft(total, size)[lo:lo + len(out)]
-
-
-def gl_apply(history: SampledSignal, order: float, memory_len: float | None = None) -> float:
-    """GL derivative of the given order at the last sample of `history`.
-
-    `memory_len` truncates the sum to the trailing window of that many
-    seconds (short-memory principle); by default the full history is used.
-    """
-    return float(gl_series(history, order, memory_len).values[-1])
 
 
 def gl_series(signal: SampledSignal, order: float, memory_len: float | None = None) -> SampledSignal:

@@ -162,9 +162,6 @@ class FracPoly:
     def coefficients(self):
         return tuple(c for c, _ in self.terms)
 
-    def scaled(self, factor: float) -> "FracPoly":
-        return FracPoly.from_terms((factor * c, e) for c, e in self.terms)
-
 
 def build_pd_model(plant: Plant, ctrl: PdController) -> StateModel:
     """Two-state model of the PD^delta closed loop.

@@ -67,8 +67,7 @@ def _max_steps() -> int:
     except ValueError:
         cap = 0
     if cap <= 0:
-        raise ConfigError(f"FRACREG_MAX_STEPS must be a positive integer, got {raw!r}",
-                          key="FRACREG_MAX_STEPS")
+        raise ConfigError(f"FRACREG_MAX_STEPS must be a positive integer, got {raw!r}")
     return cap
 
 

@@ -3,10 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracreg import design
 from fracreg.charpoly import NEWTON_TOL, eval_fracpoly, find_roots
-from fracreg.design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
-                            design_pd_integer, design_pi, gain_from_ss_error)
+from fracreg.design import (RESIDUAL_REL_TOL, DesignSpecPd, DesignSpecPi,
+                            _pd_branch_candidates, design_pd_fractional, design_pd_integer,
+                            design_pi, gain_from_ss_error)
 from fracreg.errors import NoSolutionError
 from fracreg.model import (PdController, PiController, Plant, char_poly_pd,
                            char_poly_pi)
@@ -37,6 +41,7 @@ class TestDesignPdFractional:
         assert ctrl.K == 24.0
         assert ctrl.Td == pytest.approx(6.9407, abs=1e-3)
         assert ctrl.delta == pytest.approx(0.71859, abs=1e-3)
+        assert (ctrl.Td, ctrl.delta) == (6.9407284491566426, 0.7185913332152558)  # bit-exact
         residual = abs(eval_fracpoly(char_poly_pd(BENCH_PLANT, ctrl), POLE))
         assert residual <= 1e-8 * 25
 
@@ -50,6 +55,7 @@ class TestDesignPdFractional:
         assert ctrl.K == 49.0
         assert ctrl.Td == pytest.approx(-79.744, abs=0.01)
         assert ctrl.delta == pytest.approx(-0.55194, abs=1e-3)
+        assert (ctrl.Td, ctrl.delta) == (-79.74426460096011, -0.5519411392070032)  # bit-exact
 
     def test_planted_integer_solution_recovered(self):
         # plant and pole picked so the exact fractional answer is delta = 1
@@ -74,6 +80,56 @@ class TestDesignPdFractional:
     def test_both_gain_specs_rejected(self):
         with pytest.raises(ValueError):
             DesignSpecPd(plant=BENCH_PLANT, pole=POLE, ess_percent=4.0, K_override=24.0)
+
+
+def pd_residual(plant, ctrl, pole):
+    """|P(pole)| of the PD^delta loop and the tolerance a design must meet there."""
+    residual = abs(eval_fracpoly(char_poly_pd(plant, ctrl), pole))
+    return residual, RESIDUAL_REL_TOL * abs(plant.a0 + ctrl.K)
+
+
+class TestPdBranchFormula:
+    """The PD^delta design is the first closed-form branch within tolerance."""
+
+    @given(re=st.floats(-2.0, -0.5), im=st.floats(3.0, 8.0), ess=st.floats(2.0, 8.0))
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_range_design_is_the_first_candidate(self, re, im, ess):
+        pole = complex(re, im)
+        ctrl = design_pd_fractional(DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=ess))
+        td, delta = _pd_branch_candidates(BENCH_PLANT, ctrl.K, pole)[0]
+        assert (ctrl.Td, ctrl.delta) == (td, delta)
+        assert abs(delta) < 3
+        residual, tol = pd_residual(BENCH_PLANT, ctrl, pole)
+        assert residual <= tol
+
+    def test_no_candidate_in_the_order_range_gives_the_smallest_phase_branch(self):
+        # a right-half-plane pole whose every branch has |delta| >= 3; the
+        # smallest |delta * theta| branch is delta ~ 3.672, not the delta ~ 11.268
+        # branch a fixed Newton start used to fall into
+        plant = Plant(a0=0.30070129922174715, a1=-1.9629076690716651, a2=1.2268885431551357,
+                      alpha=0.823758163392412, beta=0.15790469754154754)
+        pole = 0.9467953735487783 + 0.4155707748055969j
+        ctrl = design_pd_fractional(DesignSpecPd(plant=plant, pole=pole,
+                                                 ess_percent=37.79215923541365))
+        assert ctrl.delta == pytest.approx(3.67215, abs=1e-5)
+        assert all(abs(d) >= 3 for _, d in _pd_branch_candidates(plant, ctrl.K, pole))
+        residual, tol = pd_residual(plant, ctrl, pole)
+        assert residual <= tol
+
+    def test_no_iterative_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the PD^delta design ran the Newton solver")
+
+        monkeypatch.setattr(design, "_damped_newton", fail)
+        design_pd_fractional(DesignSpecPd(plant=BENCH_PLANT, pole=POLE, ess_percent=4.0))
+
+    @pytest.mark.parametrize("pole", [3.481503277165808e34 + 6j, -1.72e65 + 2.2j,
+                                      5.3e73 + 1e-308j, 4.36e307 - 1e-5j])
+    def test_candidates_are_finite_and_warning_free(self, pole):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            candidates = _pd_branch_candidates(BENCH_PLANT, 24.0, pole)
+        assert all(math.isfinite(td) and math.isfinite(d) for td, d in candidates)
 
 
 class TestDesignPdInteger:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import binom, gamma
 
 from fracreg import glcalc
-from fracreg.glcalc import (_BLOCK, GlHistory, SampledSignal, gl_apply, gl_coefficients,
-                            gl_convolve, gl_series)
+from fracreg.glcalc import (_BLOCK, GlHistory, SampledSignal, gl_coefficients, gl_convolve,
+                            gl_series)
 
 
 def binom_oracle(order, j):
@@ -122,31 +122,35 @@ class TestGlCoefficients:
 
 
 class TestGlApply:
+    """The GL derivative at the last sample, gl_series(...).values[-1]."""
+
     def test_zeroth_order_is_identity(self):
         sig = SampledSignal(step=0.2, values=np.full(17, 3.7))
-        assert gl_apply(sig, 0.0) == pytest.approx(3.7, abs=0)
+        assert gl_series(sig, 0.0).values[-1] == pytest.approx(3.7, abs=0)
 
     def test_first_derivative_of_ramp(self):
         t = np.arange(0, 1.0 + 1e-12, 0.01)
-        assert gl_apply(SampledSignal(step=0.01, values=t), 1.0) == pytest.approx(1.0, abs=0.02)
+        last = gl_series(SampledSignal(step=0.01, values=t), 1.0).values[-1]
+        assert last == pytest.approx(1.0, abs=0.02)
 
     def test_half_derivative_of_square(self):
         # D^0.5 t^2 = Gamma(3)/Gamma(2.5) t^1.5
         h = 0.001
         t = np.arange(0, 1.0 + h / 2, h)
         expected = gamma(3) / gamma(2.5)
-        assert gl_apply(SampledSignal(step=h, values=t ** 2), 0.5) == pytest.approx(expected, abs=0.01)
+        last = gl_series(SampledSignal(step=h, values=t ** 2), 0.5).values[-1]
+        assert last == pytest.approx(expected, abs=0.01)
 
     def test_full_memory_equals_large_memory_len(self):
         rng = np.random.default_rng(7)
         sig = SampledSignal(step=0.05, values=rng.normal(size=40))
-        full = gl_apply(sig, 0.7)
-        assert gl_apply(sig, 0.7, memory_len=10.0) == full
+        full = gl_series(sig, 0.7).values[-1]
+        assert gl_series(sig, 0.7, memory_len=10.0).values[-1] == full
 
     def test_bad_memory_len(self):
         sig = SampledSignal(step=0.1, values=[1.0, 2.0])
         with pytest.raises(ValueError):
-            gl_apply(sig, 0.5, memory_len=0.0)
+            gl_series(sig, 0.5, memory_len=0.0)
 
     @pytest.mark.parametrize("order", [0.3, 0.5, 1.5])
     def test_first_order_convergence(self, order):
@@ -155,7 +159,7 @@ class TestGlApply:
 
         def err(h):
             t = np.arange(0, 1.0 + h / 2, h)
-            return abs(gl_apply(SampledSignal(step=h, values=t ** 2), order) - exact)
+            return abs(gl_series(SampledSignal(step=h, values=t ** 2), order).values[-1] - exact)
 
         ratio = err(0.002) / err(0.001)
         assert 1.7 <= ratio <= 2.3
@@ -172,8 +176,9 @@ class TestGlApply:
         f = rng.normal(size=30)
         g = rng.normal(size=30)
         h = 0.05
-        lhs = gl_apply(SampledSignal(h, a * f + b * g), order)
-        rhs = a * gl_apply(SampledSignal(h, f), order) + b * gl_apply(SampledSignal(h, g), order)
+        lhs = gl_series(SampledSignal(h, a * f + b * g), order).values[-1]
+        rhs = (a * gl_series(SampledSignal(h, f), order).values[-1]
+               + b * gl_series(SampledSignal(h, g), order).values[-1])
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
 
 
