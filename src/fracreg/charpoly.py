@@ -412,7 +412,10 @@ def find_roots(p: FracPoly) -> StabilityReport:
     Prefers the complete commensurate method when the exponent set allows
     it, falling back to the multi-start Newton search otherwise.  A Newton
     root set whose size matches the root count is complete: its verdict is
-    certain, with no coverage caveat.
+    certain, with no coverage caveat.  So is an unstable verdict from the
+    sign certificate: when the leading and constant coefficients of
+    `normalize(p)` differ in sign, a root s > 0 exists whatever the roots
+    found.
     """
     pn = normalize(p)
     if len(pn.terms) < 2:
@@ -426,6 +429,10 @@ def find_roots(p: FracPoly) -> StabilityReport:
         method = "newton-grid"
         roots, count = _newton_search(p)
     verdict, caveat = classify_stability(roots, count == len(roots))
+    if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0):
+        # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading
+        # coefficient at infinity: a root s > 0 exists, found or not
+        verdict, caveat = UNSTABLE, False
     results = tuple(RootResult(z, abs(eval_fracpoly(p, z))) for z in roots)
     return StabilityReport(roots=results, verdict=verdict, method=method,
                            coverage_caveat=caveat, root_count=count)

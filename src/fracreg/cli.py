@@ -27,7 +27,8 @@ import numpy as np
 from .charpoly import find_roots
 from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                      design_pd_integer, design_pi)
-from .errors import ConfigError, DivergedError, FracregError, NoSolutionError
+from .errors import (ConfigError, DivergedError, FracregError, NoSolutionError,
+                     UnsupportedOrderError)
 from .model import (PdController, PiController, Plant, build_pd_model,
                     build_pi_model, char_poly_pd, char_poly_pi)
 from .simulate import SimConfig, StepInput, simulate_state_space
@@ -219,6 +220,12 @@ def _report_roots(report):
     }
 
 
+def _build_model(plant, ctrl):
+    if isinstance(ctrl, PdController):
+        return build_pd_model(plant, ctrl)
+    return build_pi_model(plant, ctrl)
+
+
 def _char_poly_for(plant, ctrl):
     if isinstance(ctrl, PdController):
         return char_poly_pd(plant, ctrl)
@@ -255,10 +262,10 @@ def cmd_simulate(args) -> int:
     plant = parse_plant(doc)
     ctrl = parse_controller(doc)
     cfg = parse_sim(doc)
-    if isinstance(ctrl, PdController):
-        model = build_pd_model(plant, ctrl)
-    else:
-        model = build_pi_model(plant, ctrl)
+    try:
+        model = _build_model(plant, ctrl)
+    except ValueError as exc:  # a model gain past the float range
+        raise ConfigError(f"invalid closed-loop model: {exc}")
     csv_path = _out_path(doc, args, "trajectory_csv", "trajectory.csv")
     try:
         traj, diverged = simulate_state_space(model, cfg), None
@@ -320,6 +327,10 @@ def cmd_design(args) -> int:
         return EXIT_SOLVER
     report, payload = _roots_payload(doc, plant, ctrl, design_s=design_s)
     _write_json(doc, args, "report_json", "report.json", payload)
+    try:
+        _build_model(plant, ctrl)
+    except (UnsupportedOrderError, ValueError) as exc:  # an order or a gain `simulate` rejects
+        print(f"design cannot be simulated: {exc}", file=sys.stderr)
     return EXIT_UNSTABLE if report.verdict == "unstable" else EXIT_OK
 
 

@@ -5,11 +5,11 @@ requirement, K = (100/e_ss - 1) a0.  The derivative pair then has a closed
 form: Td s^delta = R at the pole, with R the rest of the characteristic
 polynomial negated, is solved branch by branch (`_pd_branch_candidates`),
 and the first branch whose residual is within tolerance is the design.
-Only the PI^lambda placement needs an iterative solve: a damped Newton
-iteration on the real/imaginary residuals with a central difference
-Jacobian.  A successful design is not necessarily stable (negative
-derivative orders can introduce extra right-half-plane poles); stability
-is reported separately, never enforced here.
+The PI^lambda placement scans one scalar function of lambda for its
+zeros and refines them by a bracketed regula falsi (see `design_pi`); no
+design runs Newton.  A successful design is not necessarily stable
+(negative derivative orders can introduce extra right-half-plane poles);
+stability is reported separately, never enforced here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from .charpoly import eval_fracpoly
 from .errors import NoSolutionError
-from .model import PdController, PiController, Plant, char_poly_pd, char_poly_pi
+from .model import (MAX_GL_ORDER, PdController, PiController, Plant, char_poly_pd,
+                    char_poly_pi)
 
 __all__ = [
     "DesignSpecPd",
@@ -35,10 +36,15 @@ __all__ = [
 #: Acceptable characteristic residual, relative to a0 + K.
 RESIDUAL_REL_TOL = 1e-8
 
-_PI_LAMBDA_STARTS = (0.25, 0.5, 0.75, 1.0)
-#: Newton iterations per start, and step halvings per iteration.
-_NEWTON_MAX_ITER = 100
-_NEWTON_MAX_HALVINGS = 30
+#: Cells of the fixed lambda grid on (0, 6 - alpha) that `design_pi` scans D on, and
+#: sub-cells of its finer scan around a grid point (offsets in cells, either side).
+_PI_GRID_CELLS = 64
+_PI_SUBCELLS = 8
+_PI_SUBSCAN = np.arange(1 - _PI_SUBCELLS, _PI_SUBCELLS) / _PI_SUBCELLS
+#: Cap on the refinement steps; a bracket on a smooth D needs about five.
+_PI_REFINE_STEPS = 100
+#: The rounding floor of D, whose rows have unit norm: a zero of D to working precision.
+_PI_DET_FLOOR = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -108,54 +114,6 @@ def gain_from_ss_error(a0: float, ess_percent: float) -> float:
     if not a0 > 0:
         raise ValueError(f"a0 must be positive, got {a0}")
     return (100.0 / ess_percent - 1.0) * a0
-
-
-def _damped_newton(func, x0, tol):
-    """Newton with central-difference Jacobian and step halving.
-
-    Iterates well past `tol` (down to a relative floor) so accepted
-    solutions are machine-accurate, not just barely inside the
-    acceptance band.  Returns (solution, residual_norm) or
-    (None, best_residual_norm).
-    """
-    target = 1e-5 * tol
-    x = np.asarray(x0, dtype=float)
-    f = np.asarray(func(x), dtype=float)
-    best = float(np.linalg.norm(f))
-    best_x = x.copy()
-    for _ in range(_NEWTON_MAX_ITER):
-        norm = float(np.linalg.norm(f))
-        if norm < best:
-            best, best_x = norm, x.copy()
-        if norm <= target:
-            return x, norm
-        n = len(x)
-        jac = np.empty((n, n))
-        for j in range(n):
-            dx = 1e-7 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += dx
-            xm[j] -= dx
-            jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * dx)
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            x_new = x - step
-            f_new = np.asarray(func(x_new), dtype=float)
-            if np.all(np.isfinite(f_new)) and np.linalg.norm(f_new) < norm:
-                x, f = x_new, f_new
-                break
-            step = step / 2
-        else:
-            break
-    norm = float(np.linalg.norm(f))
-    if norm < best:
-        best, best_x = norm, x
-    return (best_x, best) if best <= tol else (None, best)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -231,85 +189,126 @@ def design_pd_integer(spec: DesignSpecPd) -> PdController:
     return PdController(K=float(K), Td=float(Td), delta=1.0)
 
 
-def _pi_seed(plant: Plant, reps, lam: float):
-    """Least-squares (K, Ti) for a fixed lambda: the placement is linear.
+def _pi_equations(plant: Plant, reps):
+    """Per-row constants of the three real placement equations, for `_pi_rows`.
 
-    Returns (K, Ti, residual_norm); the residual ranks candidate lambda
-    starting points, and is inf for a pole whose powers leave the float range.
+    A pole p with g = -G(p) gives the row of its real part and, off the real
+    axis, the row of its imaginary part, Im z = Re(-i z).  A row holds
+    (log p - k, f w, f g w, w_T, k, -log w): f is 1 or -i, k = log max(1, |p|),
+    w = 1 / max(1, |g|), and w_T weighs Ti: w in a real part, 0 otherwise.
     """
-    rows, rhs = [], []
-    for p in reps:
-        s = complex(p)
-        try:
-            lhs = -(plant.a2 * s ** (plant.alpha + lam)
-                    + plant.a1 * s ** (plant.beta + lam)
-                    + plant.a0 * s ** lam)
-        except OverflowError:
-            return 0.0, 0.0, math.inf
-        sl = s ** lam
-        rows.append([sl.real, 1.0])
-        rhs.append(lhs.real)
+    poles = np.array(reps, dtype=complex)
+    gains = -(plant.a2 * poles ** plant.alpha + plant.a1 * poles ** plant.beta + plant.a0)
+    if not (np.isfinite(np.abs(poles)).all() and np.isfinite(gains).all()):
+        raise NoSolutionError(f"poles {reps} are past the float range for PI^lambda design")
+    rows = []
+    for p, g in zip(reps, gains):
+        # log|0| is taken as the log of the smallest float: p^lam underflows to 0 all the same
+        log_p = complex(math.log(max(abs(p), 5e-324)), math.atan2(p.imag, p.real))
+        k, w = max(log_p.real, 0.0), 1.0 / max(1.0, abs(g))
+        rows.append((log_p - k, w, g * w, w, k, -math.log(w)))
         if p.imag != 0:
-            rows.append([sl.imag, 0.0])
-            rhs.append(lhs.imag)
-    mat = np.array(rows)[:3]
-    vec = np.array(rhs)[:3]
-    sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    resid = float(np.linalg.norm(mat @ sol - vec))
-    return float(sol[0]), float(sol[1]), resid
+            rows.append((log_p - k, -1j * w, -1j * g * w, 0.0, k, -math.log(w)))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def design_pi(spec: DesignSpecPi) -> PiController:
-    """Solve for (K, Ti, lambda > 0) placing all three poles.
+def _pi_rows(equations, lam):
+    """Rows [a | b | c] of a_i K + b_i Ti = c_i, one 3 x 3 matrix per lambda, and their scales.
 
-    For each lambda starting value (K, Ti) is seeded from the linear
-    least-squares subproblem; starts are tried in order of increasing
-    seed residual, so an exactly attainable lambda is recovered first.
-    Iterates from an infeasible pole set may overflow; that only fails
-    the start, so numpy's overflow and invalid-value warnings are off.
+    At a pole p the placement reads K p^lam + Ti = c = -p^lam G(p), with
+    G(p) = a2 p^alpha + a1 p^beta + a0: the row [Re p^lam, 1, Re c] and, off
+    the real axis, [Im p^lam, 0, Im c].  So that nothing overflows, each row
+    is divided by max(1, |p|^lam) max(1, |G(p)|), whose log is returned too.
     """
-    plant = spec.plant
-    reps = spec.residual_poles()
+    log_power, a_weight, c_weight, b_weight, k, m = equations
+    lam = lam[:, None]
+    z = np.exp(lam * log_power)
+    rows = np.empty((lam.size, 3, 3))
+    rows[..., 0], rows[..., 2] = (z * a_weight).real, (z * c_weight).real
+    rows[..., 1] = np.exp(-lam * k) * b_weight
+    return rows, lam * k + m
 
-    def residual(x):
-        K, Ti, lam = x
-        if lam <= 0:
-            return [math.inf] * 3
-        ctrl = PiController(K=K, Ti=Ti, lam=lam)
-        poly = char_poly_pi(plant, ctrl)
-        out = []
-        for p in reps:
-            v = eval_fracpoly(poly, p)
-            out.append(v.real)
-            if p.imag != 0:
-                out.append(v.imag)
-        return out[:3]
 
-    seeds = []
-    for lam0 in _PI_LAMBDA_STARTS:
-        k0, ti0, resid = _pi_seed(plant, reps, lam0)
-        seeds.append((k0, ti0, lam0, resid))
-    seeds.sort(key=lambda t: t[3])
+def _bracketed_roots(func, a, b, fa, fb):
+    """Roots of `func` in the brackets [a, b], where fa and fb differ in sign.
+
+    Anderson-Bjorck regula falsi, all brackets in one call of `func` a step:
+    c replaces the end of its sign, and when that is the last point b, f(a)
+    is scaled by 1 - f(c) / f(b) (or 1/2), for superlinear convergence.  It
+    stops when every |f(c)| is down to _PI_DET_FLOOR or c moved a few ulps.
+    """
+    for _ in range(_PI_REFINE_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = func(c)
+        flip = np.signbit(fc) != np.signbit(fb)
+        m = 1.0 - fc / fb
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
+        c, b, fb = b, c, fc
+        if np.all((np.abs(fb) <= _PI_DET_FLOOR) | (np.abs(b - c) <= 4 * np.spacing(b))):
+            break
+    return b
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def design_pi(spec: DesignSpecPi) -> PiController:
+    """Solve for (K, Ti, 0 < lambda < 6 - alpha) placing all three poles.
+
+    At a fixed lambda the three real equations of the residual poles (a
+    pair's real and imaginary parts and a real pole's real part, or three
+    real parts) are linear in (K, Ti).  They are consistent exactly where
+    D(lambda), the determinant of their augmented rows (`_pi_rows`) scaled
+    to unit norm, vanishes.  D is scanned on _PI_GRID_CELLS cells inside
+    (0, 6 - alpha), the orders `build_pi_model` takes, and on _PI_SUBCELLS
+    sub-cells around each grid local minimum of |D| (two zeros in one
+    cell), each sign change and both ends, to a millionth of a cell from
+    them.  Each sign change is refined (`_bracketed_roots`); a scan point
+    with |D| at its rounding floor is a root as it stands.  At each root,
+    (K, Ti) solves the three rows by least squares, each row at the scale
+    of its pole's residual.  The design is the smallest such lambda whose
+    complex residual at every pole is within RESIDUAL_REL_TOL * |a0 + K|:
+    for a negative real pole and a non-integer lambda, P(pole) is complex,
+    so the spec is four real equations in three unknowns, and this check
+    judges the fourth.  Values past the float range only fail their
+    lambda, without numpy warnings.
+    """
+    plant, reps = spec.plant, spec.residual_poles()
+    equations = _pi_equations(plant, reps)
+    top = 3.0 + MAX_GL_ORDER - plant.alpha  # build_pi_model needs 3 - alpha - lam > -MAX_GL_ORDER
+    cell = top / _PI_GRID_CELLS
+    grid = cell * np.arange(1, _PI_GRID_CELLS)
+
+    def det(lam):
+        rows = _pi_rows(equations, lam)[0]
+        return np.linalg.det(rows) / np.sqrt(np.einsum("nij,nij->ni", rows, rows).prod(axis=1))
+
+    values = det(grid)
+    size = np.abs(values)
+    centers = np.ones(size.shape, dtype=bool)  # the end cells are open at 0 and at the top
+    centers[1:-1] = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
+    centers[:-1] |= np.signbit(values[:-1]) != np.signbit(values[1:])
+    ends = [1e-6 * cell, top - 1e-6 * cell]
+    fine = np.concatenate([(grid[centers, None] + cell * _PI_SUBSCAN).ravel(), ends])
+    lams, values = np.concatenate([grid, fine]), np.concatenate([values, det(fine)])
+    order = np.argsort(lams)
+    lams, values = lams[order], values[order]
+    cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
+    roots = _bracketed_roots(det, lams[cross], lams[cross + 1], values[cross], values[cross + 1])
     best = math.inf
-    for k0, ti0, lam0, _ in seeds:
-        tol_guess = RESIDUAL_REL_TOL * abs(plant.a0 + k0)
-        x, norm = _damped_newton(residual, (k0, ti0, lam0), tol_guess)
-        if x is None:
-            best = min(best, norm)
+    candidates = np.concatenate([lams[np.abs(values) <= _PI_DET_FLOOR], roots])
+    for lam in np.sort(candidates[np.isfinite(candidates)]):  # a row that underflows to 0 gives nan
+        rows, log_scale = _pi_rows(equations, np.array([lam]))
+        # each row at its own scale, as the residual check weighs the poles
+        rows = rows[0] * np.exp(log_scale - log_scale.max())[0, :, None]
+        (K, Ti), *_ = np.linalg.lstsq(rows[:, :2], rows[:, 2], rcond=None)
+        if not np.isfinite([K, Ti]).all():  # a gain past the float range
             continue
-        K, Ti, lam = (float(v) for v in x)
-        if lam <= 0:
-            continue
-        # full complex residual at every pole, scaled by the solved gain;
-        # a negative real pole can leave a large imaginary part that the
-        # three Newton equations never saw
-        ctrl = PiController(K=K, Ti=Ti, lam=lam)
+        ctrl = PiController(K=float(K), Ti=float(Ti), lam=float(lam))
         poly = char_poly_pi(plant, ctrl)
-        residuals = [abs(eval_fracpoly(poly, p)) for p in spec.poles]
-        if max(residuals) <= RESIDUAL_REL_TOL * abs(plant.a0 + K):
+        # P(conj p) = conj P(p), so the residual poles stand for all three; np.abs:
+        # inf past the float range, where abs() of a complex raises; np.max keeps a nan
+        residual = np.max([np.abs(eval_fracpoly(poly, p)) for p in reps])
+        if residual <= RESIDUAL_REL_TOL * abs(plant.a0 + K):
             return ctrl
-        best = min(best, max(residuals))
-    raise NoSolutionError(
-        f"PI^lambda design did not converge for poles {spec.poles}; "
-        f"best residual {best:.3g}")
+        best = min(best, residual)
+    raise NoSolutionError(f"PI^lambda design found no lambda in (0, {top:g}) placing poles "
+                          f"{spec.poles}; best residual {best:.3g}")

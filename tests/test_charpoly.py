@@ -157,6 +157,32 @@ class TestFindRoots:
         assert all(r.residual <= charpoly._residual_scale(char_poly_pd(BENCH_PLANT, ctrl))
                    for r in report.roots)
 
+    def test_sign_certificate_makes_the_verdict_unstable(self):
+        # the count fails and Newton finds no unstable root, but the leading and
+        # constant coefficients differ in sign: P has a root s > 0
+        # constant coefficients differ in sign: P has a root s > 0.  P is about
+        # -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28
+        plant = Plant(a0=2.3311671784640082, a1=-1.8786159693501152, a2=-0.11476133927267451,
+                      alpha=2.7076198902019244, beta=1.5843988150576558)
+        ctrl = design_pd_fractional(DesignSpecPd(
+            plant=plant, pole=complex(-0.32984161915478666, 0.43745161077546424), ess_percent=4.0))
+        report = find_roots(char_poly_pd(plant, ctrl))
+        assert report.root_count is None
+        assert not any(r.value.real > 0 for r in report.roots)
+        assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+
+    @given(coeffs=st.lists(st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
+                           min_size=2, max_size=4),
+           expts=st.lists(st.floats(0.05, 4.0), min_size=3, max_size=3, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_sign_change_between_the_end_coefficients_is_unstable(self, coeffs, expts):
+        exponents = sorted(expts, reverse=True)[:len(coeffs) - 1] + [0.0]
+        p = FracPoly.from_terms(zip(coeffs, exponents))
+        report = find_roots(p)
+        lead, const = p.coefficients[0], p.coefficients[-1]
+        if (lead > 0) != (const > 0):
+            assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+
     def test_commensurate_degree_is_bounded(self):
         p = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE + 1.0), (1.0, 0.0)])
         assert charpoly.commensurate_base(p) is None

@@ -252,6 +252,43 @@ class TestDesign:
         assert report["root_count"] == len(report["roots"]) == 2
         assert report["coverage_caveat"] is False
 
+    def test_sign_certificate_makes_an_unfound_root_unstable(self, tmp_path, capsys):
+        # P = -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28: the leading and
+        # constant coefficients differ in sign, so P has a root s > 0, although the count
+        # fails and Newton finds no unstable root
+        doc = {
+            "plant": {"a0": 2.3311671784640082, "a1": -1.8786159693501152,
+                      "a2": -0.11476133927267451, "alpha": 2.7076198902019244,
+                      "beta": 1.5843988150576558},
+            "design": {"type": "pd", "ess": 4.0,
+                       "poles": [[-0.32984161915478666, 0.43745161077546424],
+                                 [-0.32984161915478666, -0.43745161077546424]]},
+        }
+        assert main(["design", "--config", str(write_config(tmp_path, doc))]) == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"] == "unstable"
+        assert report["coverage_caveat"] is False
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("plant, design, code, reason", [
+        # every branch of this right-half-plane pole has |delta| >= 3; the design
+        # (delta ~ 3.672) stands, but its model order 1 + delta - alpha is out of range
+        ({"a0": 0.30070129922174715, "a1": -1.9629076690716651, "a2": 1.2268885431551357,
+          "alpha": 0.823758163392412, "beta": 0.15790469754154754},
+         {"type": "pd", "ess": 37.79215923541365,
+          "poles": [[0.9467953735487783, 0.4155707748055969]]}, 4, "GL order 3.848"),
+        # (a0 + K) / a2 overflows in the model for a subnormal a2
+        ({**PLANT, "a2": 5e-324}, {"type": "pd", "ess": 4.0, "poles": [[-1.0, 6.0]]}, 0,
+         "gain must be finite"),
+    ], ids=["order", "gain"])
+    def test_design_that_cannot_be_simulated_is_reported(self, tmp_path, capsys, plant, design,
+                                                         code, reason):
+        doc = {"plant": plant, "design": design}
+        assert main(["design", "--config", str(write_config(tmp_path, doc))]) == code
+        assert (tmp_path / "report.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"design cannot be simulated: {reason}")
+
     def test_integer_design(self, tmp_path):
         doc = {
             "plant": PLANT,
@@ -420,6 +457,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"error: {count} steps exceed the cap" in err and "FRACREG_MAX_STEPS" in err
 
+    def test_model_gain_past_the_float_range_is_config_error(self, tmp_path, capsys):
+        # (a0 + K) / a2 overflows for a subnormal a2
+        doc = {"plant": {**PLANT, "a2": 5e-324},
+               "controller": {"type": "pd", "K": 24.0, "Td": 6.9407, "delta": 0.71859},
+               "sim": {"h": 0.01, "t_end": 0.1}}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid closed-loop model: gain must be finite")
+
     def test_huge_step_count_with_explicit_samples_is_config_error(self, tmp_path, capsys):
         doc = {"plant": PLANT, "controller": {"type": "pd", "K": 24.0, "Td": 6.9407,
                                               "delta": 0.71859},
@@ -512,6 +558,10 @@ class TestConfigFuzz:
             for part in parents:
                 block = block[part]
             block[last] = value
+        return self.run_doc(tmp_path, capsys, command, doc)
+
+    def run_doc(self, tmp_path, capsys, command, doc):
+        """(exit code, stderr) of `command` on the config `doc`."""
         code = main([command, "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -534,12 +584,43 @@ class TestConfigFuzz:
     def test_mutated_design_block(self, tmp_path, capsys, mutation):
         code, err = self.run(tmp_path, capsys, "design", "design_pd_ess4", self.DESIGN_KEYS,
                              mutation)
+        self.check_design_exit(code, err)
+
+    @staticmethod
+    def check_design_exit(code, err):
         assert code in {0, 2, 4, 5}
         if code in {2, 5}:
             assert err.startswith(("config error:", "design solver failed:", "solver failure:",
                                    "error:"))
-        else:  # a designed loop, stable or not
-            assert err == ""
+        else:  # a designed loop, stable or not, and whether `simulate` can run it
+            assert err == "" or (err.startswith("design cannot be simulated:")
+                                 and err.count("\n") == 1)
+
+    #: The mutated PI pole parts: numbers, and then one part may get a value of the
+    #: wrong type.
+    PI_PARTS = ("pair_re", "pair_im", "real")
+    PI_MUTATIONS = st.tuples(
+        mutations(PI_PARTS, st.one_of(NUMBERS, st.floats(-10.0, 10.0))),
+        st.none() | st.tuples(st.sampled_from(PI_PARTS),
+                              st.text(max_size=3) | st.none() | st.lists(NUMBERS, max_size=2)))
+
+    @given(mutated=PI_MUTATIONS)
+    @settings(FUZZ, max_examples=150)
+    def test_mutated_pi_design(self, tmp_path, capsys, mutated):
+        # the pair's parts move together, so the pole set stays closed under conjugation
+        mutation, wrong_type = mutated
+        if wrong_type is not None:
+            mutation[wrong_type[0]] = wrong_type[1]
+        doc = json.loads((CONFIGS / "design_pi_planted.json").read_text())
+        upper, lower, real = doc["design"]["poles"]
+        if "pair_re" in mutation:
+            upper[0] = lower[0] = mutation["pair_re"]
+        if "pair_im" in mutation:
+            im = mutation["pair_im"]
+            upper[1], lower[1] = im, -im if isinstance(im, float) else im
+        real[0] = mutation.get("real", real[0])
+        code, err = self.run_doc(tmp_path, capsys, "design", doc)
+        self.check_design_exit(code, err)
 
     @given(mutation=mutations(POLES_KEYS, st.one_of(NUMBERS, st.floats(-100.0, 100.0))))
     @settings(FUZZ, max_examples=150)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracreg import design
 from fracreg.charpoly import NEWTON_TOL, eval_fracpoly, find_roots
 from fracreg.design import (RESIDUAL_REL_TOL, DesignSpecPd, DesignSpecPi,
                             _pd_branch_candidates, design_pd_fractional, design_pd_integer,
@@ -116,13 +115,6 @@ class TestPdBranchFormula:
         residual, tol = pd_residual(plant, ctrl, pole)
         assert residual <= tol
 
-    def test_no_iterative_solve(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("the PD^delta design ran the Newton solver")
-
-        monkeypatch.setattr(design, "_damped_newton", fail)
-        design_pd_fractional(DesignSpecPd(plant=BENCH_PLANT, pole=POLE, ess_percent=4.0))
-
     @pytest.mark.parametrize("pole", [3.481503277165808e34 + 6j, -1.72e65 + 2.2j,
                                       5.3e73 + 1e-308j, 4.36e307 - 1e-5j])
     def test_candidates_are_finite_and_warning_free(self, pole):
@@ -164,15 +156,70 @@ class TestDesignPdInteger:
                 design(DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=4.0))
 
 
+#: Plants, pole triples and the planted (K, Ti, lambda) that places them.
+PLANTED_PI = {
+    # (K=5, Ti=4, lam=1): s^3 + 4s^2 + 6s + 4, a pair and a real pole
+    "pair-and-real": (Plant(a0=1, a1=4, a2=1, alpha=2, beta=1),
+                      tuple(np.roots([1.0, 4.0, 6.0, 4.0])), (5.0, 4.0, 1.0)),
+    # (K=10, Ti=6, lam=1): s^3 + 6s^2 + 11s + 6 = (s+1)(s+2)(s+3)
+    "three-real": (Plant(a0=1, a1=6, a2=1, alpha=2, beta=1), (-1.0, -2.0, -3.0),
+                   (10.0, 6.0, 1.0)),
+    # (K=5.5, Ti=4, lam=1): D has a second zero in the sub-cell above lambda = 1, a
+    # grid point where D is at its rounding floor and its sign is noise
+    "close-second-zero": (Plant(a0=1, a1=4, a2=1, alpha=2, beta=1),
+                          tuple(np.roots([1.0, 4.0, 6.5, 4.0])), (5.5, 4.0, 1.0)),
+}
+
+
 class TestDesignPi:
     def test_planted_integer_solution(self):
-        # char poly of (K=5, Ti=4, lam=1) on this plant is s^3 + 4s^2 + 6s + 4
-        plant = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1)
-        poles = tuple(np.roots([1.0, 4.0, 6.0, 4.0]))
+        for plant, poles, (K, Ti, lam) in PLANTED_PI.values():
+            ctrl = design_pi(DesignSpecPi(plant=plant, poles=poles))
+            assert ctrl.K == pytest.approx(K, abs=1e-6)
+            assert ctrl.Ti == pytest.approx(Ti, abs=1e-6)
+            assert ctrl.lam == pytest.approx(lam, abs=1e-6)
+            assert ctrl.lam < 6 - plant.alpha
+
+    def test_planted_fractional_solution(self):
+        # a pair and a positive real root of the loop (K, Ti, lam) planted below; the
+        # three equations in (K, Ti, lam) are the whole spec, and lam is non-integer
+        plant = Plant(a0=2.538047827906362, a1=-0.6879414730973837, a2=0.36605332347714054,
+                      alpha=2.1825761078, beta=2.119065520739565)
+        pair = complex(-5.3648460193412655, 0.2315371485288271)
+        poles = (pair, pair.conjugate(), 5.546801374150337)
         ctrl = design_pi(DesignSpecPi(plant=plant, poles=poles))
-        assert ctrl.K == pytest.approx(5.0, abs=1e-6)
-        assert ctrl.Ti == pytest.approx(4.0, abs=1e-6)
-        assert ctrl.lam == pytest.approx(1.0, abs=1e-6)
+        assert ctrl.K == pytest.approx(7.727098223464, rel=1e-9)
+        assert ctrl.Ti == pytest.approx(7.258310635, rel=1e-9)
+        assert ctrl.lam == pytest.approx(1.875820463687, rel=1e-9)
+        assert ctrl.lam < 6 - plant.alpha
+        poly = char_poly_pi(plant, ctrl)
+        for p in poles:
+            assert abs(eval_fracpoly(poly, p)) <= RESIDUAL_REL_TOL * abs(plant.a0 + ctrl.K)
+
+    @pytest.mark.parametrize("plant, pair, real, lam", [
+        # D peaks at the last grid point, lambda ~ 3.02, and has its one zero in the
+        # end cell below 6 - alpha ~ 3.0729
+        (Plant(a0=0.06957868573836032, a1=1.190392959013912, a2=1.8378774252396468,
+               alpha=2.9271455109750244, beta=2.133643225209931),
+         0.0678309836961291 + 0.11496341024171071j, 0.44502984992606087, 3.0607798939591206),
+        # the zero lies below an eighth of the first cell (0.0887)
+        (Plant(a0=2.7543031285264346, a1=1.4539829112977913, a2=-0.6678558677296476,
+               alpha=0.3200396047684751, beta=0.2185424561106571),
+         1.5915587254802142 + 0.9751523711631651j, 0.6693627462623546, 0.009797286213165755),
+        # a stiff real pole: K r^lam ~ 3e7 against a tolerance of 3.6e-5, so (K, Ti)
+        # must fit its row at that row's own scale
+        (Plant(a0=2.069836238624559, a1=0.10415164834243429, a2=-1.5875039118198264,
+               alpha=2.7190492318041053, beta=2.331594012629902),
+         0.07529527034835805 + 0.11518418040135571j, 17.230316685015552, 3.167477080867495),
+    ], ids=["last-cell", "first-cell", "stiff-real-pole"])
+    def test_hard_placements(self, plant, pair, real, lam):
+        poles = (pair, pair.conjugate(), real)
+        ctrl = design_pi(DesignSpecPi(plant=plant, poles=poles))
+        assert ctrl.lam == pytest.approx(lam, rel=1e-9)
+        assert ctrl.lam < 6 - plant.alpha
+        poly = char_poly_pi(plant, ctrl)
+        for p in poles:
+            assert abs(eval_fracpoly(poly, p)) <= RESIDUAL_REL_TOL * abs(plant.a0 + ctrl.K)
 
     def test_residual_property(self):
         plant = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1)
@@ -197,12 +244,19 @@ class TestDesignPi:
                     design_pi(DesignSpecPi(plant=plant, poles=poles))
 
     def test_pole_past_the_float_range_is_no_solution(self):
-        poles = (-1e300 + 0j, -1 + 1j, -1 - 1j)  # s^(alpha + lambda) overflows a Python complex
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NoSolutionError):
-                design_pi(DesignSpecPi(plant=Plant(a0=1, a1=4, a2=1, alpha=2, beta=1),
-                                       poles=poles))
+        plant, tiny = Plant(a0=1, a1=4, a2=1, alpha=2, beta=1), 4.944583172403107e-124 * (1 + 1j)
+        cases = [
+            (plant, (-1e300 + 0j, -1 + 1j, -1 - 1j)),  # s^(alpha + lambda) overflows
+            (plant, (tiny, tiny.conjugate(), -2.0)),  # |p|^lambda underflows past lambda 2.6
+            # the fitted K overflows, or P(1e200) is nan: neither passes the residual check
+            (Plant(a0=0, a1=0, a2=1, alpha=1.53125, beta=0), (0j, 0j, 1e200)),
+            (Plant(a0=0, a1=0, a2=1, alpha=1, beta=0), (0j, 0j, 1e200)),
+        ]
+        for plant, poles in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NoSolutionError):
+                    design_pi(DesignSpecPi(plant=plant, poles=poles))
 
     def test_conjugation_closure_required(self):
         with pytest.raises(ValueError):
