@@ -18,9 +18,10 @@ until its converged points cover the count: those resolved to a cell (next
 Newton step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are
 roots, a cell off the real axis counting twice for its conjugate.  When
 the distinct roots it finds match the count, the root set is complete and
-the search stops there (about 0.35 ms for the golden-design polynomial on
-a 2-core VM).  Otherwise the GRID_DENSITY x GRID_DENSITY grid on the same
-square runs to the end (about 3 ms more), as it does when the count fails
+the search stops there (about 0.5 ms for the golden-design polynomial on
+a 2-core VM, a median of 30 runs; the host's speed varies by up to 2x).
+Otherwise the GRID_DENSITY x GRID_DENSITY grid on the same square runs to
+the end (about 4.5 ms more), as it does when the count fails
 (a root on the cut).  A count that the grid does not match either, or a
 failed count, leaves a stable or inconclusive verdict with its coverage
 caveat; the unmatched count is logged.  Each search runs at most MAX_ITER
@@ -38,6 +39,7 @@ s = 0 as exactly 0j; the count includes it and the verdict is unstable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +71,7 @@ MAX_DENOMINATOR = 12
 MAX_DEGREE = 240
 
 _COMMENSURATE_TOL = 1e-9
+_DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)[:, None]  # a column: m = 1, 2, ...
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
 
@@ -119,10 +122,13 @@ def normalize(p: FracPoly) -> FracPoly:
     return FracPoly.from_terms((c, e + shift) for c, e in p.terms)
 
 
-def _eval_vec(coeffs, expts, s):
-    """Values and derivatives of the polynomial at an array of points."""
+def _eval_vec(coeffs, dcoeffs, expts, s):
+    """Values and derivatives of the polynomial at an array of points.
+
+    `dcoeffs` is `coeffs * expts`, formed once per search by the caller.
+    """
     powers = np.exp(np.log(s)[:, None] * expts)
-    return powers @ coeffs, (powers @ (coeffs * expts)) / s
+    return powers @ coeffs, (powers @ dcoeffs) / s
 
 
 def _zero_is_root(p: FracPoly) -> bool:
@@ -135,9 +141,16 @@ def _residual_scale(p: FracPoly) -> float:
 
 
 def _dedupe(points, tol):
+    """`points` sorted, less each one within `tol` of a point kept before it.
+
+    A point on the imaginary axis is never merged with its own mirror image:
+    `_polish` does not put such a root on s = 0, so a conjugate pair closer
+    than `tol` there stays a pair.
+    """
     kept = []
     for z in sorted(points, key=lambda z: (z.real, z.imag)):
-        if all(abs(z - w) > tol for w in kept):
+        if all(abs(z - w) > tol or (w.real == 0 and w.imag and w == z.conjugate())
+               for w in kept):
             kept.append(z)
     return kept
 
@@ -146,18 +159,21 @@ def _polish(p: FracPoly, points):
     """A few Newton steps on the original polynomial; keep true roots only.
 
     A root within DEDUPE_TOL of the real axis is put on it when its real
-    part passes the same residual test.
+    part passes the same residual test, but never on s = 0: the root s = 0
+    is decided exactly by `_zero_is_root`, and P may not even be defined
+    there (a negative exponent).
     """
     scale = _residual_scale(p)
     coeffs = np.array(p.coefficients, dtype=complex)
     expts = np.array(p.exponents, dtype=float)
+    dcoeffs = coeffs * expts
     out = []
     for z in points:
         s = complex(z)
         for _ in range(12):
             if s == 0:
                 break
-            f, fp = _eval_vec(coeffs, expts, np.array([s]))
+            f, fp = _eval_vec(coeffs, dcoeffs, expts, np.array([s]))
             if abs(f[0]) <= 0.01 * scale or fp[0] == 0:
                 break
             s = s - f[0] / fp[0]
@@ -167,10 +183,19 @@ def _polish(p: FracPoly, points):
         # a term past it makes the sum inf or nan, and neither is a root
         if not np.abs(eval_fracpoly(p, s)) <= scale:
             continue
-        if 0 < abs(s.imag) <= DEDUPE_TOL and np.abs(eval_fracpoly(p, s.real)) <= scale:
+        if (0 < abs(s.imag) <= DEDUPE_TOL and s.real != 0
+                and np.abs(eval_fracpoly(p, s.real)) <= scale):
             s = complex(s.real, 0.0)
         out.append(complex(s))
     return out
+
+
+@functools.lru_cache(maxsize=None)  # n is _COUNT_MIN_SAMPLES times a power of 2
+def _arc(n):
+    """i theta at n angles theta evenly spaced over [0, pi], read-only."""
+    arc = 1j * np.linspace(0.0, math.pi, n)
+    arc.flags.writeable = False
+    return arc
 
 
 def _root_count(coeffs, expts):
@@ -200,7 +225,7 @@ def _root_count(coeffs, expts):
     p_eps = np.exp(log_eps * expts) @ coeffs  # real and near c0
     n = _COUNT_MIN_SAMPLES
     while True:
-        logs = np.concatenate([log_radius + 1j * np.linspace(0.0, math.pi, n),
+        logs = np.concatenate([log_radius + _arc(n),
                                np.linspace(log_radius, log_eps, n) + 1j * math.pi])
         values = np.exp(np.outer(logs, expts)) @ coeffs
         if not np.all(np.isfinite(values) & (values != 0)):
@@ -217,33 +242,47 @@ def _root_count(coeffs, expts):
     return count if abs(turn - count) < 0.25 else None
 
 
-def _newton_points(coeffs, expts, scale_n, density):
-    """Newton's method from a density x density start grid, one batch per iteration.
-
-    Each iteration evaluates only the starts still live and yields those
-    that have converged, with a mask of the ones resolved to a cell: their
-    next Newton step would be shorter than DEDUPE_TOL.  Diverged starts are
-    dropped.
-    """
+def _start_grid(density):
+    """density x density starts on the square of half-width SEARCH_RADIUS, read-only."""
     axis = np.linspace(-SEARCH_RADIUS, SEARCH_RADIUS, density)
     re, im = np.meshgrid(axis, axis)
     s = (re + 1j * im).ravel()
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j  # keep starts off the origin
+    s.flags.writeable = False
+    return s
 
+
+#: The start grids, built once and shared by every search.
+_STARTS = {density: _start_grid(density) for density in (COARSE_DENSITY, GRID_DENSITY)}
+
+
+def _newton_points(coeffs, expts, scale_n, density):
+    """Newton's method from the density x density start grid, in batches.
+
+    Each iteration evaluates only the starts still live.  Those that have
+    converged form its batch, with a mask of the ones resolved to a cell:
+    their next Newton step would be shorter than DEDUPE_TOL.  Only the
+    first iteration's batch and the non-empty ones are yielded, so a search
+    where no start converges yields one empty batch.  Diverged starts are
+    dropped.
+    """
+    dcoeffs = coeffs * expts
+    s = _STARTS[density]
     limit = 1e6 * SEARCH_RADIUS
-    for _ in range(MAX_ITER):
+    for iteration in range(MAX_ITER + 1):
+        f, fp = _eval_vec(coeffs, dcoeffs, expts, s)
+        done = np.abs(f) <= scale_n
+        if iteration == 0 or done.any():
+            yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
+        if iteration == MAX_ITER:
+            return
+        # a step from a non-finite P or a P' of 0 is not finite and fails the
+        # bounds; one from an infinite P' would be 0
+        s = s - f / fp
+        mag = np.abs(s)
+        s = s[~done & np.isfinite(fp) & (mag <= limit) & (mag >= 1e-14)]
         if not s.size:
             return
-        f, fp = _eval_vec(coeffs, expts, s)
-        done = np.abs(f) <= scale_n
-        yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
-        live = ~done & np.isfinite(f) & np.isfinite(fp) & (fp != 0)
-        s = s[live] - f[live] / fp[live]
-        mag = np.abs(s)
-        s = s[(mag <= limit) & (mag >= 1e-14)]  # also drops non-finite steps
-    f, fp = _eval_vec(coeffs, expts, s)
-    done = np.abs(f) <= scale_n
-    yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
 
 
 def _cells(points):
@@ -351,13 +390,11 @@ def commensurate_base(p: FracPoly):
     None also when the integer polynomial in s^(1/m) would have a degree
     above MAX_DEGREE: its companion matrix would cost too much.
     """
-    pn = normalize(p)
-    for m in range(1, MAX_DENOMINATOR + 1):
-        if pn.exponents[0] * m > MAX_DEGREE:
-            return None
-        if all(abs(e * m - round(e * m)) <= _COMMENSURATE_TOL * m for e in pn.exponents):
-            return m
-    return None
+    expts = np.array(normalize(p).exponents, dtype=float)
+    scaled = expts * _DENOMINATORS  # row m - 1: the exponents times m
+    fits = ((np.abs(scaled - np.round(scaled)) <= _COMMENSURATE_TOL * _DENOMINATORS).all(axis=1)
+            & (scaled[:, 0] <= MAX_DEGREE))  # the degree grows with m
+    return int(fits.argmax()) + 1 if fits.any() else None
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -370,10 +407,10 @@ def commensurate_roots(p: FracPoly):
     polynomial map back as s = w^m only when |arg w| <= pi/m (the principal
     sheet).  Values past the float range give no numpy warning.
     """
-    m = commensurate_base(p)
+    pn = normalize(p)
+    m = commensurate_base(pn)
     if m is None:
         return None
-    pn = normalize(p)
     degrees = [round(e * m) for e in pn.exponents]
     vec = np.zeros(degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
@@ -381,11 +418,9 @@ def commensurate_roots(p: FracPoly):
     if not np.isfinite(vec / vec[0]).all():  # the companion matrix overflows
         return None
     w_roots = np.roots(vec)
-    s_roots = np.array([
-        w ** m
-        for w in w_roots
-        if abs(w) > 0 and abs(np.angle(w)) <= math.pi / m + 1e-12
-    ], dtype=complex)
+    principal = (np.abs(w_roots) > 0) & (np.abs(np.angle(w_roots)) <= math.pi / m + 1e-12)
+    # w ** m root by root: the array power can differ in the last bit
+    s_roots = np.array([w ** m for w in w_roots[principal]], dtype=complex)
     return _distinct_roots(p, s_roots)
 
 

@@ -9,6 +9,7 @@ states and the input, plus the closed-loop characteristic polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -154,11 +155,11 @@ class FracPoly:
                 merged.append([coeff, exponent])
         return cls(terms=tuple((c, e) for c, e in merged if c != 0))
 
-    @property
+    @functools.cached_property
     def exponents(self):
         return tuple(e for _, e in self.terms)
 
-    @property
+    @functools.cached_property
     def coefficients(self):
         return tuple(c for c, _ in self.terms)
 

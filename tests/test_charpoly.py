@@ -190,6 +190,36 @@ class TestFindRoots:
         q = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE / 2), (1.0, 0.0)])
         assert charpoly.commensurate_base(q) == 1
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_commensurate_base_matches_the_scalar_definition(self, data):
+        tol = charpoly._COMMENSURATE_TOL
+        m = data.draw(st.integers(1, charpoly.MAX_DENOMINATOR))
+        # the leading exponent around the MAX_DEGREE cap, or anywhere below it
+        lead = data.draw(st.one_of(
+            st.sampled_from([charpoly.MAX_DEGREE - 1, charpoly.MAX_DEGREE,
+                             charpoly.MAX_DEGREE + 1]),
+            st.integers(1, charpoly.MAX_DEGREE)))
+        others = data.draw(st.lists(st.integers(1, lead), max_size=3, unique=True))
+        # off a multiple of 1/m by exactly the tolerance, just inside or outside it
+        offset = st.one_of(st.just(0.0), st.sampled_from(
+            [tol, -tol, tol * m, -tol * m, 1.5 * tol * m, -1.5 * tol * m, 0.5 * tol, 3e-9]))
+        exponents = {k / m + data.draw(offset) for k in {lead, *others}}
+        p = FracPoly.from_terms([(1.0, e) for e in exponents] + [(2.0, 0.0)])
+        assert charpoly.commensurate_base(p) == scalar_commensurate_base(p)
+
+
+def scalar_commensurate_base(p):
+    """The definition of commensurate_base, one denominator m at a time."""
+    pn = normalize(p)
+    for m in range(1, charpoly.MAX_DENOMINATOR + 1):
+        if pn.exponents[0] * m > charpoly.MAX_DEGREE:
+            return None
+        if all(abs(e * m - round(e * m)) <= charpoly._COMMENSURATE_TOL * m
+               for e in pn.exponents):
+            return m
+    return None
+
 
 def reference_newton_roots(p):
     """Newton grid that polishes every converged start and its conjugate.
@@ -207,7 +237,7 @@ def reference_newton_roots(p):
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j
     limit = 1e6 * charpoly.SEARCH_RADIUS
     for _ in range(charpoly.MAX_ITER):
-        f, fp = charpoly._eval_vec(coeffs, expts, s)
+        f, fp = charpoly._eval_vec(coeffs, coeffs * expts, expts, s)
         bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
         done = np.abs(f) <= scale_n
         active = ~(bad | done)
@@ -218,7 +248,7 @@ def reference_newton_roots(p):
         s = s - step
         escaped = ~np.isfinite(s) | (np.abs(s) > limit) | (np.abs(s) < 1e-14)
         s[escaped] = np.nan
-    f, _ = charpoly._eval_vec(coeffs, expts, np.where(np.isfinite(s), s, 1.0))
+    f, _ = charpoly._eval_vec(coeffs, coeffs * expts, expts, np.where(np.isfinite(s), s, 1.0))
     converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
     candidates = list(converged) + [z.conjugate() for z in converged]
     roots = charpoly._polish(p, candidates)
@@ -473,12 +503,13 @@ class TestCountTerminatedSearch:
         calls = []
         original = charpoly._eval_vec
 
-        def counting(coeffs, expts, s):
+        def counting(coeffs, dcoeffs, expts, s):
             calls.append(len(s))
-            return original(coeffs, expts, s)
+            return original(coeffs, dcoeffs, expts, s)
 
         monkeypatch.setattr(charpoly, "_eval_vec", counting)
         find_roots(GOLDEN_POLY)
+        assert calls[0] == charpoly.COARSE_DENSITY ** 2  # the Newton evaluations are counted
         assert len(calls) <= 10  # 28 when the coarse grid runs every iteration
 
     @staticmethod
@@ -536,6 +567,23 @@ class TestCountTerminatedSearch:
         assert draw([(spread, yes), (spread, yes)], 4) == 3  # three cells cover two pairs
         assert draw([(spread, one), (spread[:1], yes[:1]), (spread, yes)], 4) == 4
 
+    def test_no_start_converges(self, batches):
+        # 1.627 s^0.392 - 0.347 after normalization: its root s ~ 0.0195 draws no
+        # start of either grid, and each search yields only its empty first batch
+        poly = FracPoly.from_terms([(1.6268296520103307, 3.3684615483956564),
+                                    (-0.34704463136763036, 2.9760253744499243)])
+        report = find_roots(poly)
+        assert batches == [[1, 1], [1, 1]]
+        assert [r.value for r in report.roots] == [0j]
+        assert (report.verdict, report.coverage_caveat, report.root_count) == ("unstable", False, 2)
+
+    @pytest.mark.parametrize("density", [charpoly.COARSE_DENSITY, charpoly.GRID_DENSITY])
+    def test_shared_start_grids_are_read_only(self, density):
+        starts = charpoly._STARTS[density]
+        assert starts.shape == (density ** 2,)
+        with pytest.raises(ValueError, match="read-only"):
+            starts[0] = 1.0
+
 
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
@@ -568,6 +616,19 @@ class TestRootAtZero:
         assert newton.count(0j) == 1
         assert newton_roots(scaled) == pytest.approx(commensurate_roots(scaled), abs=1e-9)
         assert commensurate_roots(scaled) == pytest.approx([-2.0, -1.0, 0j], abs=1e-12)
+
+    # s^2 + 1e-14, and the same roots from s + 1e-14 s^-1, where P(0) is not defined
+    @pytest.mark.parametrize("terms", [((1.0, 2.0), (1e-14, 0.0)), ((1.0, 1.0), (1e-14, -1.0))],
+                             ids=["constant", "negative-exponent"])
+    def test_pair_near_zero_is_not_put_on_it(self, terms):
+        # the roots +-1e-7i lie within DEDUPE_TOL of the real axis, and P(0) passes
+        # the residual test; they stay a pair on the imaginary axis
+        report = find_roots(FracPoly(terms))
+        values = [r.value for r in report.roots]
+        assert values == pytest.approx([-1e-7j, 1e-7j], abs=1e-20)
+        assert values[1] == values[0].conjugate() and values[0].real == 0
+        assert report.root_count == 2
+        assert (report.verdict, report.coverage_caveat) == ("stable", False)  # Re s > 0 rule
 
     # a commensurate root set is complete; a newton-grid one need not be
     @pytest.mark.parametrize("complete", [pytest.param(False, id="newton-grid"),

@@ -360,6 +360,19 @@ class TestPoles:
         assert len(real) == 1
         assert real[0]["im"] == 0.0 and math.copysign(1.0, real[0]["im"]) == 1.0
 
+    def test_pair_near_zero_is_reported(self, tmp_path):
+        # P = s + 1e-14 s^-1: its roots +-1e-7i lie next to s = 0, where P is not defined
+        doc = {
+            "plant": {"a0": 1.0, "a1": 0.0, "a2": 1.0, "alpha": 1.0, "beta": 0.5},
+            "controller": {"type": "pd", "K": -1.0, "Td": 1e-14, "delta": -1.0},
+        }
+        code = main(["poles", "--config", str(write_config(tmp_path, doc))])
+        assert code == 0
+        report = json.loads((tmp_path / "poles.json").read_text())
+        assert [r["im"] for r in report["roots"]] == pytest.approx([-1e-7, 1e-7], abs=1e-20)
+        assert all(r["re"] == 0 for r in report["roots"])
+        assert report["root_count"] == 2 and report["verdict"] == "stable"
+
     def test_zero_controller_open_loop_roots(self, tmp_path):
         doc = {
             "plant": PLANT,

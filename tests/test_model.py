@@ -167,3 +167,12 @@ class TestFracPoly:
         es = poly.exponents
         assert all(a > b for a, b in zip(es, es[1:]))
         assert all(c != 0 for c in poly.coefficients)
+
+    def test_cached_parts_leave_equality_and_hash_alone(self):
+        poly = FracPoly(terms=((0.8, 2.2), (0.5, 0.9), (25.0, 0.0)))
+        fresh = FracPoly(terms=poly.terms)
+        assert poly.exponents == (2.2, 0.9, 0.0) and poly.coefficients == (0.8, 0.5, 25.0)
+        assert poly.exponents is poly.exponents  # built once
+        assert poly == fresh and hash(poly) == hash(fresh) and repr(poly) == repr(fresh)
+        with pytest.raises(AttributeError):
+            poly.terms = ()
