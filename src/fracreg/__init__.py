@@ -19,7 +19,7 @@ from .errors import (ConfigError, DivergedError, FracregError, NoSolutionError,
 from .glcalc import GlTable, SampledSignal, gl_coefficients, gl_series
 from .model import (FracPoly, PdController, PiController, Plant, StateModel,
                     Term, build_pd_model, build_pi_model, char_poly_pd,
-                    char_poly_pi)
+                    char_poly_pi, closed_loop)
 from .simulate import (SimConfig, StepInput, Trajectory, simulate_direct,
                        simulate_state_space, steady_state_estimate)
 

@@ -29,12 +29,15 @@ iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
-`_distinct_roots`: candidates are folded onto Im >= 0, reduced to one per
-DEDUPE_TOL cell, Newton-polished to a residual within NEWTON_TOL
-(relative to the coefficient size), reflected into exact conjugate pairs,
-deduplicated and sorted.  These are fixed constants, not settings.  When
-every exponent is positive, P(0) = 0 and both finders report the root
-s = 0 as exactly 0j; the count includes it and the verdict is unstable.
+`_distinct_roots`: candidates are folded onto Im >= 0 and reduced to one
+per DEDUPE_TOL cell.  `_polish` Newton-polishes each one and keeps it as a
+RootResult on Im >= 0 when |P| is within NEWTON_TOL of the larger of
+1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k; that |P| is
+its reported residual.  The kept roots are deduplicated, the conjugate of
+each non-real one is added, and the set is sorted.  These are fixed
+constants, not settings.  When every exponent is positive, P(0) = 0 and
+both finders report the root s = 0 as exactly 0j; the count includes it
+and the verdict is unstable.
 """
 
 from __future__ import annotations
@@ -140,33 +143,29 @@ def _residual_scale(p: FracPoly) -> float:
     return NEWTON_TOL * (1.0 + max(abs(c) for c in p.coefficients))
 
 
-def _dedupe(points, tol):
-    """`points` sorted, less each one within `tol` of a point kept before it.
-
-    A point on the imaginary axis is never merged with its own mirror image:
-    `_polish` does not put such a root on s = 0, so a conjugate pair closer
-    than `tol` there stays a pair.
-    """
+def _dedupe(roots):
+    """`roots` sorted, less each one within DEDUPE_TOL of a root kept before it."""
     kept = []
-    for z in sorted(points, key=lambda z: (z.real, z.imag)):
-        if all(abs(z - w) > tol or (w.real == 0 and w.imag and w == z.conjugate())
-               for w in kept):
-            kept.append(z)
+    for r in sorted(roots, key=lambda r: (r.value.real, r.value.imag)):
+        if all(abs(r.value - k.value) > DEDUPE_TOL for k in kept):
+            kept.append(r)
     return kept
 
 
 def _polish(p: FracPoly, points):
-    """A few Newton steps on the original polynomial; keep true roots only.
+    """A few Newton steps on the original polynomial; the true roots, folded onto Im >= 0.
 
-    A root within DEDUPE_TOL of the real axis is put on it when its real
-    part passes the same residual test, but never on s = 0: the root s = 0
-    is decided exactly by `_zero_is_root`, and P may not even be defined
-    there (a negative exponent).
+    Returns RootResults whose residual is |P| at the root kept: the value its
+    acceptance test read.  A root within DEDUPE_TOL of the real axis is put
+    on it when its real part passes the same residual test, but never on
+    s = 0: the root s = 0 is decided exactly by `_zero_is_root`, and P may
+    not even be defined there (a negative exponent).
     """
     scale = _residual_scale(p)
     coeffs = np.array(p.coefficients, dtype=complex)
     expts = np.array(p.exponents, dtype=float)
     dcoeffs = coeffs * expts
+    mags = np.abs(coeffs)
     out = []
     for z in points:
         s = complex(z)
@@ -177,16 +176,22 @@ def _polish(p: FracPoly, points):
             if abs(f[0]) <= 0.01 * scale or fp[0] == 0:
                 break
             s = s - f[0] / fp[0]
+        s = complex(s)
         if s == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
             continue
+        value = eval_fracpoly(p, s)
+        # NEWTON_TOL times the size of the terms, sum |c_k| |s|^e_k, when that is
+        # larger; it is inf past the float range, and then no value passes
+        bound = max(scale, NEWTON_TOL * (mags @ abs(s) ** expts))
         # np.abs: inf past the float range, where abs() of a complex raises;
         # a term past it makes the sum inf or nan, and neither is a root
-        if not np.abs(eval_fracpoly(p, s)) <= scale:
+        if not (math.isfinite(bound) and np.abs(value) <= bound):
             continue
-        if (0 < abs(s.imag) <= DEDUPE_TOL and s.real != 0
-                and np.abs(eval_fracpoly(p, s.real)) <= scale):
-            s = complex(s.real, 0.0)
-        out.append(complex(s))
+        if 0 < abs(s.imag) <= DEDUPE_TOL and s.real != 0:
+            on_axis = eval_fracpoly(p, s.real)
+            if np.abs(on_axis) <= bound:
+                s, value = complex(s.real, 0.0), on_axis
+        out.append(RootResult(s if s.imag >= 0 else s.conjugate(), abs(value)))
     return out
 
 
@@ -326,7 +331,7 @@ def _log_warning(message, *args):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_search(p: FracPoly):
-    """Newton roots of `p` and its principal-sheet root count (or None).
+    """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
     The COARSE_DENSITY start grid runs first, only until its converged
     points cover the count, and is kept when its distinct roots match the
@@ -358,30 +363,30 @@ def _newton_search(p: FracPoly):
 def newton_roots(p: FracPoly):
     """Multi-start Newton search for the principal-sheet roots of `p`.
 
-    Returns the roots deduplicated, conjugate-reflected and sorted by real
+    Returns the roots deduplicated, conjugate-closed and sorted by real
     then imaginary part (see `_distinct_roots`).  Complete when their
     number matches the argument-principle count (see `_newton_search`).
     """
-    return _newton_search(p)[0]
+    return [r.value for r in _newton_search(p)[0]]
 
 
 def _distinct_roots(p: FracPoly, points):
-    """Polished, conjugate-closed, sorted roots from candidate points.
+    """Polished, conjugate-closed RootResults from candidate points, sorted.
 
     The coefficients are real, so the points are folded onto Im >= 0 and
-    reduced to one per DEDUPE_TOL grid cell before polishing; the polished
-    roots are then reflected.  The final `_dedupe` merges representatives
-    split by a cell edge and real roots that reflect onto themselves.
+    reduced to one per DEDUPE_TOL grid cell before polishing.  `_dedupe`
+    then merges the polished roots, all on Im >= 0, that a cell edge split,
+    and the conjugate of each non-real root is added with its residual.
     The points are roots s != 0; the root s = 0, where P(0) = 0, is added
     exactly.
     """
     folded, cells = _cells(points)
     _, first = np.unique(cells, return_index=True)
-    roots = _polish(p, folded[first])
-    distinct = _dedupe(roots + [z.conjugate() for z in roots], DEDUPE_TOL)
+    roots = _dedupe(_polish(p, folded[first]))
+    roots += [RootResult(r.value.conjugate(), r.residual) for r in roots if r.value.imag]
     if _zero_is_root(p):
-        distinct.append(0j)
-    return sorted(distinct, key=lambda z: (z.real, z.imag))
+        roots.append(RootResult(0j, 0.0))
+    return sorted(roots, key=lambda r: (r.value.real, r.value.imag))
 
 
 def commensurate_base(p: FracPoly):
@@ -397,7 +402,6 @@ def commensurate_base(p: FracPoly):
     return int(fits.argmax()) + 1 if fits.any() else None
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def commensurate_roots(p: FracPoly):
     """Complete principal-sheet root set via the w = s^(1/m) substitution.
 
@@ -407,6 +411,13 @@ def commensurate_roots(p: FracPoly):
     polynomial map back as s = w^m only when |arg w| <= pi/m (the principal
     sheet).  Values past the float range give no numpy warning.
     """
+    roots = _commensurate_search(p)
+    return None if roots is None else [r.value for r in roots]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _commensurate_search(p: FracPoly):
+    """`commensurate_roots` as RootResults, or None."""
     pn = normalize(p)
     m = commensurate_base(pn)
     if m is None:
@@ -457,17 +468,16 @@ def find_roots(p: FracPoly) -> StabilityReport:
         raise ValueError("need at least two terms after normalization")
     if not all(map(math.isfinite, pn.coefficients)):
         raise ValueError("coefficients must be finite")
-    roots = commensurate_roots(p)
+    roots = _commensurate_search(p)
     if roots is not None:
         method, count = "commensurate", len(roots)
     else:
         method = "newton-grid"
         roots, count = _newton_search(p)
-    verdict, caveat = classify_stability(roots, count == len(roots))
+    verdict, caveat = classify_stability([r.value for r in roots], count == len(roots))
     if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0):
         # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading
         # coefficient at infinity: a root s > 0 exists, found or not
         verdict, caveat = UNSTABLE, False
-    results = tuple(RootResult(z, abs(eval_fracpoly(p, z))) for z in roots)
-    return StabilityReport(roots=results, verdict=verdict, method=method,
+    return StabilityReport(roots=tuple(roots), verdict=verdict, method=method,
                            coverage_caveat=caveat, root_count=count)

@@ -29,8 +29,8 @@ from .design import (DesignSpecPd, DesignSpecPi, design_pd_fractional,
                      design_pd_integer, design_pi)
 from .errors import (ConfigError, DivergedError, FracregError, NoSolutionError,
                      UnsupportedOrderError)
-from .model import (PdController, PiController, Plant, build_pd_model,
-                    build_pi_model, char_poly_pd, char_poly_pi)
+from .model import (FracPoly, PdController, PiController, Plant, build_pd_model,
+                    build_pi_model, closed_loop)
 from .simulate import SimConfig, StepInput, simulate_state_space
 
 EXIT_OK = 0
@@ -226,15 +226,9 @@ def _build_model(plant, ctrl):
     return build_pi_model(plant, ctrl)
 
 
-def _char_poly_for(plant, ctrl):
-    if isinstance(ctrl, PdController):
-        return char_poly_pd(plant, ctrl)
-    return char_poly_pi(plant, ctrl)
-
-
 def _roots_payload(doc, plant, ctrl, **timings):
     """Closed-loop roots of `ctrl` on `plant`: the report and the JSON payload."""
-    poly = _char_poly_for(plant, ctrl)
+    poly = FracPoly.from_terms(closed_loop(plant, ctrl)[0])
     t0 = time.perf_counter()
     try:
         report = find_roots(poly)

@@ -4,7 +4,8 @@ The plant is G_s(s) = 1 / (a2 s^alpha + a1 s^beta + a0) in unity feedback
 with either a PD^delta controller G_r(s) = K + Td s^delta or a PI^lambda
 controller G_r(s) = K + Ti s^(-lambda).  Builders produce a state-space
 model whose right-hand sides are sums of fractional derivatives of the
-states and the input, plus the closed-loop characteristic polynomial.
+states and the input.  The closed-loop equation is stated once, by
+`closed_loop`; its output side is the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "FracPoly",
     "build_pd_model",
     "build_pi_model",
+    "closed_loop",
     "char_poly_pd",
     "char_poly_pi",
 ]
@@ -211,25 +213,38 @@ def build_pi_model(plant: Plant, ctrl: PiController) -> StateModel:
     return StateModel(dim=3, state_terms=(eq1, eq2, eq3), output_terms=out)
 
 
-def char_poly_pd(plant: Plant, ctrl: PdController) -> FracPoly:
-    """Closed-loop characteristic polynomial a2 s^a + a1 s^b + Td s^d + (a0+K)."""
-    return FracPoly.from_terms(
-        [
+def closed_loop(plant: Plant, ctrl) -> tuple:
+    """The closed-loop equation as (output side, input side) lists of (coeff, order).
+
+    PD^delta: a2 D^alpha y + a1 D^beta y + Td D^delta y + (a0 + K) y
+    = K w + Td D^delta w.  PI^lambda, multiplied through by s^lambda:
+    a2 D^(alpha+lam) y + a1 D^(beta+lam) y + (a0 + K) D^lam y + Ti y
+    = K D^lam w + Ti w.  The output side is the characteristic polynomial.
+    """
+    if isinstance(ctrl, PdController):
+        y_terms = [
             (plant.a2, plant.alpha),
             (plant.a1, plant.beta),
             (ctrl.Td, ctrl.delta),
             (plant.a0 + ctrl.K, 0.0),
         ]
-    )
-
-
-def char_poly_pi(plant: Plant, ctrl: PiController) -> FracPoly:
-    """Closed-loop characteristic polynomial for the PI^lambda loop."""
-    return FracPoly.from_terms(
-        [
+        return y_terms, [(ctrl.K, 0.0), (ctrl.Td, ctrl.delta)]
+    if isinstance(ctrl, PiController):
+        y_terms = [
             (plant.a2, plant.alpha + ctrl.lam),
             (plant.a1, plant.beta + ctrl.lam),
             (plant.a0 + ctrl.K, ctrl.lam),
             (ctrl.Ti, 0.0),
         ]
-    )
+        return y_terms, [(ctrl.K, ctrl.lam), (ctrl.Ti, 0.0)]
+    raise TypeError(f"unsupported controller type {type(ctrl).__name__}")
+
+
+def char_poly_pd(plant: Plant, ctrl: PdController) -> FracPoly:
+    """Closed-loop characteristic polynomial a2 s^a + a1 s^b + Td s^d + (a0+K)."""
+    return FracPoly.from_terms(closed_loop(plant, ctrl)[0])
+
+
+def char_poly_pi(plant: Plant, ctrl: PiController) -> FracPoly:
+    """Closed-loop characteristic polynomial for the PI^lambda loop."""
+    return FracPoly.from_terms(closed_loop(plant, ctrl)[0])

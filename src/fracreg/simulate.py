@@ -5,9 +5,10 @@ Two independent discretizations are provided on purpose:
 * `simulate_state_space` integrates a StateModel with the explicit Euler
   scheme, every fractional right-hand-side term expanded as a GL sum.
 * `simulate_direct` discretizes the scalar closed-loop differential
-  equation itself, isolating the newest sample from the j=0 terms of the
-  GL sums.  It shares no model-building code with the state-space path
-  and serves as its oracle.
+  equation itself, as `model.closed_loop` states it, isolating the newest
+  sample from the j=0 terms of the GL sums.  It still shares no
+  model-building code with the state-space path, whose builders do not
+  read `closed_loop`, and serves as its oracle.
 
 The two share only the GL history primitive of `glcalc`: `gl_convolve`
 for series known in advance (the input's share of every equation, and
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergedError, ResourceLimitError, SingularStepError
 from .glcalc import _BLOCK, GlHistory, _truncation, gl_coefficients, gl_convolve
-from .model import INPUT, PdController, PiController, Plant, StateModel
+from .model import INPUT, Plant, StateModel, closed_loop
 
 __all__ = [
     "StepInput",
@@ -300,29 +301,6 @@ def _block_steps(x, near, rows, h, n) -> int:
     return n + 1
 
 
-def _direct_terms(plant: Plant, ctrl):
-    """(output-side, input-side) lists of (coeff, derivative order)."""
-    if isinstance(ctrl, PdController):
-        y_terms = [
-            (plant.a2, plant.alpha),
-            (plant.a1, plant.beta),
-            (ctrl.Td, ctrl.delta),
-            (plant.a0 + ctrl.K, 0.0),
-        ]
-        w_terms = [(ctrl.K, 0.0), (ctrl.Td, ctrl.delta)]
-    elif isinstance(ctrl, PiController):
-        y_terms = [
-            (plant.a2, plant.alpha + ctrl.lam),
-            (plant.a1, plant.beta + ctrl.lam),
-            (plant.a0 + ctrl.K, ctrl.lam),
-            (ctrl.Ti, 0.0),
-        ]
-        w_terms = [(ctrl.K, ctrl.lam), (ctrl.Ti, 0.0)]
-    else:
-        raise TypeError(f"unsupported controller type {type(ctrl).__name__}")
-    return y_terms, w_terms
-
-
 def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     """GL discretization of the scalar closed-loop equation itself.
 
@@ -334,7 +312,7 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     w = _input_samples(cfg, n)
     n_mem = _truncation(n, h, cfg.memory_len)
 
-    y_terms, w_terms = _direct_terms(plant, ctrl)
+    y_terms, w_terms = closed_loop(plant, ctrl)
     y_scales = [_gl_scale(c, q, h) for c, q in y_terms]
     pivot = sum(y_scales)  # j=0 weights are all 1
     if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):

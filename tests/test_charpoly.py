@@ -133,6 +133,32 @@ class TestFindRoots:
             if abs(v.imag) > 1e-9:
                 assert min(abs(v.conjugate() - u) for u in values) < 1e-8
 
+    def test_near_axis_pair_keeps_both_partners(self):
+        # the pair lies 2.5e-9 off the real axis, and its real part fails the snap test
+        p = FracPoly(((-0.013170079643821775, 2.6), (-0.011888641526203999, 2.2),
+                      (-12.865660110862859, 1.4), (-0.014622481842505848, 0.4)))
+        report = find_roots(p)
+        near = [r.value for r in report.roots if 0 < abs(r.value.imag) <= charpoly.DEDUPE_TOL]
+        assert len(near) == 2 and near[1] == near[0].conjugate()
+        assert near[1].real == pytest.approx(-0.0011366, rel=1e-4)
+        assert near[1].imag == pytest.approx(2.52e-9, rel=1e-2)
+        assert (report.method, report.root_count, len(report.roots)) == ("commensurate", 5, 5)
+
+    @pytest.mark.parametrize("radius", [1e3, 1e4, 1e5])
+    def test_far_pair_is_found(self, radius):
+        # (s+1)(s+2)(s^2 - R s + R^2) / R^2: |P| at the pair R e^(+-i pi/3) is far above
+        # the absolute residual scale, and tiny beside the size of its terms
+        pair = radius * np.exp(1j * np.pi / 3)
+        coeffs = np.real(np.poly([-1.0, -2.0, pair, pair.conjugate()])) / radius ** 2
+        p = FracPoly.from_terms((c, 4.0 - k) for k, c in enumerate(coeffs.tolist()))
+        report = find_roots(p)
+        assert [r.value for r in report.roots] == pytest.approx(
+            [-2.0, -1.0, pair.conjugate(), pair], rel=1e-8)
+        for r in report.roots:
+            size = sum(abs(c) * abs(r.value) ** e for c, e in p.terms)
+            assert r.residual <= charpoly.NEWTON_TOL * size
+        assert (report.verdict, report.coverage_caveat, report.root_count) == ("unstable", False, 4)
+
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
@@ -251,8 +277,23 @@ def reference_newton_roots(p):
     f, _ = charpoly._eval_vec(coeffs, coeffs * expts, expts, np.where(np.isfinite(s), s, 1.0))
     converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
     candidates = list(converged) + [z.conjugate() for z in converged]
-    roots = charpoly._polish(p, candidates)
-    return sorted(charpoly._dedupe(roots, charpoly.DEDUPE_TOL), key=lambda z: (z.real, z.imag))
+    roots = [r.value for r in charpoly._polish(p, candidates)]  # all on Im >= 0
+    return reflected(merged_within_tol(roots))
+
+
+def merged_within_tol(points):
+    """`points` sorted, less each one within DEDUPE_TOL of a point kept before it."""
+    kept = []
+    for z in sorted(points, key=lambda z: (z.real, z.imag)):
+        if all(abs(z - w) > charpoly.DEDUPE_TOL for w in kept):
+            kept.append(z)
+    return kept
+
+
+def reflected(upper):
+    """Roots on Im >= 0 and the conjugates of the non-real ones, sorted."""
+    return sorted(upper + [z.conjugate() for z in upper if z.imag],
+                  key=lambda z: (z.real, z.imag))
 
 
 def seeded_pd_poly(seed):
@@ -308,7 +349,7 @@ class TestNewtonGrid:
         keys = np.round(points / tol)
         assert keys[0] != keys[1]  # the two points lie in different grid cells
         polished.clear()  # count only what _distinct_roots polishes
-        roots = charpoly._distinct_roots(GOLDEN_POLY, points)
+        roots = [r.value for r in charpoly._distinct_roots(GOLDEN_POLY, points)]
         assert len(polished) == 2
         assert len(roots) == 2
         assert roots[1] == roots[0].conjugate()

@@ -360,6 +360,20 @@ class TestPoles:
         assert len(real) == 1
         assert real[0]["im"] == 0.0 and math.copysign(1.0, real[0]["im"]) == 1.0
 
+    def test_far_pair_makes_the_loop_unstable(self, tmp_path):
+        # P = 1e-8 s^4 - 1e-4 s^3 + s^2 + 2: |P| at the pair 5000 +- 8660i is about 1e-7,
+        # while its terms are about 1e8
+        code = main(["poles", "--config", str(CONFIGS / "poles_far_pair.json"),
+                     "--out", str(tmp_path)])
+        assert code == 0  # poles reports an unstable loop, and exits 0
+        report = json.loads((tmp_path / "poles_far_pair.json").read_text())
+        assert (report["verdict"], report["method"], report["root_count"]) == (
+            "unstable", "commensurate", 4)
+        found = sorted((complex(r["re"], r["im"]) for r in report["roots"]),
+                       key=lambda z: (z.real, z.imag))
+        want = sorted(np.roots([1e-8, -1e-4, 1.0, 0.0, 2.0]), key=lambda z: (z.real, z.imag))
+        assert found == pytest.approx(want, rel=1e-8)
+
     def test_pair_near_zero_is_reported(self, tmp_path):
         # P = s + 1e-14 s^-1: its roots +-1e-7i lie next to s = 0, where P is not defined
         doc = {

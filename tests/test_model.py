@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from fracreg.errors import UnsupportedOrderError
 from fracreg.model import (INPUT, FracPoly, PdController, PiController, Plant,
                            Term, build_pd_model, build_pi_model, char_poly_pd,
-                           char_poly_pi)
+                           char_poly_pi, closed_loop)
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 GOLDEN_PD = PdController(K=24.0, Td=6.9407, delta=0.71859)
@@ -113,6 +113,12 @@ class TestCharPolyPi:
         for (c1, e1), (c2, e2) in zip(poly.terms, pd.terms):
             assert c1 == pytest.approx(c2)
             assert e1 == pytest.approx(e2 + lam)
+
+
+class TestClosedLoop:
+    def test_unknown_controller_rejected(self):
+        with pytest.raises(TypeError, match="unsupported controller type object"):
+            closed_loop(BENCH_PLANT, object())
 
 
 def denominator_from_model(model, plant):

@@ -7,9 +7,9 @@ from scipy.signal import lti
 from fracreg.errors import DivergedError, ResourceLimitError, SingularStepError
 from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
 from fracreg.model import (INPUT, PdController, PiController, Plant, build_pd_model,
-                           build_pi_model)
+                           build_pi_model, closed_loop)
 from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
-                              _direct_terms, _input_samples, simulate_direct,
+                              _input_samples, simulate_direct,
                               simulate_state_space, steady_state_estimate)
 from test_glcalc import PerSampleHistory
 
@@ -93,7 +93,7 @@ def reference_direct(plant, ctrl, cfg):
     n = cfg.n_steps
     w = _input_samples(cfg, n)
     n_mem = _truncation(n, h, cfg.memory_len)
-    y_terms, w_terms = _direct_terms(plant, ctrl)
+    y_terms, w_terms = closed_loop(plant, ctrl)
     y_scales = [c * h ** (-q) for c, q in y_terms]
     pivot = sum(y_scales)
     drive = gl_convolve(sum(c * h ** (-q) * gl_coefficients(q, n_mem).coeffs
