@@ -8,6 +8,14 @@ residuals, verdicts, methods, caveats and root counts on the survey, so
 run it in both trees to check that a change to `charpoly` (or to the
 design code) moves no number.
 
+Two tallies show how complete the Newton search is; neither enters the
+digest:
+  - the newton-grid reports whose roots match the argument-principle
+    count, fall short of it or exceed it, and those with no count;
+  - the commensurate polynomials on which `newton_roots` gives the
+    companion-matrix roots, each within 1e-6 relative, and those where
+    it does not (or the companion matrix gives no roots).
+
 The survey, seeded:
   - PD^delta designs on the bundled plant over the benchmark's
     `design_sweep` ranges (poles in [-2, -0.5] x [3, 8]i, e_ss 2-8 %);
@@ -27,8 +35,8 @@ from collections import Counter
 import numpy as np
 
 from fracreg import (DesignSpecPd, DesignSpecPi, FracPoly, FracregError, Plant,
-                     char_poly_pd, char_poly_pi, design_pd_fractional,
-                     design_pd_integer, design_pi, find_roots)
+                     char_poly_pd, char_poly_pi, commensurate_roots, design_pd_fractional,
+                     design_pd_integer, design_pi, find_roots, newton_roots)
 
 PD_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 PI_PLANT = Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0)
@@ -80,10 +88,28 @@ def _pi(spec):
     return ctrl, char_poly_pi(spec.plant, ctrl)
 
 
+def _coverage(report):
+    """How the roots of a newton-grid report compare with its count."""
+    if report.root_count is None:
+        return "no count"
+    found = len(report.roots)
+    return "matched" if found == report.root_count else "short" if found < report.root_count \
+        else "over"
+
+
+def _agrees(poly):
+    """Whether `newton_roots` gives the companion-matrix roots of `poly`, each within 1e-6."""
+    got, want = newton_roots(poly), commensurate_roots(poly)
+    if want is None or len(got) != len(want):
+        return False
+    return (all(min(abs(z - w) for w in want) <= 1e-6 * abs(z) for z in got)
+            and all(min(abs(z - w) for z in got) <= 1e-6 * abs(w) for w in want))
+
+
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     digest = hashlib.sha256()
-    methods = Counter()
+    methods, coverage, oracle = Counter(), Counter(), Counter()
     for label, build in survey(seed):
         try:
             ctrl, poly = build()
@@ -94,9 +120,17 @@ def main():
         else:
             record = (label, ctrl, poly, report)
             methods[f"{label}: {report.method}"] += 1
+            if report.method == "newton-grid":
+                coverage[_coverage(report)] += 1
+            if label == "commensurate":
+                oracle["agrees" if _agrees(poly) else "differs"] += 1
         digest.update(repr(record).encode())
     for key, n in sorted(methods.items()):
         print(f"{key:40s} {n:5d}")
+    print("newton-grid roots against the count: "
+          + ", ".join(f"{key} {coverage[key]}" for key in ("matched", "short", "over", "no count")))
+    print("newton_roots against the companion matrix on the commensurate polynomials: "
+          f"agrees {oracle['agrees']}, differs {oracle['differs']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
 
 

@@ -12,32 +12,32 @@ eigenvalues and mapped back to the principal sheet.
 
 The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
-around the cut plane.  Newton first runs from COARSE_DENSITY x
-COARSE_DENSITY starts on the square of half-width SEARCH_RADIUS, and only
-until its converged points cover the count: those resolved to a cell (next
+around the cut plane, inside the annulus eps < |s| < R0 that `_bounds`
+gives in closed form: no root lies outside it.  Newton runs once, from 8
+rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
+each with 6 starts at angles evenly spaced over [0, pi], and only until
+its converged points cover the count: those resolved to a cell (next
 Newton step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are
 roots, a cell off the real axis counting twice for its conjugate.  When
 the distinct roots it finds match the count, the root set is complete and
-the search stops there (about 0.5 ms for the golden-design polynomial on
-a 2-core VM, a median of 30 runs; the host's speed varies by up to 2x).
-Otherwise the GRID_DENSITY x GRID_DENSITY grid on the same square runs to
-the end (about 4.5 ms more), as it does when the count fails
-(a root on the cut).  A count that the grid does not match either, or a
-failed count, leaves a stable or inconclusive verdict with its coverage
-caveat; the unmatched count is logged.  Each search runs at most MAX_ITER
-iterations.
+the search stops there.  Otherwise the same run is drawn to its end, as it
+is at once when the count fails (a root on the cut).  A count that the
+whole run does not match either, or a failed count, leaves a stable or
+inconclusive verdict with its coverage caveat; the unmatched count is
+logged.  Each run takes at most MAX_ITER iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
 `_distinct_roots`: candidates are folded onto Im >= 0 and reduced to one
 per DEDUPE_TOL cell.  `_polish` Newton-polishes each one and keeps it as a
-RootResult on Im >= 0 when |P| is within NEWTON_TOL of the larger of
-1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k; that |P| is
-its reported residual.  The kept roots are deduplicated, the conjugate of
-each non-real one is added, and the set is sorted.  These are fixed
-constants, not settings.  When every exponent is positive, P(0) = 0 and
-both finders report the root s = 0 as exactly 0j; the count includes it
-and the verdict is unstable.
+RootResult on Im >= 0 when |P| is within `_tolerance`: NEWTON_TOL times
+the larger of 1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k.
+Newton counts a start as converged by the same rule, and that |P| is the
+root's reported residual.  The kept roots are deduplicated within
+DEDUPE_TOL max(1, |s|), the conjugate of each non-real one is added, and
+the set is sorted.  These are fixed constants, not settings.  When every
+exponent is positive, P(0) = 0 and both finders report the root s = 0 as
+exactly 0j; the count includes it and the verdict is unstable.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ __all__ = [
 #: Verdict strings used throughout.
 STABLE, UNSTABLE, INCONCLUSIVE = "stable", "unstable", "inconclusive"
 
-SEARCH_RADIUS = 20.0
-COARSE_DENSITY = 8
-GRID_DENSITY = 40
 NEWTON_TOL = 1e-10
 MAX_ITER = 80
 DEDUPE_TOL = 1e-6
@@ -77,6 +74,18 @@ _COMMENSURATE_TOL = 1e-9
 _DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)[:, None]  # a column: m = 1, 2, ...
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+#: Newton's start templates, shared by every search: the 8 rings as fractions of the
+#: annulus's log width, and the 6 directions e^(i theta), theta evenly spaced over [0, pi].
+#: The coefficients are real, so the lower half-plane mirrors the upper one.
+_RINGS = _read_only(np.linspace(0.0, 1.0, 8))
+_ANGLES = _read_only(np.exp(1j * np.linspace(0.0, math.pi, 6)))
 
 
 @dataclass(frozen=True)
@@ -143,11 +152,22 @@ def _residual_scale(p: FracPoly) -> float:
     return NEWTON_TOL * (1.0 + max(abs(c) for c in p.coefficients))
 
 
+def _tolerance(scale, mags, expts, size):
+    """The largest |P| of a root of modulus `size` (a number or an array of them).
+
+    NEWTON_TOL times the size of the terms, sum |c_k| |s|^e_k, when that is
+    larger than the absolute `scale`; nan past the float range, where no
+    value passes.
+    """
+    tol = np.maximum(scale, NEWTON_TOL * (np.power.outer(size, expts) @ mags))
+    return tol + 0.0 * tol  # nan where tol is inf: 0 * inf is nan
+
+
 def _dedupe(roots):
-    """`roots` sorted, less each one within DEDUPE_TOL of a root kept before it."""
+    """`roots` sorted, less each one within DEDUPE_TOL max(1, |s|) of a root kept before it."""
     kept = []
     for r in sorted(roots, key=lambda r: (r.value.real, r.value.imag)):
-        if all(abs(r.value - k.value) > DEDUPE_TOL for k in kept):
+        if all(abs(r.value - k.value) > DEDUPE_TOL * max(1.0, abs(r.value)) for k in kept):
             kept.append(r)
     return kept
 
@@ -156,10 +176,10 @@ def _polish(p: FracPoly, points):
     """A few Newton steps on the original polynomial; the true roots, folded onto Im >= 0.
 
     Returns RootResults whose residual is |P| at the root kept: the value its
-    acceptance test read.  A root within DEDUPE_TOL of the real axis is put
-    on it when its real part passes the same residual test, but never on
-    s = 0: the root s = 0 is decided exactly by `_zero_is_root`, and P may
-    not even be defined there (a negative exponent).
+    acceptance test read.  A root within DEDUPE_TOL max(1, |s|) of the real
+    axis is put on it when its real part passes the same residual test, but
+    never on s = 0: the root s = 0 is decided exactly by `_zero_is_root`, and
+    P may not even be defined there (a negative exponent).
     """
     scale = _residual_scale(p)
     coeffs = np.array(p.coefficients, dtype=complex)
@@ -180,14 +200,12 @@ def _polish(p: FracPoly, points):
         if s == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
             continue
         value = eval_fracpoly(p, s)
-        # NEWTON_TOL times the size of the terms, sum |c_k| |s|^e_k, when that is
-        # larger; it is inf past the float range, and then no value passes
-        bound = max(scale, NEWTON_TOL * (mags @ abs(s) ** expts))
+        bound = _tolerance(scale, mags, expts, abs(s))
         # np.abs: inf past the float range, where abs() of a complex raises;
         # a term past it makes the sum inf or nan, and neither is a root
-        if not (math.isfinite(bound) and np.abs(value) <= bound):
+        if not np.abs(value) <= bound:
             continue
-        if 0 < abs(s.imag) <= DEDUPE_TOL and s.real != 0:
+        if 0 < abs(s.imag) <= DEDUPE_TOL * max(1.0, abs(s)) and s.real != 0:
             on_axis = eval_fracpoly(p, s.real)
             if np.abs(on_axis) <= bound:
                 s, value = complex(s.real, 0.0), on_axis
@@ -198,33 +216,36 @@ def _polish(p: FracPoly, points):
 @functools.lru_cache(maxsize=None)  # n is _COUNT_MIN_SAMPLES times a power of 2
 def _arc(n):
     """i theta at n angles theta evenly spaced over [0, pi], read-only."""
-    arc = 1j * np.linspace(0.0, math.pi, n)
-    arc.flags.writeable = False
-    return arc
+    return _read_only(1j * np.linspace(0.0, math.pi, n))
 
 
-def _root_count(coeffs, expts):
-    """Number of principal-sheet roots s != 0 of sum coeffs * s^expts, or None.
+def _bounds(coeffs, expts):
+    """(log R0, log eps): every root s != 0 of sum coeffs * s^expts lies in eps < |s| < R0.
 
-    The exponents are normalized: descending, the smallest 0.  Argument principle
-    on a keyhole contour: the circle |s| = R0, both sides of the cut along
-    the negative real axis down to |s| = eps, and the circle |s| = eps.  No
-    root lies outside R0, where the leading term outweighs all others
-    together, nor inside eps, where the terms above the constant c0 sum to
-    less than |c0| / 2.  The coefficients are real, so the upper half of the
-    contour turns the phase by pi per root.  The samples double until every
-    phase step is below pi / 4; None when that fails by _COUNT_MAX_SAMPLES,
-    as it does for a root on the cut.
+    The exponents are normalized: descending, the smallest 0, at least two
+    of them.  Outside R0 the leading term outweighs all others together;
+    inside eps the terms above the constant c0 sum to less than |c0| / 2.
     """
-    if expts.size < 2:
-        return None
     mags = np.abs(coeffs)
-    # np.log: a coefficient ratio that underflows to 0 gives -inf (and no count), where
-    # math.log raises
+    # np.log: a coefficient ratio that underflows to 0 gives -inf, where math.log raises
     log_radius = math.log(2.0) + max(
         0.0, np.log(mags[1:].sum() / mags[0]) / (expts[0] - expts[1]))
     log_eps = math.log(0.5) + min(
         0.0, np.log(mags[-1] / (2.0 * mags[:-1].sum())) / expts[-2])
+    return log_radius, log_eps
+
+
+def _root_count(coeffs, expts, log_radius, log_eps):
+    """Number of principal-sheet roots s != 0 of sum coeffs * s^expts, or None.
+
+    The exponents are normalized, and (log_radius, log_eps) are its `_bounds`.
+    Argument principle on a keyhole contour: the circle |s| = R0, both sides
+    of the cut along the negative real axis down to |s| = eps, and the
+    circle |s| = eps.  The coefficients are real, so the upper half of the
+    contour turns the phase by pi per root.  The samples double until every
+    phase step is below pi / 4; None when that fails by _COUNT_MAX_SAMPLES,
+    as it does for a root on the cut, or when a bound is infinite.
+    """
     if not expts[0] * max(log_radius, -log_eps) <= 600.0:  # s^q would overflow
         return None
     p_eps = np.exp(log_eps * expts) @ coeffs  # real and near c0
@@ -247,36 +268,29 @@ def _root_count(coeffs, expts):
     return count if abs(turn - count) < 0.25 else None
 
 
-def _start_grid(density):
-    """density x density starts on the square of half-width SEARCH_RADIUS, read-only."""
-    axis = np.linspace(-SEARCH_RADIUS, SEARCH_RADIUS, density)
-    re, im = np.meshgrid(axis, axis)
-    s = (re + 1j * im).ravel()
-    s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j  # keep starts off the origin
-    s.flags.writeable = False
-    return s
+def _newton_points(coeffs, expts, scale_n, log_radius, log_eps):
+    """Newton's method from the starts that span the annulus of `_bounds`, in batches.
 
-
-#: The start grids, built once and shared by every search.
-_STARTS = {density: _start_grid(density) for density in (COARSE_DENSITY, GRID_DENSITY)}
-
-
-def _newton_points(coeffs, expts, scale_n, density):
-    """Newton's method from the density x density start grid, in batches.
-
-    Each iteration evaluates only the starts still live.  Those that have
-    converged form its batch, with a mask of the ones resolved to a cell:
-    their next Newton step would be shorter than DEDUPE_TOL.  Only the
-    first iteration's batch and the non-empty ones are yielded, so a search
-    where no start converges yields one empty batch.  Diverged starts are
-    dropped.
+    The starts lie on the _RINGS, spaced geometrically from eps to R0 with
+    both clamped to [1e-4, 1e6], at the _ANGLES; those at 0 and pi reach
+    real roots and roots by the cut.  Each iteration evaluates only the
+    starts still live.  Those whose |P| passes `_tolerance` have converged
+    and form its batch, with a mask of the ones resolved to a cell: their
+    next Newton step would be shorter than DEDUPE_TOL.  Only the first
+    iteration's batch and the non-empty ones are yielded, so a search where
+    no start converges yields one empty batch.  Starts that diverge, past
+    1e6 times the largest ring or into the origin, are dropped.
     """
     dcoeffs = coeffs * expts
-    s = _STARTS[density]
-    limit = 1e6 * SEARCH_RADIUS
+    mags = np.abs(coeffs)
+    # a bound may be astronomically large or small, or infinite
+    log_lo, log_hi = (min(max(b, math.log(1e-4)), math.log(1e6)) for b in (log_eps, log_radius))
+    rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS)
+    s = (rings[:, None] * _ANGLES).ravel()
+    limit = 1e6 * rings[-1]
     for iteration in range(MAX_ITER + 1):
         f, fp = _eval_vec(coeffs, dcoeffs, expts, s)
-        done = np.abs(f) <= scale_n
+        done = np.abs(f) <= _tolerance(scale_n, mags, expts, np.abs(s))
         if iteration == 0 or done.any():
             yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
         if iteration == MAX_ITER:
@@ -304,7 +318,8 @@ def _until_covered(batches, cells):
     root (small |P'|) can spread over several cells, and an over-count
     would stop the draw before every root is found.  A cell count is no
     proof, though (a root on a cell edge fills two): an early stop that
-    misses a root only costs the GRID_DENSITY fallback.
+    misses a root only costs drawing the rest of the run.  With `cells`
+    = math.inf every batch is drawn.
     """
     drawn, keys = [], set()
     for points, resolved in batches:
@@ -330,33 +345,34 @@ def _log_warning(message, *args):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton_search(p: FracPoly):
+def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
-    The COARSE_DENSITY start grid runs first, only until its converged
-    points cover the count, and is kept when its distinct roots match the
-    count; otherwise the GRID_DENSITY grid runs to the end.  A count the
-    full grid does not match either is logged.  Values past the float range
+    `pn` is `normalize(p)`.  One Newton run from the starts over the count's
+    annulus is drawn only until its converged points cover the count, and
+    kept when its distinct roots match the count; otherwise the same run is
+    drawn to its end, as it is at once when the count failed.  A count the
+    whole run does not match either is logged.  Values past the float range
     (huge exponents or coefficients) drop their starts without a numpy
     warning.
     """
-    pn = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
-    scale_n = _residual_scale(pn)
-    count = _root_count(coeffs, expts)  # the roots s != 0, all Newton on pn can find
-    if count is not None:
-        points = _until_covered(_newton_points(coeffs, expts, scale_n, COARSE_DENSITY), count)
-        if _zero_is_root(p):
-            count += 1
-        roots = _distinct_roots(p, points)
-        if len(roots) == count:
-            return roots, count
-    points = np.concatenate([s for s, _ in _newton_points(coeffs, expts, scale_n, GRID_DENSITY)])
+    if expts.size < 2:  # c s^e has no root s != 0
+        return _distinct_roots(p, np.empty(0, dtype=complex)), None
+    bounds = _bounds(coeffs, expts)
+    count = _root_count(coeffs, expts, *bounds)  # the roots s != 0, all Newton on pn can find
+    batches = _newton_points(coeffs, expts, _residual_scale(pn), *bounds)
+    points = _until_covered(batches, math.inf if count is None else count)
     roots = _distinct_roots(p, points)
-    if count is not None and len(roots) != count:
-        _log_warning("newton-grid search found %d distinct roots where the argument "
-                     "principle counts %d", len(roots), count)
+    if count is None:
+        return roots, None
+    count += _zero_is_root(p)
+    if len(roots) != count:
+        roots = _distinct_roots(p, np.concatenate([points, *(s for s, _ in batches)]))
+        if len(roots) != count:
+            _log_warning("newton-grid search found %d distinct roots where the argument "
+                         "principle counts %d", len(roots), count)
     return roots, count
 
 
@@ -367,7 +383,7 @@ def newton_roots(p: FracPoly):
     then imaginary part (see `_distinct_roots`).  Complete when their
     number matches the argument-principle count (see `_newton_search`).
     """
-    return [r.value for r in _newton_search(p)[0]]
+    return [r.value for r in _newton_search(p, normalize(p))[0]]
 
 
 def _distinct_roots(p: FracPoly, points):
@@ -411,14 +427,13 @@ def commensurate_roots(p: FracPoly):
     polynomial map back as s = w^m only when |arg w| <= pi/m (the principal
     sheet).  Values past the float range give no numpy warning.
     """
-    roots = _commensurate_search(p)
+    roots = _commensurate_search(p, normalize(p))
     return None if roots is None else [r.value for r in roots]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _commensurate_search(p: FracPoly):
-    """`commensurate_roots` as RootResults, or None."""
-    pn = normalize(p)
+def _commensurate_search(p: FracPoly, pn: FracPoly):
+    """`commensurate_roots` as RootResults, or None; `pn` is `normalize(p)`."""
     m = commensurate_base(pn)
     if m is None:
         return None
@@ -468,12 +483,12 @@ def find_roots(p: FracPoly) -> StabilityReport:
         raise ValueError("need at least two terms after normalization")
     if not all(map(math.isfinite, pn.coefficients)):
         raise ValueError("coefficients must be finite")
-    roots = _commensurate_search(p)
+    roots = _commensurate_search(p, pn)
     if roots is not None:
         method, count = "commensurate", len(roots)
     else:
         method = "newton-grid"
-        roots, count = _newton_search(p)
+        roots, count = _newton_search(p, pn)
     verdict, caveat = classify_stability([r.value for r in roots], count == len(roots))
     if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0):
         # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading

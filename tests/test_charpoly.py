@@ -159,6 +159,32 @@ class TestFindRoots:
             assert r.residual <= charpoly.NEWTON_TOL * size
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("unstable", False, 4)
 
+    @pytest.mark.parametrize("terms, far", [
+        ([(0.42047924425297456, 0.43393048427295133), (-1.386952939178384, 0.3571314442967352),
+          (7.492087927766465, 0.0), (-6.66727339574486, -0.0351330688420277)], 4.88117e6),
+        ([(0.18483886479060008, 0.46812715025033), (-1.6868484472330998, 0.3773726059559394),
+          (133.59236886724895, 0.0), (-132.1323556557776, -0.005187762245819446)], 3.76819e10),
+    ], ids=["5e6", "4e10"])
+    def test_far_real_root_is_one_real_root(self, terms, far):
+        # Newton's converged points by a far root spread over many DEDUPE_TOL cells,
+        # and it lies more than DEDUPE_TOL off the axis: merged and snapped relative to |s|
+        report = find_roots(FracPoly.from_terms(terms))
+        values = [r.value for r in report.roots]
+        assert values[-1] == pytest.approx(far, rel=1e-5) and values[-1].imag == 0.0
+        assert (report.method, report.root_count, len(values)) == ("newton-grid", 3, 3)
+        assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+
+    def test_far_root_converges_by_the_relative_residual(self):
+        # |P| at the real root s ~ 406.24 is about 1e-4, far above the absolute scale,
+        # while its terms sum to about 1e10
+        p = FracPoly.from_terms([(0.26546, 3.99328), (-2.62030, 3.61220), (1.57980, 2.41466),
+                                 (0.86023, 1.37166), (-1.59874, 0.0)])
+        report = find_roots(p)
+        values = [r.value for r in report.roots]
+        assert values[-1] == pytest.approx(406.24, rel=1e-4) and values[-1].imag == 0.0
+        assert (report.method, report.root_count, len(values)) == ("newton-grid", 5, 5)
+        assert not report.coverage_caveat
+
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
@@ -183,18 +209,24 @@ class TestFindRoots:
         assert all(r.residual <= charpoly._residual_scale(char_poly_pd(BENCH_PLANT, ctrl))
                    for r in report.roots)
 
-    def test_sign_certificate_makes_the_verdict_unstable(self):
-        # the count fails and Newton finds no unstable root, but the leading and
-        # constant coefficients differ in sign: P has a root s > 0
-        # constant coefficients differ in sign: P has a root s > 0.  P is about
-        # -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28
+    def test_sign_certificate_makes_the_verdict_unstable(self, monkeypatch):
+        # P is about -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28: the
+        # count fails, and the leading and constant coefficients differ in sign, so
+        # P has a root s > 0.  Newton finds it (s ~ 0.0024); with a search stubbed to
+        # find nothing the certificate alone makes the verdict
         plant = Plant(a0=2.3311671784640082, a1=-1.8786159693501152, a2=-0.11476133927267451,
                       alpha=2.7076198902019244, beta=1.5843988150576558)
         ctrl = design_pd_fractional(DesignSpecPd(
             plant=plant, pole=complex(-0.32984161915478666, 0.43745161077546424), ess_percent=4.0))
-        report = find_roots(char_poly_pd(plant, ctrl))
+        poly = char_poly_pd(plant, ctrl)
+        report = find_roots(poly)
         assert report.root_count is None
-        assert not any(r.value.real > 0 for r in report.roots)
+        assert [r.value.real for r in report.roots if r.value.real > 0] == pytest.approx(
+            [0.0024], rel=0.05)
+        assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None))
+        report = find_roots(poly)
+        assert report.roots == () and report.root_count is None
         assert (report.verdict, report.coverage_caveat) == ("unstable", False)
 
     @given(coeffs=st.lists(st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
@@ -247,21 +279,27 @@ def scalar_commensurate_base(p):
     return None
 
 
+#: The reference grid: REFERENCE_DENSITY x REFERENCE_DENSITY starts on the square of
+#: half-width REFERENCE_RADIUS.
+REFERENCE_RADIUS, REFERENCE_DENSITY = 20.0, 40
+
+
 def reference_newton_roots(p):
     """Newton grid that polishes every converged start and its conjugate.
 
-    The original algorithm, kept as an oracle: all starts are evaluated on
-    every iteration and deduplication happens only after polishing.
+    The original algorithm, kept as an oracle: all starts of a fixed square
+    grid are evaluated on every iteration and deduplication happens only
+    after polishing.
     """
     pn = normalize(p)
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
     scale_n = charpoly._residual_scale(pn)
-    axis = np.linspace(-charpoly.SEARCH_RADIUS, charpoly.SEARCH_RADIUS, charpoly.GRID_DENSITY)
+    axis = np.linspace(-REFERENCE_RADIUS, REFERENCE_RADIUS, REFERENCE_DENSITY)
     re, im = np.meshgrid(axis, axis)
     s = (re + 1j * im).ravel()
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j
-    limit = 1e6 * charpoly.SEARCH_RADIUS
+    limit = 1e6 * REFERENCE_RADIUS
     for _ in range(charpoly.MAX_ITER):
         f, fp = charpoly._eval_vec(coeffs, coeffs * expts, expts, s)
         bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
@@ -362,6 +400,12 @@ class TestNewtonGrid:
         assert roots
         assert len(polished) <= 2 * len(roots)
 
+    @pytest.mark.parametrize("terms, want", [([(3.0, 0.0)], []), ([(2.0, 1.5)], [0j])],
+                             ids=["constant", "zero-root"])
+    def test_single_term(self, terms, want):
+        # c s^e has no root s != 0: s = 0 is one when e > 0
+        assert newton_roots(FracPoly.from_terms(terms)) == want
+
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
                                       FracPoly.from_terms([(1.0, 2.0), (3.0, 1.0), (1.0, 0.0)])])
     def test_roots_are_builtin_complex(self, poly):
@@ -428,22 +472,9 @@ def commensurate_fracpoly(roots, m):
 
 def root_count(poly):
     pn = normalize(poly)
-    return charpoly._root_count(np.array(pn.coefficients, dtype=complex),
-                                np.array(pn.exponents, dtype=float))
-
-
-@pytest.fixture
-def densities(monkeypatch):
-    """The start-grid side of every Newton search while the test runs."""
-    sides = []
-    original = charpoly._newton_points
-
-    def recording(coeffs, expts, scale, density):
-        sides.append(density)
-        return original(coeffs, expts, scale, density)
-
-    monkeypatch.setattr(charpoly, "_newton_points", recording)
-    return sides
+    coeffs = np.array(pn.coefficients, dtype=complex)
+    expts = np.array(pn.exponents, dtype=float)
+    return charpoly._root_count(coeffs, expts, *charpoly._bounds(coeffs, expts))
 
 
 class TestRootCount:
@@ -472,46 +503,51 @@ class TestRootCount:
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY], ids=["golden", "unstable"])
     def test_scaled_variable_scales_the_roots(self, poly, kappa):
         # P(s / kappa) has the roots kappa * s; at kappa = 5 the golden pair
-        # moves to -5 +- 30i, outside the SEARCH_RADIUS square
+        # moves to -5 +- 30i
         base = find_roots(poly)
         scaled = find_roots(FracPoly.from_terms((c * kappa ** -e, e) for c, e in poly.terms))
         want = [kappa * r.value for r in base.roots]
         found = set_distance([r.value for r in scaled.roots], want) < 1e-9 * kappa
         assert scaled.root_count == len(want)
-        assert found or scaled.coverage_caveat
+        assert found and not scaled.coverage_caveat
         assert scaled.verdict == base.verdict
 
-    def test_golden_never_reaches_the_full_grid(self, densities):
+    def test_golden_never_reaches_the_full_grid(self, batches):
+        # one Newton run, stopped once it covers the count, gives the full set
         report = find_roots(GOLDEN_POLY)
-        assert densities == [charpoly.COARSE_DENSITY]
+        assert len(batches) == 1 and batches[0][0] < batches[0][1]
+        assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
         assert report.root_count == 2 and not report.coverage_caveat
 
-    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, densities,
+    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, batches,
                                                              caplog):
-        monkeypatch.setattr(charpoly, "_root_count", lambda coeffs, expts: 4)
+        monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(GOLDEN_POLY)
-        assert densities == [charpoly.COARSE_DENSITY, charpoly.GRID_DENSITY]
-        assert len(report.roots) == 2 and report.root_count == 4
+        assert len(batches) == 1 and batches[0][0] == batches[0][1]  # the run drawn to its end
+        assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
+        assert report.root_count == 4
         assert report.verdict == "stable" and report.coverage_caveat
         assert "found 2 distinct roots where the argument principle counts 4" in caplog.text
 
     def test_count_exposes_roots_the_grid_misses(self, caplog):
-        # w-roots of seed 7 map to s = -64.4 +- 30.1i and 15.3: the pair lies
-        # outside the SEARCH_RADIUS square and no start converges to it
+        # w-roots of seed 7 map to s = -64.4 +- 30.1i and 15.3: the pair lies far
+        # outside |s| = 28, yet inside the annulus the starts span
         rng = np.random.default_rng(7)
         degree = int(rng.integers(2, 7))
         poly = commensurate_fracpoly(random_conjugate_closed_roots(rng, degree), 3)
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             roots = newton_roots(poly)
-        assert len(roots) == 1 and len(commensurate_roots(poly)) == 3
-        assert "found 1 distinct roots where the argument principle counts 3" in caplog.text
+        want = commensurate_roots(poly)
+        assert want == pytest.approx([-64.4 - 30.1j, -64.4 + 30.1j, 15.3], abs=0.05)
+        assert roots == pytest.approx(want, rel=1e-9)
+        assert root_count(poly) == 3 and not caplog.records
 
     def test_warning_is_silent_by_default(self):
         # a fresh interpreter has no log handler anywhere, unlike pytest
         code = ("from fracreg import charpoly\n"
                 "from fracreg.model import FracPoly\n"
-                "charpoly._root_count = lambda coeffs, expts: 4\n"
+                "charpoly._root_count = lambda *args: 4\n"
                 "poly = FracPoly.from_terms([(0.8, 2.2), (0.5, 0.9), (6.9, 0.72), (25.0, 0.0)])\n"
                 "print(charpoly.find_roots(poly).root_count)\n")
         src = str(Path(charpoly.__file__).resolve().parents[1])
@@ -522,14 +558,14 @@ class TestRootCount:
 
 @pytest.fixture
 def batches(monkeypatch):
-    """(drawn, available) Newton iterations of every start grid while the test runs."""
+    """(drawn, available) batches of every Newton run while the test runs."""
     runs = []
     original = charpoly._newton_points
 
-    def drawing(coeffs, expts, scale, density):
-        run = [0, len(list(original(coeffs, expts, scale, density)))]
+    def drawing(*args):
+        run = [0, len(list(original(*args)))]
         runs.append(run)
-        for batch in original(coeffs, expts, scale, density):
+        for batch in original(*args):
             run[0] += 1
             yield batch
 
@@ -538,7 +574,7 @@ def batches(monkeypatch):
 
 
 class TestCountTerminatedSearch:
-    """The coarse start grid stops once its converged points cover the count."""
+    """The Newton run stops once its converged points cover the count."""
 
     def test_golden_evaluations(self, monkeypatch):
         calls = []
@@ -550,8 +586,9 @@ class TestCountTerminatedSearch:
 
         monkeypatch.setattr(charpoly, "_eval_vec", counting)
         find_roots(GOLDEN_POLY)
-        assert calls[0] == charpoly.COARSE_DENSITY ** 2  # the Newton evaluations are counted
-        assert len(calls) <= 10  # 28 when the coarse grid runs every iteration
+        # the Newton evaluations are counted: 8 rings of 6 starts
+        assert calls[0] == charpoly._RINGS.size * charpoly._ANGLES.size == 48
+        assert len(calls) <= 10  # 19 when the run is drawn to its end
 
     @staticmethod
     def every_iteration(monkeypatch):
@@ -562,7 +599,7 @@ class TestCountTerminatedSearch:
     def test_same_result_as_every_iteration(self, seed, monkeypatch, batches):
         poly = seeded_pd_poly(seed)
         stopped = find_roots(poly)
-        assert batches[0][0] < batches[0][1]  # the coarse grid stopped early
+        assert batches[0][0] < batches[0][1]  # the run stopped early
         self.every_iteration(monkeypatch)
         full = find_roots(poly)
         assert stopped.roots == full.roots
@@ -573,12 +610,12 @@ class TestCountTerminatedSearch:
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
     def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
         # |P'| is small near the pair: its converged iterates spread over several
-        # cells, none of them resolved, and the coarse grid must not stop on them
+        # cells, none of them resolved, and the run must not stop on them
         pair = [root, root + gap * (1 + 0.3j)]
         poly = integer_fracpoly(pair + [z.conjugate() for z in pair])
-        stopped = charpoly._newton_search(poly)
+        stopped = charpoly._newton_search(poly, normalize(poly))
         self.every_iteration(monkeypatch)
-        assert stopped == charpoly._newton_search(poly)
+        assert stopped == charpoly._newton_search(poly, normalize(poly))
 
     def test_unknown_count_runs_every_iteration(self, batches):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
@@ -609,27 +646,38 @@ class TestCountTerminatedSearch:
         assert draw([(spread, one), (spread[:1], yes[:1]), (spread, yes)], 4) == 4
 
     def test_no_start_converges(self, batches):
-        # 1.627 s^0.392 - 0.347 after normalization: its root s ~ 0.0195 draws no
-        # start of either grid, and each search yields only its empty first batch
+        # s^q + 1 with q = 1/sqrt(2): s^q = -1 needs arg s = pi / q > pi, so no root
+        # lies on the principal sheet, and the run yields only its empty first batch
+        poly = FracPoly.from_terms([(1.0, 0.7071067811865476), (1.0, 0.0)])
+        report = find_roots(poly)
+        assert batches == [[1, 1]]
+        assert report.roots == ()
+        assert (report.verdict, report.coverage_caveat, report.root_count) == ("stable", False, 0)
+
+    def test_small_root_is_found(self):
+        # 1.627 s^0.392 - 0.347 after normalization: its root s ~ 0.0195 lies
+        # inside the annulus the starts span, far below |s| = 1
         poly = FracPoly.from_terms([(1.6268296520103307, 3.3684615483956564),
                                     (-0.34704463136763036, 2.9760253744499243)])
         report = find_roots(poly)
-        assert batches == [[1, 1], [1, 1]]
-        assert [r.value for r in report.roots] == [0j]
+        values = [r.value for r in report.roots]
+        assert values[0] == 0j and values[1] == pytest.approx(0.0195109, rel=1e-5)
+        assert values[1].imag == 0.0 and len(values) == 2
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("unstable", False, 2)
 
-    @pytest.mark.parametrize("density", [charpoly.COARSE_DENSITY, charpoly.GRID_DENSITY])
-    def test_shared_start_grids_are_read_only(self, density):
-        starts = charpoly._STARTS[density]
-        assert starts.shape == (density ** 2,)
+    @pytest.mark.parametrize("name, size", [("_RINGS", 8), ("_ANGLES", 6)],
+                             ids=["rings", "angles"])
+    def test_shared_start_templates_are_read_only(self, name, size):
+        template = getattr(charpoly, name)
+        assert template.shape == (size,)
         with pytest.raises(ValueError, match="read-only"):
-            starts[0] = 1.0
+            template[0] = 1.0
 
 
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 
-    def test_newton_grid(self, densities, caplog):
+    def test_newton_grid(self, batches, caplog):
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(CANCELLED_POLY)
         values = [r.value for r in report.roots]
@@ -638,7 +686,7 @@ class TestRootAtZero:
         assert all(abs(v) > 1 for v in values[:-1])  # no spurious root near the origin
         assert report.root_count == len(values) == 3
         assert report.verdict == "unstable" and not report.coverage_caveat
-        assert densities == [charpoly.COARSE_DENSITY]  # the count matched: no fallback
+        assert len(batches) == 1 and batches[0][0] < batches[0][1]  # the count matched early
         assert not caplog.records
 
     def test_commensurate(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from fracreg import charpoly
 from fracreg.cli import build_parser, main, write_trajectory_csv
 from fracreg.errors import DivergedError
 from fracreg.model import (PdController, PiController, Plant, build_pd_model,
@@ -252,10 +253,12 @@ class TestDesign:
         assert report["root_count"] == len(report["roots"]) == 2
         assert report["coverage_caveat"] is False
 
-    def test_sign_certificate_makes_an_unfound_root_unstable(self, tmp_path, capsys):
+    def test_sign_certificate_makes_an_unfound_root_unstable(self, tmp_path, capsys,
+                                                             monkeypatch):
         # P = -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28: the leading and
         # constant coefficients differ in sign, so P has a root s > 0, although the count
-        # fails and Newton finds no unstable root
+        # fails and the Newton search, stubbed here, finds no root
+        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None))
         doc = {
             "plant": {"a0": 2.3311671784640082, "a1": -1.8786159693501152,
                       "a2": -0.11476133927267451, "alpha": 2.7076198902019244,
@@ -268,7 +271,19 @@ class TestDesign:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verdict"] == "unstable"
         assert report["coverage_caveat"] is False
+        assert report["roots"] == []
         assert capsys.readouterr().err == ""
+
+    def test_right_half_plane_root_is_reported(self, tmp_path):
+        # the same loop as the bundled config: Newton finds its root s ~ 0.0024
+        code = main(["design", "--config", str(CONFIGS / "design_pd_rhp_root.json"),
+                     "--out", str(tmp_path)])
+        assert code == 4
+        report = json.loads((tmp_path / "design_pd_rhp_root_report.json").read_text())
+        assert (report["verdict"], report["coverage_caveat"], report["root_count"]) == (
+            "unstable", False, None)
+        assert [r["re"] for r in report["roots"] if r["re"] > 0] == pytest.approx([0.0024],
+                                                                                  rel=0.05)
 
     @pytest.mark.parametrize("plant, design, code, reason", [
         # every branch of this right-half-plane pole has |delta| >= 3; the design
