@@ -8,13 +8,15 @@ residuals, verdicts, methods, caveats and root counts on the survey, so
 run it in both trees to check that a change to `charpoly` (or to the
 design code) moves no number.
 
-Two tallies show how complete the Newton search is; neither enters the
-digest:
+Three tallies print next to it; none enters the digest.  Two show how
+complete the Newton search is:
   - the newton-grid reports whose roots match the argument-principle
     count, fall short of it or exceed it, and those with no count;
   - the commensurate polynomials on which `newton_roots` gives the
     companion-matrix roots, each within 1e-6 relative, and those where
     it does not (or the companion matrix gives no roots).
+The third counts, for each lambda range of the planted PI^lambda survey
+below, the designs solved and those that raised `NoSolutionError`.
 
 The survey, seeded:
   - PD^delta designs on the bundled plant over the benchmark's
@@ -23,7 +25,9 @@ The survey, seeded:
   - PI^lambda designs planted at lambda = 1 (K in [2, 10], Ti in [1, 8]);
   - random 2-5-term polynomials (exponents in [0, 4], coefficients of
     either sign, magnitudes log-uniform in [0.01, 100]);
-  - random commensurate ones (exponents k/m, m <= 12, k <= 5m).
+  - random commensurate ones (exponents k/m, m <= 12, k <= 5m);
+  - planted PI^lambda designs on random plants, N_PI_PLANTED per lambda
+    range in PI_LAMBDA_RANGES (see `planted_pi`).
 
 Usage: PYTHONPATH=src python scripts/root_fingerprint.py [seed]
 """
@@ -34,17 +38,56 @@ from collections import Counter
 
 import numpy as np
 
-from fracreg import (DesignSpecPd, DesignSpecPi, FracPoly, FracregError, Plant,
+from fracreg import (DesignSpecPd, DesignSpecPi, FracPoly, FracregError, PiController, Plant,
                      char_poly_pd, char_poly_pi, commensurate_roots, design_pd_fractional,
                      design_pd_integer, design_pi, find_roots, newton_roots)
 
 PD_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 PI_PLANT = Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0)
 N_PD, N_PD_INTEGER, N_PI, N_RANDOM, N_COMMENSURATE = 300, 60, 60, 2000, 1000
+N_PI_PLANTED = 60
+PI_LAMBDA_RANGES = ((0.05, 0.3), (0.2, 2.5), (1.9, 2.1), (2.5, 3.5))
 
 
 def _pole(rng):
     return complex(rng.uniform(-2.0, -0.5), rng.uniform(3.0, 8.0))
+
+
+def _planted_poles(roots):
+    """A pair and a real root, or three real roots, of `roots`, smallest first; or None."""
+    roots = sorted(roots, key=abs)
+    pairs = [z for z in roots if z.imag > 0]
+    reals = [z for z in roots if z.imag == 0]
+    if pairs and reals:
+        return pairs[0], pairs[0].conjugate(), reals[0]
+    return tuple(reals[:3]) if len(reals) >= 3 else None
+
+
+def planted_pi(rng, lam_range, n):
+    """`n` PI^lambda specs whose poles are roots of a random loop with lambda in `lam_range`.
+
+    Plant: a0 in [0.05, 3], a1 and a2 in [-2, 2], alpha in
+    [0.3, min(3, 5.95 - max lambda)], beta in [0, alpha); controller: K in
+    [0.5, 10], Ti in [0.5, 8].  The poles are a pair and a real root, or
+    three real roots, of the planted loop's `find_roots` (`_planted_poles`);
+    a loop with neither is drawn again.
+    """
+    lo, hi = lam_range
+    specs = []
+    while len(specs) < n:
+        alpha = rng.uniform(0.3, min(3.0, 5.95 - hi))
+        plant = Plant(a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-2.0, 2.0),
+                      a2=rng.uniform(-2.0, 2.0), alpha=alpha, beta=rng.uniform(0.0, alpha))
+        ctrl = PiController(K=rng.uniform(0.5, 10.0), Ti=rng.uniform(0.5, 8.0),
+                            lam=rng.uniform(lo, hi))
+        try:
+            roots = find_roots(char_poly_pi(plant, ctrl)).roots
+        except ValueError:  # a loop that normalizes to fewer than two terms
+            continue
+        poles = _planted_poles([r.value for r in roots])
+        if poles is not None:
+            specs.append(DesignSpecPi(plant=plant, poles=poles))
+    return specs
 
 
 def _terms(rng, exponents):
@@ -76,6 +119,13 @@ def survey(seed):
         numerators = rng.choice(5 * m + 1, int(rng.integers(2, 6)), replace=False)
         poly = _terms(rng, [int(k) / m for k in numerators])
         yield "commensurate", lambda poly=poly: (None, poly)
+    for lam_range in PI_LAMBDA_RANGES:
+        for spec in planted_pi(rng, lam_range, N_PI_PLANTED):
+            yield _planted_label(lam_range), lambda spec=spec: _pi(spec)
+
+
+def _planted_label(lam_range):
+    return "pi-planted [{:g}, {:g}]".format(*lam_range)
 
 
 def _pd(design, spec):
@@ -109,7 +159,7 @@ def _agrees(poly):
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     digest = hashlib.sha256()
-    methods, coverage, oracle = Counter(), Counter(), Counter()
+    methods, coverage, oracle, outcomes = Counter(), Counter(), Counter(), Counter()
     for label, build in survey(seed):
         try:
             ctrl, poly = build()
@@ -117,7 +167,9 @@ def main():
         except (FracregError, ValueError) as exc:
             record = (label, type(exc).__name__, str(exc))
             methods[f"{label}: {type(exc).__name__}"] += 1
+            outcomes[label, type(exc).__name__] += 1
         else:
+            outcomes[label, "solved"] += 1
             record = (label, ctrl, poly, report)
             methods[f"{label}: {report.method}"] += 1
             if report.method == "newton-grid":
@@ -131,6 +183,9 @@ def main():
           + ", ".join(f"{key} {coverage[key]}" for key in ("matched", "short", "over", "no count")))
     print("newton_roots against the companion matrix on the commensurate polynomials: "
           f"agrees {oracle['agrees']}, differs {oracle['differs']}")
+    for label in map(_planted_label, PI_LAMBDA_RANGES):
+        print(f"{label} designs: solved {outcomes[label, 'solved']}, "
+              f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
 
 

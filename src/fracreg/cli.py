@@ -266,8 +266,7 @@ def cmd_simulate(args) -> int:
     except DivergedError as exc:
         # written once this block ends: its traceback holds the run's arrays
         traj, diverged = exc.trajectory, str(exc)
-    if traj is not None:
-        write_trajectory_csv(csv_path, traj)
+    write_trajectory_csv(csv_path, traj)
     if diverged is not None:
         print(f"simulation diverged: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -278,34 +277,24 @@ def cmd_simulate(args) -> int:
 def _resolve_design(doc, plant):
     block = _get(doc, "design", "", dict)
     kind = block.get("type", "pd")
-    t0 = time.perf_counter()
-    if kind == "pd":
-        poles = _parse_poles(block, "design")
-        pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
-        if pole is None:
-            raise ConfigError("'design.poles' must contain at least one pole")
-        try:
-            if block.get("integer"):
-                spec = DesignSpecPd(plant=plant, pole=pole)
-                ctrl = design_pd_integer(spec)
-            else:
-                spec = DesignSpecPd(
-                    plant=plant,
-                    pole=pole,
-                    ess_percent=_num(block, "ess", "design") if "ess" in block else None,
-                    K_override=_num(block, "K", "design") if "K" in block else None,
-                )
-                ctrl = design_pd_fractional(spec)
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'design' block: {exc}")
-    elif kind == "pi":
-        poles = _parse_poles(block, "design")
-        try:
-            ctrl = design_pi(DesignSpecPi(plant=plant, poles=tuple(poles)))
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'design' block: {exc}")
-    else:
+    if kind not in ("pd", "pi"):
         raise ConfigError(f"unknown design type {kind!r}")
+    t0 = time.perf_counter()
+    poles = _parse_poles(block, "design")
+    try:
+        if kind == "pi":
+            ctrl = design_pi(DesignSpecPi(plant=plant, poles=tuple(poles)))
+        else:
+            pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
+            if pole is None:
+                raise ConfigError("'design.poles' must contain at least one pole")
+            integer = block.get("integer")  # integer PD solves for K itself
+            ess = _num(block, "ess", "design") if "ess" in block and not integer else None
+            K = _num(block, "K", "design") if "K" in block and not integer else None
+            spec = DesignSpecPd(plant=plant, pole=pole, ess_percent=ess, K_override=K)
+            ctrl = (design_pd_integer if integer else design_pd_fractional)(spec)
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'design' block: {exc}")
     return ctrl, time.perf_counter() - t0
 
 
@@ -363,9 +352,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NoSolutionError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except FracregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

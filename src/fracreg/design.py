@@ -15,6 +15,7 @@ stability is reported separately, never enforced here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,10 @@ __all__ = [
 #: Acceptable characteristic residual, relative to a0 + K.
 RESIDUAL_REL_TOL = 1e-8
 
-#: Cells of the fixed lambda grid on (0, 6 - alpha) that `design_pi` scans D on, and
-#: sub-cells of its finer scan around a grid point (offsets in cells, either side).
+#: The fixed lambda lattice that `design_pi` scans D on: _PI_GRID_CELLS cells of
+#: (0, 6 - alpha), each cut into _PI_SUBCELLS steps.
 _PI_GRID_CELLS = 64
 _PI_SUBCELLS = 8
-_PI_SUBSCAN = np.arange(1 - _PI_SUBCELLS, _PI_SUBCELLS) / _PI_SUBCELLS
 #: Cap on the refinement steps; a bracket on a smooth D needs about five.
 _PI_REFINE_STEPS = 100
 #: The rounding floor of D, whose rows have unit norm: a zero of D to working precision.
@@ -87,24 +87,14 @@ class DesignSpecPi:
         object.__setattr__(self, "poles", poles)
         if len(poles) != 3:
             raise ValueError(f"need exactly 3 poles, got {len(poles)}")
-        remaining = list(poles)
-        while remaining:
-            p = remaining.pop()
-            if p.imag == 0:
-                continue
-            try:
-                remaining.remove(p.conjugate())
-            except ValueError:
-                raise ValueError("pole multiset must be closed under conjugation")
+        # a real pole (Im p == 0) stands alone; a NaN part equals nothing, so it never pairs
+        pairs = [p for p in poles if p.imag != 0]
+        if Counter(pairs) != Counter(p.conjugate() for p in pairs):
+            raise ValueError("pole multiset must be closed under conjugation")
 
     def residual_poles(self):
         """Poles contributing independent equations (one per conjugate pair)."""
-        reps = []
-        for p in self.poles:
-            if p.imag < 0 and p.conjugate() in self.poles:
-                continue
-            reps.append(p)
-        return reps
+        return [p for p in self.poles if p.imag >= 0]
 
 
 def gain_from_ss_error(a0: float, ess_percent: float) -> float:
@@ -182,10 +172,7 @@ def design_pd_integer(spec: DesignSpecPd) -> PdController:
         raise NoSolutionError(f"pole {pole} is past the float range for integer PD design")
     mat = np.array([[1.0, pole.real], [0.0, pole.imag]])
     rhs = -np.array([base.real, base.imag])
-    try:
-        K, Td = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise NoSolutionError(f"degenerate pole {pole} for integer PD design")
+    K, Td = np.linalg.solve(mat, rhs)  # triangular, with Im pole != 0 on the diagonal
     return PdController(K=float(K), Td=float(Td), delta=1.0)
 
 
@@ -257,11 +244,11 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     pair's real and imaginary parts and a real pole's real part, or three
     real parts) are linear in (K, Ti).  They are consistent exactly where
     D(lambda), the determinant of their augmented rows (`_pi_rows`) scaled
-    to unit norm, vanishes.  D is scanned on _PI_GRID_CELLS cells inside
-    (0, 6 - alpha), the orders `build_pi_model` takes, and on _PI_SUBCELLS
-    sub-cells around each grid local minimum of |D| (two zeros in one
-    cell), each sign change and both ends, to a millionth of a cell from
-    them.  Each sign change is refined (`_bracketed_roots`); a scan point
+    to unit norm, vanishes.  D is evaluated once, in ascending order, on a
+    fixed lattice of (0, 6 - alpha), the orders `build_pi_model` takes:
+    _PI_GRID_CELLS cells of _PI_SUBCELLS steps each, and the two points a
+    millionth of a cell from either end.  The sign change between each pair
+    of neighbouring points is refined (`_bracketed_roots`); a lattice point
     with |D| at its rounding floor is a root as it stands.  At each root,
     (K, Ti) solves the three rows by least squares, each row at the scale
     of its pole's residual.  The design is the smallest such lambda whose
@@ -275,22 +262,14 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     equations = _pi_equations(plant, reps)
     top = 3.0 + MAX_GL_ORDER - plant.alpha  # build_pi_model needs 3 - alpha - lam > -MAX_GL_ORDER
     cell = top / _PI_GRID_CELLS
-    grid = cell * np.arange(1, _PI_GRID_CELLS)
+    lattice = cell * np.arange(1, _PI_GRID_CELLS * _PI_SUBCELLS) / _PI_SUBCELLS
+    lams = np.concatenate([[1e-6 * cell], lattice, [top - 1e-6 * cell]])
 
     def det(lam):
         rows = _pi_rows(equations, lam)[0]
         return np.linalg.det(rows) / np.sqrt(np.einsum("nij,nij->ni", rows, rows).prod(axis=1))
 
-    values = det(grid)
-    size = np.abs(values)
-    centers = np.ones(size.shape, dtype=bool)  # the end cells are open at 0 and at the top
-    centers[1:-1] = (size[1:-1] <= size[:-2]) & (size[1:-1] <= size[2:])
-    centers[:-1] |= np.signbit(values[:-1]) != np.signbit(values[1:])
-    ends = [1e-6 * cell, top - 1e-6 * cell]
-    fine = np.concatenate([(grid[centers, None] + cell * _PI_SUBSCAN).ravel(), ends])
-    lams, values = np.concatenate([grid, fine]), np.concatenate([values, det(fine)])
-    order = np.argsort(lams)
-    lams, values = lams[order], values[order]
+    values = det(lams)
     cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
     roots = _bracketed_roots(det, lams[cross], lams[cross + 1], values[cross], values[cross + 1])
     best = math.inf

@@ -18,11 +18,10 @@ class DivergedError(FracregError):
 
     Attributes:
         index: first step index at which the guard tripped.
-        trajectory: partial trajectory up to (not including) the bad step,
-            or None when nothing useful was produced.
+        trajectory: partial trajectory up to (not including) the bad step.
     """
 
-    def __init__(self, message, index, trajectory=None):
+    def __init__(self, message, index, trajectory):
         super().__init__(message)
         self.index = index
         self.trajectory = trajectory

@@ -570,6 +570,10 @@ NUMBERS = st.one_of(st.sampled_from(EXTREME_NUMBERS), st.floats(), st.floats(1e-
                     st.floats(0.0, 3.0), st.floats(1e12, 1e308))
 
 
+#: A value of the wrong type where a config number goes.
+WRONG_TYPES = st.text(max_size=3) | st.none() | st.lists(NUMBERS, max_size=2)
+
+
 def mutations(keys, numbers=NUMBERS):
     """Any subset of `keys`, each mapped to a number."""
     return st.fixed_dictionaries({}, optional=dict.fromkeys(keys, numbers))
@@ -643,8 +647,7 @@ class TestConfigFuzz:
     PI_PARTS = ("pair_re", "pair_im", "real")
     PI_MUTATIONS = st.tuples(
         mutations(PI_PARTS, st.one_of(NUMBERS, st.floats(-10.0, 10.0))),
-        st.none() | st.tuples(st.sampled_from(PI_PARTS),
-                              st.text(max_size=3) | st.none() | st.lists(NUMBERS, max_size=2)))
+        st.none() | st.tuples(st.sampled_from(PI_PARTS), WRONG_TYPES))
 
     @given(mutated=PI_MUTATIONS)
     @settings(FUZZ, max_examples=150)
@@ -663,6 +666,35 @@ class TestConfigFuzz:
         real[0] = mutation.get("real", real[0])
         code, err = self.run_doc(tmp_path, capsys, "design", doc)
         self.check_design_exit(code, err)
+
+    #: The plant numbers, each mutated to a number or to a value of the wrong type.
+    PLANT_KEYS = {key: ("plant", key) for key in ("a0", "a1", "a2", "alpha", "beta")}
+
+    @pytest.mark.parametrize("command, name", [("poles", "golden_pd_sim"),
+                                               ("design", "design_pd_ess4"),
+                                               ("design", "design_pi_planted"),
+                                               ("simulate", "golden_pd_sim")])
+    @given(mutation=mutations(PLANT_KEYS, st.one_of(NUMBERS, WRONG_TYPES)))
+    @settings(FUZZ, max_examples=100)
+    def test_mutated_plant_block(self, tmp_path, monkeypatch, capsys, command, name, mutation):
+        monkeypatch.setenv("FRACREG_MAX_STEPS", "3000")  # each simulation stays cheap
+        keys = self.PLANT_KEYS
+        if command == "simulate":  # 2 000 steps, under the cap, so the mutated loop runs
+            keys, mutation = {**keys, **self.SIM_KEYS}, {**mutation, "t_end": 2.0}
+        code, err = self.run(tmp_path, capsys, command, name, keys, mutation)
+        if command == "design":
+            self.check_design_exit(code, err)
+            return
+        if command == "simulate":
+            assert code in {0, 2, 3, 5}
+            prefixes = ("config error:", "simulation diverged:", "error:")
+        else:
+            assert code in {0, 2, 4, 5}
+            prefixes = ("config error:", "root search was inconclusive", "error:")
+        if code:
+            assert err.startswith(prefixes)
+        else:
+            assert err == ""
 
     @given(mutation=mutations(POLES_KEYS, st.one_of(NUMBERS, st.floats(-100.0, 100.0))))
     @settings(FUZZ, max_examples=150)

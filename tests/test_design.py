@@ -156,6 +156,28 @@ class TestDesignPdInteger:
                 design(DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=4.0))
 
 
+#: Poles for the conjugation check: conjugate pairs, signed zeros, and inf and NaN parts.
+POLE_POOL = [complex(re, im) for re, im in [
+    (-1.0, 2.0), (-1.0, -2.0), (-0.0, 2.0), (0.0, -2.0), (-2.0, 0.0), (-2.0, -0.0),
+    (0.0, 0.0), (-0.0, -0.0), (math.inf, 1.0), (math.inf, -1.0), (1.0, math.inf),
+    (1.0, -math.inf), (-math.inf, 0.0), (math.nan, 0.0), (math.nan, 1.0), (math.nan, -1.0),
+    (1.0, math.nan), (math.nan, math.nan), (3.0, 4.0)]]
+
+
+def pairing_loop_accepts(poles):
+    """The pole-by-pole conjugation check that `DesignSpecPi` made before its multiset one."""
+    remaining = list(poles)
+    while remaining:
+        p = remaining.pop()
+        if p.imag == 0:
+            continue
+        try:
+            remaining.remove(p.conjugate())
+        except ValueError:
+            return False
+    return True
+
+
 #: Plants, pole triples and the planted (K, Ti, lambda) that places them.
 PLANTED_PI = {
     # (K=5, Ti=4, lam=1): s^3 + 4s^2 + 6s + 4, a pair and a real pole
@@ -265,6 +287,24 @@ class TestDesignPi:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             DesignSpecPi(plant=BENCH_PLANT, poles=(-1 + 6j, -1 - 6j))
+
+    @given(poles=st.tuples(*[st.sampled_from(POLE_POOL)] * 3))
+    @settings(max_examples=500, derandomize=True, database=None)
+    def test_closure_check_matches_the_pairing_loop(self, poles):
+        try:
+            spec = DesignSpecPi(plant=BENCH_PLANT, poles=poles)
+        except ValueError:
+            assert not pairing_loop_accepts(poles)
+        else:
+            assert pairing_loop_accepts(poles)
+            # the residual poles as the pairing loop's companion picked them
+            paired = [p for p in poles if not (p.imag < 0 and p.conjugate() in poles)]
+            assert repr(spec.residual_poles()) == repr(paired)
+
+    def test_real_pole_with_a_nan_part_passes(self):
+        nan_pole = complex(math.nan, 0.0)
+        spec = DesignSpecPi(plant=BENCH_PLANT, poles=(-1 + 6j, -1 - 6j, nan_pole))
+        assert repr(spec.residual_poles()) == repr([-1 + 6j, nan_pole])
 
 
 class TestRoundTrip:
