@@ -34,7 +34,8 @@ __all__ = [
     "design_pi",
 ]
 
-#: Acceptable characteristic residual, relative to a0 + K.
+#: Acceptable characteristic residual at a pole, relative to the size of the
+#: polynomial's terms there (see `_placed`).
 RESIDUAL_REL_TOL = 1e-8
 
 #: The fixed lambda lattice that `design_pi` scans D on: _PI_GRID_CELLS cells of
@@ -112,11 +113,14 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
 
     With R = -(a2 s^alpha + a1 s^beta + a0 + K) and theta = arg(pole),
     each branch delta = (arg R - {0, pi} + 2 pi n) / theta with matching
-    Td = +-|R| / |s|^delta places the pair.  Pairs with a non-finite Td or
-    delta (a pole whose argument underflows to 0, powers past the float
-    range) are dropped, without a numpy warning.  The rest are ordered by
-    |delta * theta|, so the branch with the derivative phase in
-    (-pi/2, pi/2] comes first.
+    Td = +-|R| / |s|^delta places the pair.  A pole within rounding of the
+    real axis (|Im s| <= eps |Re s|) has no branch: the pair is one real
+    point to working precision, which the residual check cannot tell from a
+    single real root (and near theta = 0, where arg R is known to about eps,
+    delta would be undetermined).  Pairs with a non-finite Td or
+    delta (powers past the float range) are dropped, without a numpy
+    warning.  The rest are ordered by |delta * theta|, so the branch with
+    the derivative phase in (-pi/2, pi/2] comes first.
     """
     s = complex(pole)
     try:
@@ -125,6 +129,8 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
         return []
     if r == 0:
         return [(0.0, 1.0)]
+    if abs(s.imag) <= np.finfo(float).eps * abs(s.real):
+        return []
     theta = np.angle(s)
     phi = np.angle(r)
     candidates = []
@@ -138,25 +144,39 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
     return candidates
 
 
+def _placed(poly, poles):
+    """(placed, largest residual): whether |P(p)| is within tolerance at every pole.
+
+    The tolerance at p is RESIDUAL_REL_TOL sum |c_k| |p|^e_k: the rounding
+    of P(p) grows with the size of its terms, which a far pole makes large.
+    A residual or a tolerance past the float range places nothing.  np.abs:
+    inf past the float range, where abs() of a complex raises.
+    """
+    poles = np.asarray(poles, dtype=complex)
+    residual = np.abs([eval_fracpoly(poly, p) for p in poles])
+    tol = RESIDUAL_REL_TOL * (np.power.outer(np.abs(poles), poly.exponents)
+                              @ np.abs(poly.coefficients))
+    placed = all(r <= t < math.inf for r, t in zip(residual.tolist(), tol.tolist()))
+    return placed, residual.max()
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def design_pd_fractional(spec: DesignSpecPd) -> PdController:
     """(Td, delta) placing the conjugate pair by the branch formula, K fixed by spec.
 
     The design is the first candidate of `_pd_branch_candidates` (smallest
     |delta * theta| first) whose characteristic residual at the pole is
-    within RESIDUAL_REL_TOL * |a0 + K|.  A pole far out may take a
-    candidate's powers past the float range; that only fails the
-    candidate, so numpy's floating-point warnings are off.
+    within tolerance (`_placed`).  A pole far out may take a candidate's
+    powers past the float range; that only fails the candidate, so numpy's
+    floating-point warnings are off.
     """
     K = spec.resolve_gain()
     plant, pole = spec.plant, spec.pole
-    tol = RESIDUAL_REL_TOL * abs(plant.a0 + K)
     best = math.inf
     for td, delta in _pd_branch_candidates(plant, K, pole):
         ctrl = PdController(K=K, Td=float(td), delta=float(delta))
-        # np.abs: inf past the float range, where abs() of a complex raises
-        residual = np.abs(eval_fracpoly(char_poly_pd(plant, ctrl), pole))
-        if residual <= tol:
+        placed, residual = _placed(char_poly_pd(plant, ctrl), [pole])
+        if placed:
             return ctrl
         best = min(best, residual)
     raise NoSolutionError(
@@ -252,7 +272,7 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     with |D| at its rounding floor is a root as it stands.  At each root,
     (K, Ti) solves the three rows by least squares, each row at the scale
     of its pole's residual.  The design is the smallest such lambda whose
-    complex residual at every pole is within RESIDUAL_REL_TOL * |a0 + K|:
+    complex residual at every pole is within tolerance (`_placed`):
     for a negative real pole and a non-integer lambda, P(pole) is complex,
     so the spec is four real equations in three unknowns, and this check
     judges the fourth.  Values past the float range only fail their
@@ -282,11 +302,9 @@ def design_pi(spec: DesignSpecPi) -> PiController:
         if not np.isfinite([K, Ti]).all():  # a gain past the float range
             continue
         ctrl = PiController(K=float(K), Ti=float(Ti), lam=float(lam))
-        poly = char_poly_pi(plant, ctrl)
-        # P(conj p) = conj P(p), so the residual poles stand for all three; np.abs:
-        # inf past the float range, where abs() of a complex raises; np.max keeps a nan
-        residual = np.max([np.abs(eval_fracpoly(poly, p)) for p in reps])
-        if residual <= RESIDUAL_REL_TOL * abs(plant.a0 + K):
+        # P(conj p) = conj P(p), so the residual poles stand for all three
+        placed, residual = _placed(char_poly_pi(plant, ctrl), reps)
+        if placed:
             return ctrl
         best = min(best, residual)
     raise NoSolutionError(f"PI^lambda design found no lambda in (0, {top:g}) placing poles "

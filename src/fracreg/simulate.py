@@ -14,17 +14,20 @@ The two share only the GL history primitive of `glcalc`: `gl_convolve`
 for series known in advance (the input's share of every equation, and
 the state-space output y, which is never fed back) and `GlHistory` for
 the sums over the series being solved for.  Terms of one equation that
-act on the same series are merged into one kernel first, and one
-`GlHistory` serves each equation row: the PD^delta row with kernels on
-x1 and x2 sums both products in the frequency domain and takes one
-inverse FFT per square.
+act on the same series are merged into one kernel first, terms of one
+order share one GL table, and one `GlHistory` serves each equation row:
+the PD^delta row with kernels on x1 and x2 sums both products in the
+frequency domain and takes one inverse FFT per square.
 
 Both step _BLOCK = 64 samples at a time.  `GlHistory` hands over the sums
 over lags >= _BLOCK for a whole block, which read only samples before it;
 the lags below _BLOCK couple the samples of the block, and each simulator
-solves them with its own small linear operator, formed once per run
-(`_euler_block` for the Euler steps, a triangular Toeplitz solve with one
-refinement step for the direct scheme).  A run of n steps thus costs
+solves them with its own small linear operator, formed once per run.  The
+Euler scheme folds the near lags, their solve and the summing of the steps
+into one propagator (`_euler_block`), so a block of states is one
+matrix-vector product with the block's forcing and the 64 states before
+it; the direct scheme takes a triangular Toeplitz solve with one
+refinement step.  A run of n steps thus costs
 n / 64 Python iterations plus the O(n log^2 n) work of the history sums:
 direct convolutions for squares up to 256 samples wide, FFTs beyond, with
 the kernel spectra of widths up to 1024 cached.  `memory_len` keeps its
@@ -170,13 +173,19 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
         return w if target == INPUT else x[target]
 
     def split(terms):
-        """Summed order-0 gains and one merged GL kernel, per target."""
-        scalars, kernels = {}, {}
+        """Summed order-0 gains and one merged GL kernel, per target.
+
+        Terms of one order share one GL table.  The tables are dropped on
+        return, before the history sums and convolutions need their memory.
+        """
+        scalars, kernels, tables = {}, {}, {}
         for t in terms:
             if t.order == 0:
                 scalars[t.target] = scalars.get(t.target, 0.0) + t.gain
             else:
-                weights = _gl_scale(t.gain, t.order, h) * gl_coefficients(t.order, n_mem).coeffs
+                if t.order not in tables:
+                    tables[t.order] = gl_coefficients(t.order, n_mem).coeffs
+                weights = _gl_scale(t.gain, t.order, h) * tables[t.order]
                 if t.target in kernels:
                     kernels[t.target] += weights
                 else:
@@ -233,70 +242,85 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
 
 
 def _euler_block(near, h):
-    """(solve, carry): the right-hand sides of one block of Euler steps.
+    """The propagator P = [A | C] of one block of Euler steps, (B*d) x (2*B*d).
 
     Step k evaluates g[k] = sum_{j<B} near[j] x[:, k-j] + f[k], where f is
     the input share plus the far history sums, and sets
     x[:, k+1] = x[:, k] + h g[k].  In the block of steps k = t..t+B-1 a
-    state x[:, t+i] is x[:, t] + h (g[t] + ... + g[t+i-1]), so with g and
-    v = x[:, t-B+1..t] flattened time-major,
+    state x[:, t+i] is x[:, t] + h (g[t] + ... + g[t+i-1]), so with f and
+    v = x[:, t-B+1..t] flattened time-major, g solves
 
-        (I - h N) g = carry @ v + f,   g = solve @ (carry @ v + f).
+        (I - h N) g = carry @ v + f,
 
-    N[m, i] = cum[m-1-i] for i < m, with cum[l] = near[0] + ... + near[l],
-    is strictly block-lower and block-Toeplitz, so solve = (I - h N)^-1 is
-    block-Toeplitz too and its blocks come from one forward substitution.
+    N[m, i] = cum[m-1-i] for i < m, with cum[l] = near[0] + ... + near[l].
     carry[m, p] = near[m + B-1 - p] for m <= p < B-1 reaches back before
-    the block, and its last column, x[:, t] itself, is cum[m].  The
-    leading b*d rows and columns are the operator of the first b steps.
+    the block, and its last column, x[:, t] itself, is cum[m].  The new
+    states x[:, t+1..t+B] are then P @ [f; v], with
+
+        A = h L (I - h N)^-1,   C = A @ carry + [0 ... 0 | I],
+
+    L the block-lower-triangular ones, which sum the steps.  N is strictly
+    block-lower and block-Toeplitz, so (I - h N)^-1 is block-Toeplitz too,
+    its blocks from one forward substitution, and A is block-Toeplitz with
+    h times the running sum of those blocks at each lag.  The leading b*d
+    rows of P, read against the leading b*d entries of f, are the operator
+    of the first b steps.
     """
     size, dim, _ = near.shape
     cum = np.cumsum(near, axis=0)
     flat = cum.transpose(1, 0, 2).reshape(dim, -1)  # [cum[0] cum[1] ...]
-    rev = np.zeros_like(near)  # rev[size-1-k] is solve's block at lag k
+    rev = np.zeros_like(near)  # rev[size-1-k] is the inverse's block at lag k
     rev[-1] = np.eye(dim)
     for k in range(1, size):
         rev[-1 - k] = h * (flat[:, :k * dim] @ rev[-k:].reshape(-1, dim))
     # a block that grows past the float range does so only after the states
     # diverge, but a zero forcing must still give zero states, not 0 * inf
     np.nan_to_num(rev, copy=False)
-    solve = np.zeros((size, dim, size, dim))
+    lagged = h * np.cumsum(rev[::-1], axis=0)[::-1]  # lagged[size-1-k] is A's block at lag k
+    prop = np.zeros((size, dim, 2, size, dim))  # [A | C], row (m, i) to column (A or C, p, j)
     carry = np.zeros((size, dim, size, dim))
     for m in range(size):
-        solve[m, :, :m + 1] = rev[size - 1 - m:].transpose(1, 0, 2)
+        prop[m, :, 0, :m + 1] = lagged[size - 1 - m:].transpose(1, 0, 2)
         carry[m, :, m:size - 1] = near[size - 1:m:-1].transpose(1, 0, 2)
     carry[:, :, size - 1] = cum
-    return solve.reshape(size * dim, -1), carry.reshape(size * dim, -1)
+    rows = prop.reshape(size * dim, 2, size * dim)
+    np.matmul(rows[:, 0], carry.reshape(size * dim, -1), out=rows[:, 1])
+    del carry
+    prop[:, :, 1, size - 1] += np.eye(dim)  # x[:, t] itself starts every step
+    np.nan_to_num(prop, copy=False)
+    return prop.reshape(size * dim, -1)
 
 
 def _block_steps(x, near, rows, h, n) -> int:
     """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges.
 
-    Each block of _BLOCK steps solves for its right-hand sides at once (see
-    `_euler_block`); f holds each row's input share and far history sums,
-    which read only states before the block.  The states then accumulate
-    the steps h g[k] one by one, as Euler's scheme adds them.  No state is
-    read after it diverges, so the block products run with overflow ignored.
+    Each block of _BLOCK steps is one product of the propagator of
+    `_euler_block` with [f; v]: f holds each row's input share and far
+    history sums, which read only states before the block, and v the
+    states x[:, t-B+1..t].  No state is read after it diverges, so the
+    products run with overflow ignored; one reduction checks each block,
+    and only the block that fails it looks for its first bad step.
     """
     dim = len(x)
+    size = _BLOCK * dim
+    forcing = np.zeros(2 * size)  # [f; v], both time-major
+    f, v = forcing[:size].reshape(_BLOCK, dim), forcing[size:].reshape(_BLOCK, dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        solve, carry = _euler_block(near, h)
+        prop = _euler_block(near, h)
         for t in range(0, n, _BLOCK):
             b = min(_BLOCK, n - t)
-            f = np.zeros((b, dim))
+            f[:] = 0.0  # summed afresh each block; a short last block leaves zeros past b
             for row, shares, history in rows:
                 for ser, c in shares:
-                    f[:, row] += c * ser[t:t + b]
+                    f[:b, row] += c * ser[t:t + b]
                 if history is not None:
-                    f[:, row] += history.block(t)[:b]
-            g = f.reshape(-1)
+                    f[:b, row] += history.block(t)[:b]
             if t:  # before t = 0 the states are at rest
-                g += carry[:b * dim] @ x[:, t - _BLOCK + 1:t + 1].T.reshape(-1)
-            states = x[:, t:t + b + 1]
-            states[:, 1:] = h * (solve[:b * dim, :b * dim] @ g).reshape(b, dim).T
-            np.cumsum(states, axis=1, out=states)
-            finite = (np.abs(states[:, 1:]) <= DIVERGENCE_LIMIT).all(axis=0)
-            if not finite.all():
+                v[:] = x[:, t - _BLOCK + 1:t + 1].T
+            new = prop[:b * dim] @ forcing
+            x[:, t + 1:t + b + 1] = new.reshape(b, dim).T
+            if not np.abs(new).max() <= DIVERGENCE_LIMIT:  # a NaN fails it too
+                finite = (np.abs(new.reshape(b, dim)) <= DIVERGENCE_LIMIT).all(axis=1)
                 return t + 1 + int(np.argmin(finite))
     return n + 1
 
@@ -318,11 +342,24 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):
         raise SingularStepError(f"leading GL weights sum to {pivot:.3g}")
 
+    tables = {}  # order -> its GL weights, each formed once per run
+
+    def merged(scaled):
+        """sum of scale * GL weights over (scale, order); an order-0 weight is the first only."""
+        kernel = np.zeros(n_mem + 1)
+        for scale, q in scaled:
+            if q == 0:
+                kernel[0] += scale
+                continue
+            if q not in tables:
+                tables[q] = gl_coefficients(q, n_mem).coeffs
+            kernel += scale * tables[q]
+        return kernel
+
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive diverges at once
-        drive = gl_convolve(sum(_gl_scale(c, q, h) * gl_coefficients(q, n_mem).coeffs
-                                for c, q in w_terms), w)
-    kernel = sum(scale * gl_coefficients(q, n_mem).coeffs
-                 for scale, (_, q) in zip(y_scales, y_terms))
+        drive = gl_convolve(merged((_gl_scale(c, q, h), q) for c, q in w_terms), w)
+    kernel = merged(zip(y_scales, (q for _, q in y_terms)))
+    tables.clear()  # freed before the history sums need memory
     near = np.zeros(_BLOCK)
     near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
     y = np.zeros(n + 1)

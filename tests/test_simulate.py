@@ -9,7 +9,7 @@ from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
 from fracreg.model import (INPUT, PdController, PiController, Plant, build_pd_model,
                            build_pi_model, closed_loop)
 from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
-                              _input_samples, simulate_direct,
+                              _euler_block, _input_samples, simulate_direct,
                               simulate_state_space, steady_state_estimate)
 from test_glcalc import PerSampleHistory
 
@@ -304,6 +304,43 @@ class TestBlockSteps:
         assert (index is None) == (amplitude == 0.0)
         np.testing.assert_allclose(direct.output, y, rtol=1e-10)
         np.testing.assert_allclose(np.array(ss.states), states, rtol=1e-13)
+
+
+class TestEulerBlock:
+    """The block propagator against Euler steps taken one at a time."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 63, 64])
+    def test_propagator_matches_single_steps(self, dim, b):
+        rng = np.random.default_rng([dim, b])
+        h, size = 0.01, 64
+        near = rng.normal(size=(size, dim, dim))
+        f = rng.normal(size=(b, dim))
+        v = rng.normal(size=(size, dim))  # x[:, t-63..t], time-major
+        states = list(v)
+        for i in range(b):
+            # x[k+1] = x[k] + h (sum_{j<64} near[j] x[k-j] + f[k])
+            g = f[i] + sum(near[j] @ states[-1 - j] for j in range(size))
+            states.append(states[-1] + h * g)
+        want = np.array(states[size:])
+        prop = _euler_block(near, h)
+        assert prop.shape == (size * dim, 2 * size * dim)
+        bd = b * dim
+        got = prop[:bd, :bd] @ f.reshape(-1) + prop[:bd, size * dim:] @ v.reshape(-1)
+        np.testing.assert_allclose(got.reshape(b, dim), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_forcing_past_the_float_range_gives_zeros(self, dim):
+        # near[0] = 1e9 grows the block ~1e7-fold a step: its later blocks pass 1e308
+        near = np.zeros((64, dim, dim))
+        near[0] = 1e9 * np.eye(dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = _euler_block(near, 0.01)
+        assert np.isfinite(prop).all()
+        assert np.max(np.abs(prop)) > 1e300
+        new = prop @ np.zeros(prop.shape[1])
+        assert np.array_equal(new, np.zeros(len(new)))
 
 
 @pytest.mark.parametrize("simulate", ["state_space", "direct"])
