@@ -29,11 +29,12 @@ logged.  Each run takes at most MAX_ITER iterations.
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
 `_distinct_roots`: candidates are folded onto Im >= 0 and reduced to one
-per DEDUPE_TOL cell.  `_polish` Newton-polishes each one and keeps it as a
-RootResult on Im >= 0 when |P| is within `_tolerance`: NEWTON_TOL times
-the larger of 1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k.
-Newton counts a start as converged by the same rule, and that |P| is the
-root's reported residual.  The kept roots are deduplicated within
+per DEDUPE_TOL cell.  `_polish` Newton-polishes each one, point by point
+in float arithmetic (`evaluate_terms`), and keeps it as a RootResult on
+Im >= 0 when |P| is within `_tolerance`: NEWTON_TOL times the larger of
+1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k.  Newton
+counts a start as converged by the same rule, and that |P| is the root's
+reported residual.  The kept roots are deduplicated within
 DEDUPE_TOL max(1, |s|), the conjugate of each non-real one is added, and
 the set is sorted.  These are fixed constants, not settings.  When every
 exponent is positive, P(0) = 0 and both finders report the root s = 0 as
@@ -42,6 +43,7 @@ exactly 0j; the count includes it and the verdict is unstable.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -120,6 +122,27 @@ def eval_fracpoly(p: FracPoly, s: complex) -> complex:
     return complex(sum(c * z ** e for c, e in p.terms))
 
 
+def evaluate_terms(p: FracPoly, s: complex):
+    """(P(s), s P'(s), sum |c_k| |s|^e_k) at one point s, in scalar arithmetic.
+
+    The middle value is sum e_k c_k s^e_k, and the last the size of P's
+    terms, which bounds the rounding of P(s).  Powers are Python's complex
+    and float ones on the principal branch.  Where numpy returns inf or nan,
+    they raise an ArithmeticError: OverflowError for a power past the float
+    range, ZeroDivisionError for a phase e_k arg s past it.  Callers read
+    either as "no root here".  At s = 0 only a term of exponent 0 survives.
+    """
+    size_s = abs(s)
+    value = slope = 0j
+    size = 0.0
+    for c, e in p.terms:
+        term = c * s ** e
+        value += term
+        slope += e * term
+        size += abs(c) * size_s ** e
+    return value, slope, size
+
+
 def normalize(p: FracPoly) -> FracPoly:
     """`p` with its exponents shifted so the smallest is zero.
 
@@ -175,40 +198,38 @@ def _dedupe(roots):
 def _polish(p: FracPoly, points):
     """A few Newton steps on the original polynomial; the true roots, folded onto Im >= 0.
 
-    Returns RootResults whose residual is |P| at the root kept: the value its
-    acceptance test read.  A root within DEDUPE_TOL max(1, |s|) of the real
-    axis is put on it when its real part passes the same residual test, but
-    never on s = 0: the root s = 0 is decided exactly by `_zero_is_root`, and
-    P may not even be defined there (a negative exponent).
+    Each point is polished on its own in scalar arithmetic (`evaluate_terms`),
+    and a power past the float range drops it.  Returns RootResults whose
+    residual is |P| at the root kept: the value its acceptance test read.  A
+    root within DEDUPE_TOL max(1, |s|) of the real axis is put on it when its
+    real part passes the same residual test, but never on s = 0: the root
+    s = 0 is decided exactly by `_zero_is_root`, and P may not even be
+    defined there (a negative exponent).
     """
     scale = _residual_scale(p)
-    coeffs = np.array(p.coefficients, dtype=complex)
-    expts = np.array(p.exponents, dtype=float)
-    dcoeffs = coeffs * expts
-    mags = np.abs(coeffs)
     out = []
     for z in points:
         s = complex(z)
-        for _ in range(12):
-            if s == 0:
-                break
-            f, fp = _eval_vec(coeffs, dcoeffs, expts, np.array([s]))
-            if abs(f[0]) <= 0.01 * scale or fp[0] == 0:
-                break
-            s = s - f[0] / fp[0]
-        s = complex(s)
-        if s == 0 or not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        try:
+            # a point at s = 0 stops at once (P' = 0) or raises (a negative exponent)
+            value, slope, size = evaluate_terms(p, s)
+            for _ in range(12):
+                if abs(value) <= 0.01 * scale or slope == 0:
+                    break
+                s -= value * s / slope
+                value, slope, size = evaluate_terms(p, s)
+            if s == 0 or not cmath.isfinite(s):
+                continue
+            # the bound of `_tolerance`; a sum past the float range is no root
+            bound = max(scale, NEWTON_TOL * size)
+            if not abs(value) <= bound < math.inf:
+                continue
+            if 0 < abs(s.imag) <= DEDUPE_TOL * max(1.0, abs(s)) and s.real != 0:
+                on_axis = evaluate_terms(p, complex(s.real, 0.0))[0]
+                if abs(on_axis) <= bound:
+                    s, value = complex(s.real, 0.0), on_axis
+        except ArithmeticError:  # a power past the float range: no root there
             continue
-        value = eval_fracpoly(p, s)
-        bound = _tolerance(scale, mags, expts, abs(s))
-        # np.abs: inf past the float range, where abs() of a complex raises;
-        # a term past it makes the sum inf or nan, and neither is a root
-        if not np.abs(value) <= bound:
-            continue
-        if 0 < abs(s.imag) <= DEDUPE_TOL * max(1.0, abs(s)) and s.real != 0:
-            on_axis = eval_fracpoly(p, s.real)
-            if np.abs(on_axis) <= bound:
-                s, value = complex(s.real, 0.0), on_axis
         out.append(RootResult(s if s.imag >= 0 else s.conjugate(), abs(value)))
     return out
 

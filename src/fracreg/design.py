@@ -7,20 +7,23 @@ polynomial negated, is solved branch by branch (`_pd_branch_candidates`),
 and the first branch whose residual is within tolerance is the design.
 The PI^lambda placement scans one scalar function of lambda for its
 zeros and refines them by a bracketed regula falsi (see `design_pi`); no
-design runs Newton.  A successful design is not necessarily stable
+design runs Newton.  What sees only a few values at a time (a bracket's
+refinement, the residual check at the poles) runs in float arithmetic,
+not numpy.  A successful design is not necessarily stable
 (negative derivative orders can introduce extra right-half-plane poles);
 stability is reported separately, never enforced here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import eval_fracpoly
+from .charpoly import evaluate_terms
 from .errors import NoSolutionError
 from .model import (MAX_GL_ORDER, PdController, PiController, Plant, char_poly_pd,
                     char_poly_pi)
@@ -149,15 +152,18 @@ def _placed(poly, poles):
 
     The tolerance at p is RESIDUAL_REL_TOL sum |c_k| |p|^e_k: the rounding
     of P(p) grows with the size of its terms, which a far pole makes large.
-    A residual or a tolerance past the float range places nothing.  np.abs:
-    inf past the float range, where abs() of a complex raises.
+    A residual or a tolerance past the float range places nothing.
     """
-    poles = np.asarray(poles, dtype=complex)
-    residual = np.abs([eval_fracpoly(poly, p) for p in poles])
-    tol = RESIDUAL_REL_TOL * (np.power.outer(np.abs(poles), poly.exponents)
-                              @ np.abs(poly.coefficients))
-    placed = all(r <= t < math.inf for r, t in zip(residual.tolist(), tol.tolist()))
-    return placed, residual.max()
+    placed, largest = True, 0.0
+    for p in poles:
+        try:
+            value, _, size = evaluate_terms(poly, p)
+            residual = abs(value)
+        except ArithmeticError:  # a power past the float range
+            residual = size = math.inf
+        placed = placed and residual <= RESIDUAL_REL_TOL * size < math.inf
+        largest = max(largest, residual)
+    return placed, largest
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -197,61 +203,96 @@ def design_pd_integer(spec: DesignSpecPd) -> PdController:
 
 
 def _pi_equations(plant: Plant, reps):
-    """Per-row constants of the three real placement equations, for `_pi_rows`.
+    """Per-row constants of the three real placement equations, for `_pi_row`.
 
     A pole p with g = -G(p) gives the row of its real part and, off the real
     axis, the row of its imaginary part, Im z = Re(-i z).  A row holds
     (log p - k, f w, f g w, w_T, k, -log w): f is 1 or -i, k = log max(1, |p|),
     w = 1 / max(1, |g|), and w_T weighs Ti: w in a real part, 0 otherwise.
     """
+    # numpy's power on purpose: at a far real pole G(p) is the difference of terms
+    # 1e12 times larger, so it rests on the powers' last bits (Python's moved K by 2e-3)
     poles = np.array(reps, dtype=complex)
     gains = -(plant.a2 * poles ** plant.alpha + plant.a1 * poles ** plant.beta + plant.a0)
-    if not (np.isfinite(np.abs(poles)).all() and np.isfinite(gains).all()):
+    if not (np.isfinite(np.abs(poles)).all() and np.isfinite(np.abs(gains)).all()):
         raise NoSolutionError(f"poles {reps} are past the float range for PI^lambda design")
     rows = []
-    for p, g in zip(reps, gains):
+    for p, g in zip(reps, gains.tolist()):
         # log|0| is taken as the log of the smallest float: p^lam underflows to 0 all the same
         log_p = complex(math.log(max(abs(p), 5e-324)), math.atan2(p.imag, p.real))
         k, w = max(log_p.real, 0.0), 1.0 / max(1.0, abs(g))
         rows.append((log_p - k, w, g * w, w, k, -math.log(w)))
         if p.imag != 0:
             rows.append((log_p - k, -1j * w, -1j * g * w, 0.0, k, -math.log(w)))
-    return tuple(np.array(column) for column in zip(*rows))
+    return rows
 
 
-def _pi_rows(equations, lam):
-    """Rows [a | b | c] of a_i K + b_i Ti = c_i, one 3 x 3 matrix per lambda, and their scales.
+def _pi_row(equation, lam):
+    """Row [a | b | c] of a K + b Ti = c at one lambda, and the log of its scale.
 
     At a pole p the placement reads K p^lam + Ti = c = -p^lam G(p), with
     G(p) = a2 p^alpha + a1 p^beta + a0: the row [Re p^lam, 1, Re c] and, off
-    the real axis, [Im p^lam, 0, Im c].  So that nothing overflows, each row
+    the real axis, [Im p^lam, 0, Im c].  So that nothing overflows, the row
     is divided by max(1, |p|^lam) max(1, |G(p)|), whose log is returned too.
     """
-    log_power, a_weight, c_weight, b_weight, k, m = equations
-    lam = lam[:, None]
-    z = np.exp(lam * log_power)
-    rows = np.empty((lam.size, 3, 3))
-    rows[..., 0], rows[..., 2] = (z * a_weight).real, (z * c_weight).real
-    rows[..., 1] = np.exp(-lam * k) * b_weight
-    return rows, lam * k + m
+    log_power, a_weight, c_weight, b_weight, k, m = equation
+    z = cmath.exp(lam * log_power)
+    return (z * a_weight).real, math.exp(-lam * k) * b_weight, (z * c_weight).real, lam * k + m
 
 
-def _bracketed_roots(func, a, b, fa, fb):
-    """Roots of `func` in the brackets [a, b], where fa and fb differ in sign.
+def _pi_columns(equations, lams):
+    """The columns a, b, c of the three `_pi_row`s at every lambda of the array `lams`.
 
-    Anderson-Bjorck regula falsi, all brackets in one call of `func` a step:
-    c replaces the end of its sign, and when that is the last point b, f(a)
-    is scaled by 1 - f(c) / f(b) (or 1/2), for superlinear convergence.  It
-    stops when every |f(c)| is down to _PI_DET_FLOOR or c moved a few ulps.
+    Each is an array of shape (3, lams.size), row by lambda, formed in one
+    numpy pass.
+    """
+    log_power, a_weight, c_weight, b_weight, k, _ = (
+        np.array(column)[:, None] for column in zip(*equations))
+    z = np.exp(log_power * lams)
+    return (z * a_weight).real, np.exp(-k * lams) * b_weight, (z * c_weight).real
+
+
+def _unit_det(a, b, c):
+    """(det, product of the squared row norms) of the 3 x 3 matrix with columns a, b, c.
+
+    A cofactor expansion that floats and numpy arrays of them go through
+    alike; det / sqrt(product) is D, the determinant of the rows scaled to
+    unit norm.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
+    det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    norms = ((a0 * a0 + b0 * b0 + c0 * c0) * (a1 * a1 + b1 * b1 + c1 * c1)
+             * (a2 * a2 + b2 * b2 + c2 * c2))
+    return det, norms
+
+
+def _pi_det(equations, lam):
+    """D at one lambda, in float arithmetic; nan where a row underflows to zero."""
+    a, b, c, _ = zip(*(_pi_row(equation, lam) for equation in equations))
+    det, norms = _unit_det(a, b, c)
+    return det / math.sqrt(norms) if norms > 0 else math.nan
+
+
+def _pi_root(equations, a, b, fa, fb):
+    """The zero of D in the bracket [a, b], where fa = D(a) and fb = D(b) differ in sign.
+
+    Anderson-Bjorck regula falsi: c replaces the end of its sign, and when
+    that is the last point b, f(a) is scaled by 1 - f(c) / f(b) (or 1/2),
+    for superlinear convergence.  It stops when |D(c)| is down to
+    _PI_DET_FLOOR or c moved a few ulps; a nan D gives a nan root.
     """
     for _ in range(_PI_REFINE_STEPS):
         c = b - fb * (b - a) / (fb - fa)
-        fc = func(c)
-        flip = np.signbit(fc) != np.signbit(fb)
-        m = 1.0 - fc / fb
-        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
+        fc = _pi_det(equations, c)
+        if math.isnan(fc):
+            return math.nan
+        if math.copysign(1.0, fc) != math.copysign(1.0, fb):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fc / fb
+            fa *= m if m > 0 else 0.5
         c, b, fb = b, c, fc
-        if np.all((np.abs(fb) <= _PI_DET_FLOOR) | (np.abs(b - c) <= 4 * np.spacing(b))):
+        if abs(fb) <= _PI_DET_FLOOR or abs(b - c) <= 4 * math.ulp(b):
             break
     return b
 
@@ -263,20 +304,21 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     At a fixed lambda the three real equations of the residual poles (a
     pair's real and imaginary parts and a real pole's real part, or three
     real parts) are linear in (K, Ti).  They are consistent exactly where
-    D(lambda), the determinant of their augmented rows (`_pi_rows`) scaled
-    to unit norm, vanishes.  D is evaluated once, in ascending order, on a
-    fixed lattice of (0, 6 - alpha), the orders `build_pi_model` takes:
-    _PI_GRID_CELLS cells of _PI_SUBCELLS steps each, and the two points a
-    millionth of a cell from either end.  The sign change between each pair
-    of neighbouring points is refined (`_bracketed_roots`); a lattice point
-    with |D| at its rounding floor is a root as it stands.  At each root,
-    (K, Ti) solves the three rows by least squares, each row at the scale
-    of its pole's residual.  The design is the smallest such lambda whose
-    complex residual at every pole is within tolerance (`_placed`):
-    for a negative real pole and a non-integer lambda, P(pole) is complex,
-    so the spec is four real equations in three unknowns, and this check
-    judges the fourth.  Values past the float range only fail their
-    lambda, without numpy warnings.
+    D(lambda), the determinant of their augmented rows (`_pi_row`) scaled
+    to unit norm, vanishes.  D is evaluated once, in ascending order and in
+    one numpy pass (`_pi_columns`, `_unit_det`), on a fixed lattice of
+    (0, 6 - alpha), the orders `build_pi_model` takes: _PI_GRID_CELLS cells
+    of _PI_SUBCELLS steps each, and the two points a millionth of a cell
+    from either end.  The sign change between each pair of neighbouring
+    points is refined on its own, in float arithmetic (`_pi_root`); a
+    lattice point with |D| at its rounding floor is a root as it stands.
+    At each root, (K, Ti) solves the three rows by least squares, each row
+    at the scale of its pole's residual.  The design is the smallest such
+    lambda whose complex residual at every pole is within tolerance
+    (`_placed`): for a negative real pole and a non-integer lambda, P(pole)
+    is complex, so the spec is four real equations in three unknowns, and
+    this check judges the fourth.  Values past the float range only fail
+    their lambda, without numpy warnings.
     """
     plant, reps = spec.plant, spec.residual_poles()
     equations = _pi_equations(plant, reps)
@@ -284,24 +326,25 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     cell = top / _PI_GRID_CELLS
     lattice = cell * np.arange(1, _PI_GRID_CELLS * _PI_SUBCELLS) / _PI_SUBCELLS
     lams = np.concatenate([[1e-6 * cell], lattice, [top - 1e-6 * cell]])
-
-    def det(lam):
-        rows = _pi_rows(equations, lam)[0]
-        return np.linalg.det(rows) / np.sqrt(np.einsum("nij,nij->ni", rows, rows).prod(axis=1))
-
-    values = det(lams)
-    cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)
-    roots = _bracketed_roots(det, lams[cross], lams[cross + 1], values[cross], values[cross + 1])
+    det, norms = _unit_det(*_pi_columns(equations, lams))
+    values = det / np.sqrt(norms)
+    cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0).tolist()
+    candidates = lams[np.abs(values) <= _PI_DET_FLOOR].tolist()
+    lams, values = lams.tolist(), values.tolist()
+    candidates += [_pi_root(equations, lams[i], lams[i + 1], values[i], values[i + 1])
+                   for i in cross]
     best = math.inf
-    candidates = np.concatenate([lams[np.abs(values) <= _PI_DET_FLOOR], roots])
-    for lam in np.sort(candidates[np.isfinite(candidates)]):  # a row that underflows to 0 gives nan
-        rows, log_scale = _pi_rows(equations, np.array([lam]))
+    for lam in sorted(filter(math.isfinite, candidates)):  # a row that underflows to 0 gives nan
+        rows = [_pi_row(equation, lam) for equation in equations]
+        top_scale = max(log_scale for *_, log_scale in rows)
         # each row at its own scale, as the residual check weighs the poles
-        rows = rows[0] * np.exp(log_scale - log_scale.max())[0, :, None]
+        rows = np.array([[x * math.exp(log_scale - top_scale) for x in row]
+                         for *row, log_scale in rows])
         (K, Ti), *_ = np.linalg.lstsq(rows[:, :2], rows[:, 2], rcond=None)
-        if not np.isfinite([K, Ti]).all():  # a gain past the float range
+        K, Ti = float(K), float(Ti)
+        if not (math.isfinite(K) and math.isfinite(Ti)):  # a gain past the float range
             continue
-        ctrl = PiController(K=float(K), Ti=float(Ti), lam=float(lam))
+        ctrl = PiController(K=K, Ti=Ti, lam=lam)
         # P(conj p) = conj P(p), so the residual poles stand for all three
         placed, residual = _placed(char_poly_pi(plant, ctrl), reps)
         if placed:

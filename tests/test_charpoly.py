@@ -82,6 +82,55 @@ class TestEval:
         assert eval_fracpoly(poly, 0.0) == 3.0
 
 
+class TestScalarEvaluation:
+    """`evaluate_terms`, the one-point arithmetic of `_polish` and `design._placed`."""
+
+    @staticmethod
+    def random_cases(seed, n=40):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            size = int(rng.integers(2, 6))
+            coeffs = 10.0 ** rng.uniform(-2.0, 2.0, size) * rng.choice([-1.0, 1.0], size)
+            poly = FracPoly.from_terms(zip(coeffs.tolist(), rng.uniform(-1.0, 4.0, size).tolist()))
+            yield poly, complex(10.0 ** rng.uniform(-2.0, 2.0)
+                                * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_numpy_evaluation(self, seed):
+        for poly, s in self.random_cases(seed):
+            value, slope, size = charpoly.evaluate_terms(poly, s)
+            assert size == pytest.approx(sum(abs(c) * abs(s) ** e for c, e in poly.terms),
+                                         rel=1e-14)
+            assert abs(value - eval_fracpoly(poly, s)) <= 1e-14 * size
+            coeffs = np.array(poly.coefficients, dtype=complex)
+            expts = np.array(poly.exponents)
+            _, fp = charpoly._eval_vec(coeffs, coeffs * expts, expts, np.array([s]))
+            slope_size = sum(abs(c * e) * abs(s) ** e for c, e in poly.terms)
+            assert abs(slope - s * fp[0]) <= 1e-14 * slope_size
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polished_residual_is_eval_fracpoly(self, seed):
+        polys = [GOLDEN_POLY, UNSTABLE_POLY, MIXED_INTEGER_POLY] if seed == 0 else []
+        polys += [poly for poly, _ in self.random_cases(seed, 10)]
+        for poly in polys:
+            for root in find_roots(poly).roots:
+                if root.value == 0:
+                    continue
+                size = sum(abs(c) * abs(root.value) ** e for c, e in poly.terms)
+                assert abs(root.residual - abs(eval_fracpoly(poly, root.value))) <= 1e-14 * size
+
+    @pytest.mark.parametrize("terms, point", [
+        ([(1.0, 2.5), (-3.0, 1.0), (1.0, 0.0)], 1e200 + 1j),  # |s|^2.5 overflows
+        ([(1.0, 2.5), (-3.0, 1.0), (1.0, 0.0)], 1e130 + 0j),
+        ([(1.0, 1e308), (1.0, 0.0)], -1 + 0.01j),  # the phase 1e308 arg s overflows
+    ])
+    def test_point_past_the_float_range_is_dropped(self, terms, point):
+        poly = FracPoly.from_terms(terms)
+        with pytest.raises(ArithmeticError):
+            charpoly.evaluate_terms(poly, point)
+        assert charpoly._polish(poly, [point]) == []
+
+
 class TestNormalize:
     def test_unstable_case_shift(self):
         poly = FracPoly.from_terms(

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 
 from fracreg.charpoly import NEWTON_TOL, eval_fracpoly, find_roots
 from fracreg.design import (RESIDUAL_REL_TOL, DesignSpecPd, DesignSpecPi,
-                            _pd_branch_candidates, design_pd_fractional, design_pd_integer,
+                            _pd_branch_candidates, _pi_columns, _pi_det, _pi_equations,
+                            _placed, _unit_det, design_pd_fractional, design_pd_integer,
                             design_pi, gain_from_ss_error)
 from fracreg.errors import NoSolutionError
-from fracreg.model import (PdController, PiController, Plant, char_poly_pd,
+from fracreg.model import (FracPoly, PdController, PiController, Plant, char_poly_pd,
                            char_poly_pi)
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
@@ -144,7 +147,8 @@ class TestDesignPdInteger:
 
     @pytest.mark.parametrize("design, pole", [
         (design_pd_fractional, 4.36e307 - 1e-5j),  # s^alpha overflows a Python complex
-        (design_pd_fractional, 3.481503277165808e34 + 6j),  # the residual norm overflows
+        # the pole lies within rounding of the real axis; its residual, 2.1e62, does not overflow
+        (design_pd_fractional, 3.481503277165808e34 + 6j),
         (design_pd_fractional, -1.72e65 + 2.2j),  # the branch candidates overflow
         (design_pd_fractional, 5.3e73 + 1e-308j),  # arg(pole) underflows to 0
         (design_pd_integer, 4.36e307 + 1j),
@@ -270,7 +274,7 @@ class TestDesignPi:
         cases = [
             (plant, (-1e300 + 0j, -1 + 1j, -1 - 1j)),  # s^(alpha + lambda) overflows
             (plant, (tiny, tiny.conjugate(), -2.0)),  # |p|^lambda underflows past lambda 2.6
-            # the fitted K overflows, or P(1e200) is nan: neither passes the residual check
+            # the fitted K overflows, or P(1e200) = 1.2e192 misses the bound: neither passes
             (Plant(a0=0, a1=0, a2=1, alpha=1.53125, beta=0), (0j, 0j, 1e200)),
             (Plant(a0=0, a1=0, a2=1, alpha=1, beta=0), (0j, 0j, 1e200)),
         ]
@@ -305,6 +309,67 @@ class TestDesignPi:
         nan_pole = complex(math.nan, 0.0)
         spec = DesignSpecPi(plant=BENCH_PLANT, poles=(-1 + 6j, -1 - 6j, nan_pole))
         assert repr(spec.residual_poles()) == repr([-1 + 6j, nan_pole])
+
+
+def random_pi_specs(rng, n):
+    """`n` PI^lambda specs on random plants: a pair and a real pole, or three real poles."""
+    for i in range(n):
+        alpha = rng.uniform(0.3, 3.0)
+        plant = Plant(a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-2.0, 2.0),
+                      a2=rng.uniform(-2.0, 2.0), alpha=alpha, beta=rng.uniform(0.0, alpha))
+        if i % 2:
+            poles = tuple(rng.uniform(-5.0, 5.0, 3).tolist())
+        else:
+            pair = complex(rng.uniform(-3.0, 1.0), rng.uniform(0.1, 3.0))
+            poles = (pair, pair.conjugate(), rng.uniform(-5.0, 5.0))
+        yield DesignSpecPi(plant=plant, poles=poles)
+
+
+#: Planted PI^lambda specs, 20 per lambda range, stored as numbers with the designs
+#: recorded for them (the file's "source" says how both were made).
+PLANTED_PI_DESIGNS = json.loads(Path(__file__).with_name("planted_pi_designs.json").read_text())
+
+
+class TestPiScalarArithmetic:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_determinant_matches_linalg_on_the_lattice(self, seed):
+        for spec in random_pi_specs(np.random.default_rng(seed), 10):
+            equations = _pi_equations(spec.plant, spec.residual_poles())
+            cell = (6.0 - spec.plant.alpha) / 64
+            lams = cell * np.arange(1, 512) / 8
+            columns = _pi_columns(equations, lams)
+            rows = np.stack(columns, axis=-1).swapaxes(0, 1)  # lambda, row, column
+            want = np.linalg.det(rows / np.linalg.norm(rows, axis=2, keepdims=True))
+            assert np.isfinite(want).all()
+            det, norms = _unit_det(*columns)
+            assert np.abs(det / np.sqrt(norms) - want).max() <= 1e-14
+            scalar = np.array([_pi_det(equations, lam) for lam in lams.tolist()])
+            assert np.abs(scalar - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("lam_range", [(0.05, 0.3), (0.2, 2.5), (1.9, 2.1), (2.5, 3.5)],
+                             ids=str)
+    def test_stored_planted_designs(self, lam_range):
+        entries = [e for e in PLANTED_PI_DESIGNS["specs"] if tuple(e["lambda_range"]) == lam_range]
+        assert len(entries) == 20
+        for entry in entries:
+            spec = DesignSpecPi(plant=Plant(**entry["plant"]),
+                                poles=tuple(complex(*p) for p in entry["poles"]))
+            want = entry["design"]
+            if want is None:
+                with pytest.raises(NoSolutionError):
+                    design_pi(spec)
+                continue
+            ctrl = design_pi(spec)
+            assert (ctrl.K, ctrl.Ti, ctrl.lam) == pytest.approx(
+                (want["K"], want["Ti"], want["lam"]), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("poly, pole", [
+        (char_poly_pd(BENCH_PLANT, PdController(K=24.0, Td=1.0, delta=0.5)), 1e200 + 1j),
+        (char_poly_pi(BENCH_PLANT, PiController(K=5.0, Ti=4.0, lam=1.0)), -1e100 + 0j),
+        (FracPoly.from_terms([(1.0, 1e308), (1.0, 0.0)]), -1 + 0.01j),  # the phase overflows
+    ], ids=["pd", "pi", "phase"])
+    def test_pole_past_the_float_range_is_not_placed(self, poly, pole):
+        assert _placed(poly, [POLE, pole]) == (False, math.inf)
 
 
 class TestRoundTrip:
