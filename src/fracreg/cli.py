@@ -288,7 +288,9 @@ def _resolve_design(doc, plant):
             pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
             if pole is None:
                 raise ConfigError("'design.poles' must contain at least one pole")
-            integer = block.get("integer")  # integer PD solves for K itself
+            integer = block.get("integer", False)  # integer PD solves for K itself
+            if not isinstance(integer, bool):
+                raise ConfigError("key 'design.integer' must be true or false")
             ess = _num(block, "ess", "design") if "ess" in block and not integer else None
             K = _num(block, "K", "design") if "K" in block and not integer else None
             spec = DesignSpecPd(plant=plant, pole=pole, ess_percent=ess, K_override=K)

@@ -69,10 +69,6 @@ class SampledSignal:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def duration(self):
-        return (len(self.values) - 1) * self.step
-
 
 def gl_coefficients(order: float, count: int) -> GlTable:
     """Generate GL weights b_0..b_count for the given derivative order.

@@ -10,14 +10,18 @@ Two independent discretizations are provided on purpose:
   model-building code with the state-space path, whose builders do not
   read `closed_loop`, and serves as its oracle.
 
-The two share only the GL history primitive of `glcalc`: `gl_convolve`
-for series known in advance (the input's share of every equation, and
-the state-space output y, which is never fed back) and `GlHistory` for
-the sums over the series being solved for.  Terms of one equation that
-act on the same series are merged into one kernel first, terms of one
-order share one GL table, and one `GlHistory` serves each equation row:
-the PD^delta row with kernels on x1 and x2 sums both products in the
-frequency domain and takes one inverse FFT per square.
+The two share only the GL primitives of `glcalc` and `_gl_kernels`, the
+one place where (target, order, gain) terms become kernels: the terms of
+one equation that act on the same series merge into one kernel, each
+order's GL table is formed once per call, and an order-0 term is a
+weight at lag 0 only.  The direct scheme builds both sides of its
+equation in one call, so an order on both sides (delta, lambda) forms
+one table.  `gl_convolve` serves series known in advance (the input's
+share of every equation, and the state-space output y, which is never
+fed back) and `GlHistory` the sums over the series being solved for.
+One `GlHistory` serves each equation row: the PD^delta row with kernels
+on x1 and x2 sums both products in the frequency domain and takes one
+inverse FFT per square.
 
 Both step _BLOCK = 64 samples at a time.  `GlHistory` hands over the sums
 over lags >= _BLOCK for a whole block, which read only samples before it;
@@ -155,6 +159,30 @@ def _gl_scale(gain: float, order: float, h: float) -> float:
     return float(scale)
 
 
+def _gl_kernels(terms, h: float, n_mem: int) -> dict:
+    """{target: kernel} of (target, order, gain) terms, n_mem + 1 GL weights at most.
+
+    Each term adds gain * h^-order times the GL weights of its order, and
+    the weights of one order are formed once per call.  An order-0 term
+    adds its gain to weight 0 only, so a target with no other term gets a
+    one-weight kernel.  The tables are dropped on return, before the
+    history sums and convolutions need their memory.
+    """
+    tables = {0: np.ones(1)}
+    kernels = {}
+    for target, order, gain in terms:
+        if order not in tables:
+            tables[order] = gl_coefficients(order, n_mem).coeffs
+        weights = _gl_scale(gain, order, h) * tables[order]
+        kernel = kernels.setdefault(target, weights)
+        if kernel is not weights:
+            if len(kernel) < len(weights):
+                kernel, weights = weights, kernel
+            kernel[:len(weights)] += weights
+            kernels[target] = kernel
+    return kernels
+
+
 def _input_samples(cfg: SimConfig, n: int) -> np.ndarray:
     if isinstance(cfg.input, StepInput):
         return np.full(n + 1, cfg.input.amplitude)
@@ -169,69 +197,39 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
     n_mem = _truncation(n, h, cfg.memory_len)
     x = np.zeros((model.dim, n + 1))
 
-    def series(target):
-        return w if target == INPUT else x[target]
-
-    def split(terms):
-        """Summed order-0 gains and one merged GL kernel, per target.
-
-        Terms of one order share one GL table.  The tables are dropped on
-        return, before the history sums and convolutions need their memory.
-        """
-        scalars, kernels, tables = {}, {}, {}
-        for t in terms:
-            if t.order == 0:
-                scalars[t.target] = scalars.get(t.target, 0.0) + t.gain
-            else:
-                if t.order not in tables:
-                    tables[t.order] = gl_coefficients(t.order, n_mem).coeffs
-                weights = _gl_scale(t.gain, t.order, h) * tables[t.order]
-                if t.target in kernels:
-                    kernels[t.target] += weights
-                else:
-                    kernels[t.target] = weights
-        return scalars, kernels
-
     def equations():
         """(near, rows) of the state equations for `_block_steps`.
 
         near[j][row, target] is the weight of x[target][k - j] in the
         right-hand side of `row` at step k, j < _BLOCK.  Each row with more
-        than that gets (row, shares, history): the input is known in
-        advance, so its share is formed once, and one online history covers
-        the lags j >= _BLOCK of all the row's state kernels (None if it has
-        none).
+        than that gets (row, share, history): the input is known in advance,
+        so its share is formed once (None if the row has no input term), and
+        one online history covers the lags j >= _BLOCK of the row's state
+        kernels (None if none reaches that far).
         """
         near = np.zeros((_BLOCK, model.dim, model.dim))
         rows = []
         for row, terms in enumerate(model.state_terms):
-            scalars, kernels = split(terms)
-            shares = [(w, c) for target, c in scalars.items() if target == INPUT]
-            if INPUT in kernels:
-                # a share past the float range makes the states diverge at
-                # its first step, which _block_steps reports
-                shares.append((gl_convolve(kernels.pop(INPUT), w), 1.0))
-            for target, c in scalars.items():
-                if target != INPUT:
-                    near[0, row, target] += c
+            kernels = _gl_kernels(terms, h, n_mem)
+            # a share past the float range makes the states diverge at its
+            # first step, which _block_steps reports
+            share = gl_convolve(kernels.pop(INPUT), w) if INPUT in kernels else None
             for target, kernel in kernels.items():
                 near[:min(_BLOCK, len(kernel)), row, target] += kernel[:_BLOCK]
-            pairs = [(kernel, x[target]) for target, kernel in kernels.items()]
+            pairs = [(kernel, x[target]) for target, kernel in kernels.items()
+                     if len(kernel) > _BLOCK]
             history = GlHistory(*pairs[0], *pairs[1:]) if pairs else None
-            if shares or history is not None:
-                rows.append((row, shares, history))
+            if share is not None or history is not None:
+                rows.append((row, share, history))
         return near, rows
 
     # the history buffers are freed when _block_steps returns
     upto = _block_steps(x, *equations(), h, n)
 
     # y is never fed back, so it is formed from the finished series
-    scalars, kernels = split(model.output_terms)
     y = np.zeros(upto)
-    for target, c in scalars.items():
-        y += c * series(target)[:upto]
-    for target, kernel in kernels.items():
-        y += gl_convolve(kernel, series(target)[:upto])
+    for target, kernel in _gl_kernels(model.output_terms, h, n_mem).items():
+        y += gl_convolve(kernel, (w if target == INPUT else x[target])[:upto])
     traj = Trajectory(step=h, states=tuple(x[:, :upto]), output=y, input=w[:upto])
     if upto <= n:
         bad = np.abs(x[:, upto])  # a NaN state reads as inf, where max() would give nan
@@ -295,9 +293,9 @@ def _block_steps(x, near, rows, h, n) -> int:
     """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges.
 
     Each block of _BLOCK steps is one product of the propagator of
-    `_euler_block` with [f; v]: f holds each row's input share and far
-    history sums, which read only states before the block, and v the
-    states x[:, t-B+1..t].  No state is read after it diverges, so the
+    `_euler_block` with [f; v]: f holds each row's one input share, formed
+    before the run, and its far history sums, which read only states
+    before the block, and v the states x[:, t-B+1..t].  No state is read after it diverges, so the
     products run with overflow ignored; one reduction checks each block,
     and only the block that fails it looks for its first bad step.
     """
@@ -310,9 +308,9 @@ def _block_steps(x, near, rows, h, n) -> int:
         for t in range(0, n, _BLOCK):
             b = min(_BLOCK, n - t)
             f[:] = 0.0  # summed afresh each block; a short last block leaves zeros past b
-            for row, shares, history in rows:
-                for ser, c in shares:
-                    f[:b, row] += c * ser[t:t + b]
+            for row, share, history in rows:
+                if share is not None:
+                    f[:b, row] += share[t:t + b]
                 if history is not None:
                     f[:b, row] += history.block(t)[:b]
             if t:  # before t = 0 the states are at rest
@@ -337,29 +335,15 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     n_mem = _truncation(n, h, cfg.memory_len)
 
     y_terms, w_terms = closed_loop(plant, ctrl)
-    y_scales = [_gl_scale(c, q, h) for c, q in y_terms]
-    pivot = sum(y_scales)  # j=0 weights are all 1
-    if abs(pivot) <= 1e-14 * max(abs(scale) for scale in y_scales):
+    # one call for both sides, so an order on both (delta, lambda) forms one table
+    kernels = _gl_kernels([("y", q, c) for c, q in y_terms]
+                          + [(INPUT, q, c) for c, q in w_terms], h, n_mem)
+    kernel = kernels["y"]
+    pivot = kernel[0]  # j=0 weights are all 1
+    if abs(pivot) <= 1e-14 * max(abs(_gl_scale(c, q, h)) for c, q in y_terms):
         raise SingularStepError(f"leading GL weights sum to {pivot:.3g}")
-
-    tables = {}  # order -> its GL weights, each formed once per run
-
-    def merged(scaled):
-        """sum of scale * GL weights over (scale, order); an order-0 weight is the first only."""
-        kernel = np.zeros(n_mem + 1)
-        for scale, q in scaled:
-            if q == 0:
-                kernel[0] += scale
-                continue
-            if q not in tables:
-                tables[q] = gl_coefficients(q, n_mem).coeffs
-            kernel += scale * tables[q]
-        return kernel
-
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed drive diverges at once
-        drive = gl_convolve(merged((_gl_scale(c, q, h), q) for c, q in w_terms), w)
-    kernel = merged(zip(y_scales, (q for _, q in y_terms)))
-    tables.clear()  # freed before the history sums need memory
+        drive = gl_convolve(kernels.pop(INPUT), w)
     near = np.zeros(_BLOCK)
     near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
     y = np.zeros(n + 1)

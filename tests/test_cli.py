@@ -315,6 +315,15 @@ class TestDesign:
         assert report["controller"]["K"] == pytest.approx(36.0854, abs=1e-3)
         assert report["controller"]["Td"] == pytest.approx(4.0141, abs=1e-3)
 
+    @pytest.mark.parametrize("value", ["false", 1, 0, None, [True]])
+    def test_integer_flag_must_be_a_boolean(self, tmp_path, capsys, value):
+        # read by its truth value, "false" would run the integer design and drop "ess"
+        doc = json.loads((CONFIGS / "design_pd_integer.json").read_text())
+        doc["design"].update(integer=value, ess=4.0)
+        assert main(["design", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert "'design.integer'" in capsys.readouterr().err
+        assert not (tmp_path / "design_pd_integer_report.json").exists()
+
     def test_pi_design(self, tmp_path):
         doc = {
             "plant": {"a0": 1.0, "a1": 4.0, "a2": 1.0, "alpha": 2.0, "beta": 1.0},

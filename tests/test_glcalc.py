@@ -208,7 +208,7 @@ class TestGlSeries:
         rng = np.random.default_rng(3)
         sig = SampledSignal(0.02, rng.normal(size=60))
         full = gl_series(sig, 0.8)
-        trunc = gl_series(sig, 0.8, memory_len=sig.duration + 1.0)
+        trunc = gl_series(sig, 0.8, memory_len=(len(sig) - 1) * sig.step + 1.0)
         np.testing.assert_array_equal(full.values, trunc.values)
 
     @pytest.mark.parametrize("n", [50, 200, 5000])  # direct, one-chunk and two-chunk sums

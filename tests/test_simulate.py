@@ -6,10 +6,10 @@ from scipy.signal import lti
 
 from fracreg.errors import DivergedError, ResourceLimitError, SingularStepError
 from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
-from fracreg.model import (INPUT, PdController, PiController, Plant, build_pd_model,
+from fracreg.model import (INPUT, PdController, PiController, Plant, Term, build_pd_model,
                            build_pi_model, closed_loop)
 from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
-                              _euler_block, _input_samples, simulate_direct,
+                              _euler_block, _gl_kernels, _input_samples, simulate_direct,
                               simulate_state_space, steady_state_estimate)
 from test_glcalc import PerSampleHistory
 
@@ -341,6 +341,72 @@ class TestEulerBlock:
         assert np.max(np.abs(prop)) > 1e300
         new = prop @ np.zeros(prop.shape[1])
         assert np.array_equal(new, np.zeros(len(new)))
+
+
+def counted_tables(monkeypatch):
+    """The orders of the GL tables formed through fracreg.simulate, in call order."""
+    orders = []
+
+    def counted(order, count):
+        orders.append(order)
+        return gl_coefficients(order, count)
+
+    monkeypatch.setattr("fracreg.simulate.gl_coefficients", counted)
+    return orders
+
+
+class TestGlKernels:
+    """The one builder of scaled, merged GL kernels, against explicit sums."""
+
+    H, N_MEM = 0.01, 300
+
+    def test_kernel_is_the_sum_of_its_scaled_tables(self):
+        terms = [Term(0, 0.7, 2.0), Term(1, 1.3, -0.5), Term(0, 1.3, 3.0),
+                 Term(INPUT, -0.4, 1.5), Term(0, 0.7, -0.25), Term(1, -1.2, 0.1)]
+        got = _gl_kernels(terms, self.H, self.N_MEM)
+        assert set(got) == {0, 1, INPUT}
+        for target, kernel in got.items():
+            want = sum(t.gain * self.H ** -t.order * gl_coefficients(t.order, self.N_MEM).coeffs
+                       for t in terms if t.target == target)
+            assert len(kernel) == self.N_MEM + 1
+            np.testing.assert_allclose(kernel, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+    def test_order_zero_gain_lands_on_weight_zero_only(self):
+        terms = [Term(0, 0.0, 2.5), Term(1, 0.0, 1.0), Term(1, 0.6, 3.0), Term(0, 0.0, -0.5),
+                 Term(1, 0.0, -4.0)]
+        got = _gl_kernels(terms, self.H, self.N_MEM)
+        assert got[0].tolist() == [2.0]  # only order-0 terms: one weight
+        want = 3.0 * self.H ** -0.6 * gl_coefficients(0.6, self.N_MEM).coeffs
+        np.testing.assert_allclose(got[1][1:], want[1:], rtol=1e-15)
+        assert got[1][0] == pytest.approx(want[0] - 3.0, rel=1e-15)
+
+    def test_one_table_per_order(self, monkeypatch):
+        orders = counted_tables(monkeypatch)
+        got = _gl_kernels([Term(0, 0.7, 1.0), Term(INPUT, 0.7, 2.0), Term(1, 0.0, 1.0),
+                           Term(1, 0.7, -1.0)], self.H, self.N_MEM)
+        assert orders == [0.7]
+        np.testing.assert_array_equal(got[INPUT], 2.0 * got[0])
+        np.testing.assert_array_equal(got[1][1:], -got[0][1:])
+
+    def test_overflowing_scale_is_singular(self):
+        with pytest.raises(SingularStepError, match="too small"):
+            _gl_kernels([Term(0, 0.5, 1.0), Term(1, 2.5, 1e10)], 1e-300, 10)
+
+
+@pytest.mark.parametrize("simulate", ["state_space", "direct"])
+def test_golden_loop_forms_one_table_per_order(monkeypatch, simulate):
+    # state space: the x2 row's three orders and the output's delta - 1; direct:
+    # alpha, beta and delta, whose one table serves both sides of the equation
+    p, c = BENCH_PLANT, GOLDEN_PD
+    orders = counted_tables(monkeypatch)
+    cfg = SimConfig(step=0.01, t_end=1.0)
+    if simulate == "state_space":
+        simulate_state_space(build_pd_model(p, c), cfg)
+        want = [2 - p.alpha, 1 + c.delta - p.alpha, 1 + p.beta - p.alpha, c.delta - 1]
+    else:
+        simulate_direct(p, c, cfg)
+        want = [p.alpha, p.beta, c.delta]
+    assert orders == want
 
 
 @pytest.mark.parametrize("simulate", ["state_space", "direct"])
