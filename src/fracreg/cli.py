@@ -1,9 +1,10 @@
 """Command-line front end: simulate / design / poles.
 
-Configurations are JSON documents (see README for the schema).  Exit
-codes: 0 ok, 2 config error, 3 diverged simulation, 4 unstable design,
-5 solver failure (including an exceeded step budget or a singular step)
-or inconclusive root search.
+Configurations are JSON documents (see README for the schema).  `_block` reads
+each block against its keys: a key missing from it, or a key it does not read,
+is a config error naming the key's path.  Exit codes: 0 ok, 2 config error,
+3 diverged simulation, 4 unstable design, 5 solver failure (including an
+exceeded step budget or a singular step) or inconclusive root search.
 
 `simulate` writes a CSV trajectory: a header line `t,w,y,x1,...,xN` (one
 `x` column per state, none for a trajectory without states), then one line
@@ -43,26 +44,58 @@ _FLOAT_FMT = "%.12g"
 _CSV_CHUNK_ROWS = 512
 
 
-def _get(block, key, path, expect=None):
-    if key not in block:
-        raise ConfigError(f"missing key '{path}.{key}'")
-    value = block[key]
-    if expect is not None and not isinstance(value, expect):
-        raise ConfigError(f"key '{path}.{key}' has wrong type")
-    return value
+#: The config root's keys: every command accepts every block (`poles` runs on `simulate` configs).
+_TOP_KEYS = ("plant", "controller", "sim", "design", "output")
+_PLANT_KEYS = ("a0", "a1", "a2", "alpha", "beta")
+#: Each output key with its default file name.
+_OUTPUTS = {"trajectory_csv": "trajectory.csv", "report_json": "report.json",
+            "roots_json": "poles.json"}
+#: Each controller type: its class, and each config key with the field it sets.
+_CONTROLLERS = {"pd": (PdController, {"K": "K", "Td": "Td", "delta": "delta"}),
+                "pi": (PiController, {"K": "K", "Ti": "Ti", "lambda": "lam"})}
+#: Each input type: its required and its optional keys.
+_INPUTS = {"step": ((), ("type", "amplitude")), "samples": (("type", "values"), ())}
+
+
+def _block(parent, path, required, optional=()):
+    """The object at the dotted config `path` in `parent` ("" for `parent` itself).
+
+    A key of `required` it lacks, or a key in neither `required` nor `optional`, is
+    a config error.  A block whose keys depend on its "type" is read once with the
+    keys of every type, then again with its own type's keys.
+    """
+    key = path.rpartition(".")[2]
+    if path and key not in parent:
+        raise ConfigError(f"missing key '{path}'")
+    block = parent[key] if path else parent
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{path or 'config root'}' must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for name in required:
+        if name not in block:
+            raise ConfigError(f"missing key '{prefix}{name}'")
+    for name in block:
+        if name not in required and name not in optional:
+            raise ConfigError(f"unknown key '{prefix}{name}'")
+    return block
+
+
+def _kind(block, path, kinds, default=None):
+    """The "type" of `block` (`default` if it has none), which must be one of `kinds`."""
+    kind = block.get("type", default)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"unknown {path} type {kind!r}")
+    return kind
 
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _num(block, key, path, default=None):
-    if default is not None and key not in block:
-        return default
-    value = _get(block, key, path)
-    if not _is_number(value):
+def _num(block, key, path):
+    if not _is_number(block[key]):
         raise ConfigError(f"key '{path}.{key}' must be a number")
-    return float(value)
+    return float(block[key])
 
 
 def load_config(path) -> dict:
@@ -74,12 +107,8 @@ def load_config(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object")
-    for key, name in output.items():
+    _block(doc, "", (), _TOP_KEYS)
+    for key, name in (_block(doc, "output", (), _OUTPUTS) if "output" in doc else {}).items():
         # a bare name: no directory part, so the file lands inside the output directory
         if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
             raise ConfigError(f"'output.{key}' must be a file name without a directory part")
@@ -87,64 +116,37 @@ def load_config(path) -> dict:
 
 
 def parse_plant(doc) -> Plant:
-    block = _get(doc, "plant", "", dict)
+    block = _block(doc, "plant", _PLANT_KEYS)
     try:
-        return Plant(
-            a0=_num(block, "a0", "plant"),
-            a1=_num(block, "a1", "plant"),
-            a2=_num(block, "a2", "plant"),
-            alpha=_num(block, "alpha", "plant"),
-            beta=_num(block, "beta", "plant"),
-        )
+        return Plant(**{key: _num(block, key, "plant") for key in _PLANT_KEYS})
     except ValueError as exc:
         raise ConfigError(f"invalid 'plant' block: {exc}")
 
 
 def parse_controller(doc):
-    block = _get(doc, "controller", "", dict)
-    kind = _get(block, "type", "controller")
+    every = {key for _, fields in _CONTROLLERS.values() for key in fields}
+    kind = _kind(_block(doc, "controller", ("type",), every), "controller", _CONTROLLERS)
+    cls, fields = _CONTROLLERS[kind]
+    block = _block(doc, "controller", ("type", *fields))
     try:
-        if kind == "pd":
-            return PdController(
-                K=_num(block, "K", "controller"),
-                Td=_num(block, "Td", "controller"),
-                delta=_num(block, "delta", "controller"),
-            )
-        if kind == "pi":
-            return PiController(
-                K=_num(block, "K", "controller"),
-                Ti=_num(block, "Ti", "controller"),
-                lam=_num(block, "lambda", "controller"),
-            )
+        return cls(**{field: _num(block, key, "controller") for key, field in fields.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid 'controller' block: {exc}")
-    raise ConfigError(f"unknown controller type {kind!r}")
-
-
-def _parse_poles(block, path):
-    raw = _get(block, "poles", path, list)
-    poles = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(map(_is_number, item))):
-            raise ConfigError(f"'{path}.poles' entries must be [re, im] pairs of numbers")
-        poles.append(complex(item[0], item[1]))
-    return poles
 
 
 def parse_sim(doc) -> SimConfig:
-    block = _get(doc, "sim", "", dict)
-    inp = block.get("input", {"type": "step", "amplitude": 1.0})
-    if not isinstance(inp, dict):
-        raise ConfigError("'sim.input' must be an object")
-    kind = inp.get("type", "step")
-    if kind == "step":
-        input_spec = StepInput(amplitude=_num(inp, "amplitude", "sim.input", default=1.0))
-    elif kind == "samples":
-        input_spec = _get(inp, "values", "sim.input", list)
-        if not all(map(_is_number, input_spec)):
-            raise ConfigError("'sim.input.values' must be a list of numbers")
-    else:
-        raise ConfigError(f"unknown input type {kind!r}")
+    block = _block(doc, "sim", ("h", "t_end"), ("memory_len", "input"))
+    input_spec = StepInput()
+    if "input" in block:
+        inp = _block(block, "sim.input", (), ("type", "amplitude", "values"))
+        kind = _kind(inp, "sim.input", _INPUTS, "step")
+        _block(block, "sim.input", *_INPUTS[kind])
+        if kind == "samples":
+            input_spec = inp["values"]
+            if not (isinstance(input_spec, list) and all(map(_is_number, input_spec))):
+                raise ConfigError("'sim.input.values' must be a list of numbers")
+        elif "amplitude" in inp:
+            input_spec = StepInput(amplitude=_num(inp, "amplitude", "sim.input"))
     memory_len = block.get("memory_len")
     if memory_len is not None:
         memory_len = _num(block, "memory_len", "sim")
@@ -159,9 +161,9 @@ def parse_sim(doc) -> SimConfig:
         raise ConfigError(f"invalid 'sim' block: {exc}")
 
 
-def _out_path(doc, args, key, default):
+def _out_path(doc, args, key):
     out_dir = Path(args.out) if args.out else Path(args.config).resolve().parent
-    name = doc.get("output", {}).get(key, default)
+    name = doc.get("output", {}).get(key, _OUTPUTS[key])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir / name
 
@@ -202,22 +204,8 @@ def write_trajectory_csv(path, traj):
 
 
 def _controller_dict(ctrl):
-    if isinstance(ctrl, PdController):
-        return {"type": "pd", "K": ctrl.K, "Td": ctrl.Td, "delta": ctrl.delta}
-    return {"type": "pi", "K": ctrl.K, "Ti": ctrl.Ti, "lambda": ctrl.lam}
-
-
-def _report_roots(report):
-    return {
-        "roots": [
-            {"re": r.value.real, "im": r.value.imag, "residual": r.residual}
-            for r in report.roots
-        ],
-        "method": report.method,
-        "verdict": report.verdict,
-        "coverage_caveat": report.coverage_caveat,
-        "root_count": report.root_count,
-    }
+    kind = "pd" if isinstance(ctrl, PdController) else "pi"
+    return {"type": kind, **{key: getattr(ctrl, f) for key, f in _CONTROLLERS[kind][1].items()}}
 
 
 def _build_model(plant, ctrl):
@@ -239,14 +227,19 @@ def _roots_payload(doc, plant, ctrl, **timings):
         "config": doc,
         "controller": _controller_dict(ctrl),
         "characteristic_polynomial": [[c, e] for c, e in poly.terms],
-        **_report_roots(report),
+        "roots": [{"re": r.value.real, "im": r.value.imag, "residual": r.residual}
+                  for r in report.roots],
+        "method": report.method,
+        "verdict": report.verdict,
+        "coverage_caveat": report.coverage_caveat,
+        "root_count": report.root_count,
         "timings": {**timings, "roots_s": roots_s},
     }
     return report, payload
 
 
-def _write_json(doc, args, key, default, payload):
-    path = _out_path(doc, args, key, default)
+def _write_json(doc, args, key, payload):
+    path = _out_path(doc, args, key)
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(path)
 
@@ -260,7 +253,7 @@ def cmd_simulate(args) -> int:
         model = _build_model(plant, ctrl)
     except ValueError as exc:  # a model gain past the float range
         raise ConfigError(f"invalid closed-loop model: {exc}")
-    csv_path = _out_path(doc, args, "trajectory_csv", "trajectory.csv")
+    csv_path = _out_path(doc, args, "trajectory_csv")
     try:
         traj, diverged = simulate_state_space(model, cfg), None
     except DivergedError as exc:
@@ -275,12 +268,19 @@ def cmd_simulate(args) -> int:
 
 
 def _resolve_design(doc, plant):
-    block = _get(doc, "design", "", dict)
-    kind = block.get("type", "pd")
-    if kind not in ("pd", "pi"):
-        raise ConfigError(f"unknown design type {kind!r}")
+    block = _block(doc, "design", ("poles",), ("type", "ess", "K", "integer"))
+    kind = _kind(block, "design", ("pd", "pi"), "pd")
+    integer = kind == "pd" and block.get("integer", False)  # integer PD solves for K itself
+    if not isinstance(integer, bool):
+        raise ConfigError("key 'design.integer' must be true or false")
+    if kind == "pi" or integer:  # no gain rule: "ess" and "K" are unknown keys
+        _block(doc, "design", ("poles",), ("type", "integer") if integer else ("type",))
     t0 = time.perf_counter()
-    poles = _parse_poles(block, "design")
+    raw = block["poles"]
+    if not (isinstance(raw, list) and all(isinstance(item, list) and len(item) == 2
+                                          and all(map(_is_number, item)) for item in raw)):
+        raise ConfigError("'design.poles' must be a list of [re, im] pairs of numbers")
+    poles = [complex(re, im) for re, im in raw]
     try:
         if kind == "pi":
             ctrl = design_pi(DesignSpecPi(plant=plant, poles=tuple(poles)))
@@ -288,11 +288,8 @@ def _resolve_design(doc, plant):
             pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
             if pole is None:
                 raise ConfigError("'design.poles' must contain at least one pole")
-            integer = block.get("integer", False)  # integer PD solves for K itself
-            if not isinstance(integer, bool):
-                raise ConfigError("key 'design.integer' must be true or false")
-            ess = _num(block, "ess", "design") if "ess" in block and not integer else None
-            K = _num(block, "K", "design") if "K" in block and not integer else None
+            ess = _num(block, "ess", "design") if "ess" in block else None
+            K = _num(block, "K", "design") if "K" in block else None
             spec = DesignSpecPd(plant=plant, pole=pole, ess_percent=ess, K_override=K)
             ctrl = (design_pd_integer if integer else design_pd_fractional)(spec)
     except ValueError as exc:
@@ -311,7 +308,7 @@ def cmd_design(args) -> int:
         print(f"design solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     report, payload = _roots_payload(doc, plant, ctrl, design_s=design_s)
-    _write_json(doc, args, "report_json", "report.json", payload)
+    _write_json(doc, args, "report_json", payload)
     try:
         _build_model(plant, ctrl)
     except (UnsupportedOrderError, ValueError) as exc:  # an order or a gain `simulate` rejects
@@ -324,7 +321,7 @@ def cmd_poles(args) -> int:
     plant = parse_plant(doc)
     ctrl = parse_controller(doc)
     report, payload = _roots_payload(doc, plant, ctrl)
-    _write_json(doc, args, "roots_json", "poles.json", payload)
+    _write_json(doc, args, "roots_json", payload)
     if report.verdict == "inconclusive":
         print("root search was inconclusive", file=sys.stderr)
         return EXIT_SOLVER

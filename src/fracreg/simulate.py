@@ -140,10 +140,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.output))
 
-    @property
-    def duration(self) -> float:
-        return (len(self.output) - 1) * self.step
-
 
 def _gl_scale(gain: float, order: float, h: float) -> float:
     """gain * h^-order, the factor on a GL term's weights.
@@ -393,8 +389,9 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
 
 def steady_state_estimate(traj: Trajectory, window: float):
     """(mean, max-min) of the output over the trailing window in seconds."""
-    if window > traj.duration:
-        raise ValueError(f"window {window}s exceeds trajectory duration {traj.duration}s")
+    duration = (len(traj.output) - 1) * traj.step
+    if window > duration:
+        raise ValueError(f"window {window}s exceeds trajectory duration {duration}s")
     n_w = max(1, int(round(window / traj.step)))
     tail = traj.output[-(n_w + 1):]
     return float(np.mean(tail)), float(np.max(tail) - np.min(tail))

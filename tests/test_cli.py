@@ -435,12 +435,62 @@ class TestPoles:
         assert min(abs(v - grid_min[1]) for v in found) < 0.02
 
 
+def _rename(block, old, new):
+    block[new] = block.pop(old)
+
+
+def _samples_input(doc):
+    doc["sim"] = {"h": 0.01, "t_end": 1.0, "input": {"type": "samples", "values": [1.0] * 101}}
+    return doc["sim"]["input"]
+
+
 class TestConfigErrors:
     def test_missing_key_names_it(self, tmp_path, capsys):
         doc = {"plant": {"a0": 1.0, "a1": 0.5, "a2": 0.8, "alpha": 2.2}}
         code = main(["simulate", "--config", str(write_config(tmp_path, doc))])
         assert code == 2
         assert "plant.beta" in capsys.readouterr().err
+
+    def test_missing_block_is_named_without_a_dot(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
+        del doc["controller"]
+        assert main(["poles", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == "config error: missing key 'controller'\n"
+
+    @pytest.mark.parametrize("command, name, edit, key", [
+        ("design", "design_pd_ess4", lambda d: d.update(desgin=d["design"]), "desgin"),
+        ("poles", "pi_integer_sim", lambda d: d["controller"].update(Td=1.0), "controller.Td"),
+        ("simulate", "golden_pd_sim", lambda d: d["controller"].update({"lambda": 0.5}),
+         "controller.lambda"),
+        ("simulate", "golden_pd_sim", lambda d: d["sim"]["input"].update(values=[1.0]),
+         "sim.input.values"),
+        ("simulate", "golden_pd_sim", lambda d: _samples_input(d).update(amplitude=2.0),
+         "sim.input.amplitude"),
+        ("design", "design_pd_integer", lambda d: d["design"].update(ess=4.0), "design.ess"),
+        ("design", "design_pi_planted", lambda d: d["design"].update(ess=4.0), "design.ess"),
+        ("poles", "poles_far_pair", lambda d: _rename(d["output"], "roots_json", "roots_jsn"),
+         "output.roots_jsn"),
+        # a misspelt key used to be dropped: the fractional design, the default CSV name,
+        # a unit step, and "missing key '.controller'"
+        ("design", "design_pd_integer",
+         lambda d: (_rename(d["design"], "integer", "intger"), d["design"].update(ess=4)),
+         "design.intger"),
+        ("simulate", "golden_pd_sim", lambda d: d.update(output={"trajectory_cvs": "mine.csv"}),
+         "output.trajectory_cvs"),
+        ("simulate", "golden_pd_sim", lambda d: d["sim"].update(input={"amplitud": 5.0}),
+         "sim.input.amplitud"),
+        ("simulate", "golden_pd_sim", lambda d: _rename(d, "controller", "contoller"),
+         "contoller"),
+    ], ids=["top-level", "Td-on-pi", "lambda-on-pd", "values-on-step", "amplitude-on-samples",
+            "ess-with-integer", "ess-on-pi", "output", "intger", "trajectory_cvs", "amplitud",
+            "contoller"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, name, edit, key):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        edit(doc)
+        config = write_config(tmp_path, doc)
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
+        assert list(tmp_path.iterdir()) == [config]  # no output file
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -588,6 +638,32 @@ def mutations(keys, numbers=NUMBERS):
     return st.fixed_dictionaries({}, optional=dict.fromkeys(keys, numbers))
 
 
+def config_blocks(doc, path=()):
+    """The path of `doc` and of every object nested in it."""
+    yield path
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from config_blocks(value, (*path, key))
+
+
+#: (command, bundled config, path of one of its blocks): each bundled config under a command
+#: it runs, and each block that command reads (only `simulate` reads `sim`).
+BLOCKS = [(command, name, path)
+          for command, name in [("simulate", "golden_pd_sim"), ("simulate", "pi_fractional_sim"),
+                                ("simulate", "short_memory_sim"), ("design", "design_pd_ess4"),
+                                ("design", "design_pd_integer"), ("design", "design_pi_planted"),
+                                ("poles", "golden_pd_sim"), ("poles", "poles_far_pair")]
+          for path in config_blocks(json.loads((CONFIGS / f"{name}.json").read_text()))
+          if command == "simulate" or path[:1] != ("sim",)]
+
+
+#: Every key the config schema names, in any block.
+KNOWN_KEYS = {"plant", "controller", "sim", "design", "output", "a0", "a1", "a2", "alpha", "beta",
+              "type", "K", "Td", "delta", "Ti", "lambda", "h", "t_end", "memory_len", "input",
+              "amplitude", "values", "poles", "ess", "integer", "trajectory_csv", "report_json",
+              "roots_json"}
+
+
 #: Derandomized, no example database; the fixtures hold one temp dir for every example.
 FUZZ = settings(derandomize=True, database=None, deadline=5000,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -704,6 +780,23 @@ class TestConfigFuzz:
             assert err.startswith(prefixes)
         else:
             assert err == ""
+
+    @given(target=st.sampled_from(BLOCKS),
+           key=st.text(st.characters(exclude_categories=["Cs"]), max_size=8).filter(
+               lambda key: key not in KNOWN_KEYS),
+           value=st.one_of(NUMBERS, WRONG_TYPES, st.dictionaries(st.text(max_size=2), NUMBERS)))
+    @settings(FUZZ, max_examples=150)
+    def test_unknown_key_in_any_block(self, tmp_path, monkeypatch, capsys, target, key, value):
+        monkeypatch.setenv("FRACREG_MAX_STEPS", "3000")  # a run the key does not stop is cheap
+        command, name, path = target
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        block = doc
+        for part in path:
+            block = block[part]
+        block[key] = value
+        code, err = self.run_doc(tmp_path, capsys, command, doc)
+        assert code == 2
+        assert err == f"config error: unknown key '{'.'.join((*path, key))}'\n"
 
     @given(mutation=mutations(POLES_KEYS, st.one_of(NUMBERS, st.floats(-100.0, 100.0))))
     @settings(FUZZ, max_examples=150)
