@@ -2,9 +2,11 @@
 
 Configurations are JSON documents (see README for the schema).  `_block` reads
 each block against its keys: a key missing from it, or a key it does not read,
-is a config error naming the key's path.  Exit codes: 0 ok, 2 config error,
-3 diverged simulation, 4 unstable design, 5 solver failure (including an
-exceeded step budget or a singular step) or inconclusive root search.
+is a config error naming the key's path.  Every command reads the keys of every
+block present; only the commands that use a block parse its values.  Exit
+codes: 0 ok, 2 config error, 3 diverged simulation, 4 unstable design, 5 solver
+failure (including an exceeded step budget or a singular step) or inconclusive
+root search.
 
 `simulate` writes a CSV trajectory: a header line `t,w,y,x1,...,xN` (one
 `x` column per state, none for a trajectory without states), then one line
@@ -44,8 +46,6 @@ _FLOAT_FMT = "%.12g"
 _CSV_CHUNK_ROWS = 512
 
 
-#: The config root's keys: every command accepts every block (`poles` runs on `simulate` configs).
-_TOP_KEYS = ("plant", "controller", "sim", "design", "output")
 _PLANT_KEYS = ("a0", "a1", "a2", "alpha", "beta")
 #: Each output key with its default file name.
 _OUTPUTS = {"trajectory_csv": "trajectory.csv", "report_json": "report.json",
@@ -107,12 +107,19 @@ def load_config(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    _block(doc, "", (), _TOP_KEYS)
-    for key, name in (_block(doc, "output", (), _OUTPUTS) if "output" in doc else {}).items():
+    _block(doc, "", (), _READERS)
+    for key, read in _READERS.items():
+        if key in doc:
+            read(doc)
+    return doc
+
+
+def _output_block(doc):
+    block = _block(doc, "output", (), _OUTPUTS)
+    for key, name in block.items():
         # a bare name: no directory part, so the file lands inside the output directory
         if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
             raise ConfigError(f"'output.{key}' must be a file name without a directory part")
-    return doc
 
 
 def parse_plant(doc) -> Plant:
@@ -123,24 +130,36 @@ def parse_plant(doc) -> Plant:
         raise ConfigError(f"invalid 'plant' block: {exc}")
 
 
-def parse_controller(doc):
+def _controller_block(doc):
+    """The controller block, read against its type's keys, and that type."""
     every = {key for _, fields in _CONTROLLERS.values() for key in fields}
     kind = _kind(_block(doc, "controller", ("type",), every), "controller", _CONTROLLERS)
+    return _block(doc, "controller", ("type", *_CONTROLLERS[kind][1])), kind
+
+
+def parse_controller(doc):
+    block, kind = _controller_block(doc)
     cls, fields = _CONTROLLERS[kind]
-    block = _block(doc, "controller", ("type", *fields))
     try:
         return cls(**{field: _num(block, key, "controller") for key, field in fields.items()})
     except ValueError as exc:
         raise ConfigError(f"invalid 'controller' block: {exc}")
 
 
-def parse_sim(doc) -> SimConfig:
+def _sim_block(doc):
+    """The sim block, and its input block with that input's type (None, None without one)."""
     block = _block(doc, "sim", ("h", "t_end"), ("memory_len", "input"))
+    if "input" not in block:
+        return block, None, None
+    inp = _block(block, "sim.input", (), ("type", "amplitude", "values"))
+    kind = _kind(inp, "sim.input", _INPUTS, "step")
+    return block, _block(block, "sim.input", *_INPUTS[kind]), kind
+
+
+def parse_sim(doc) -> SimConfig:
+    block, inp, kind = _sim_block(doc)
     input_spec = StepInput()
-    if "input" in block:
-        inp = _block(block, "sim.input", (), ("type", "amplitude", "values"))
-        kind = _kind(inp, "sim.input", _INPUTS, "step")
-        _block(block, "sim.input", *_INPUTS[kind])
+    if inp is not None:
         if kind == "samples":
             input_spec = inp["values"]
             if not (isinstance(input_spec, list) and all(map(_is_number, input_spec))):
@@ -267,7 +286,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_design(doc, plant):
+def _design_block(doc):
+    """The design block, read against its type's keys, that type and the integer flag."""
     block = _block(doc, "design", ("poles",), ("type", "ess", "K", "integer"))
     kind = _kind(block, "design", ("pd", "pi"), "pd")
     integer = kind == "pd" and block.get("integer", False)  # integer PD solves for K itself
@@ -275,6 +295,17 @@ def _resolve_design(doc, plant):
         raise ConfigError("key 'design.integer' must be true or false")
     if kind == "pi" or integer:  # no gain rule: "ess" and "K" are unknown keys
         _block(doc, "design", ("poles",), ("type", "integer") if integer else ("type",))
+    return block, kind, integer
+
+
+#: The config root's keys, each with the reader of its block's keys: `load_config` reads
+#: every block present, whatever the command (`poles` runs on `simulate` configs).
+_READERS = {"output": _output_block, "plant": lambda doc: _block(doc, "plant", _PLANT_KEYS),
+            "controller": _controller_block, "sim": _sim_block, "design": _design_block}
+
+
+def _resolve_design(doc, plant):
+    block, kind, integer = _design_block(doc)
     t0 = time.perf_counter()
     raw = block["poles"]
     if not (isinstance(raw, list) and all(isinstance(item, list) and len(item) == 2

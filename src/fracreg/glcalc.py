@@ -14,9 +14,10 @@ before t = 0.
 _BLOCK samples at a time: for each block it returns the row's sums over
 lags >= _BLOCK of all its (kernel, series) pairs, which read only earlier
 samples, and leaves the lags below _BLOCK to the caller.  Its lag-doubling
-squares are direct convolutions up to a width of _DIRECT_WIDTH = 256 and
-FFT products beyond, with one inverse FFT per square for the whole row;
-the kernel spectra of a width up to _CACHE_WIDTH = 1024 are kept while a
+squares of width W up to _DIRECT_WIDTH = 256 are one valid-mode direct
+convolution per pair, which forms exactly the W outputs the square adds.
+Wider ones are FFT products, with one inverse FFT per square for the whole
+row; the kernel spectra of a width up to _CACHE_WIDTH = 1024 are kept while a
 later square of that width is still to come.
 """
 
@@ -170,8 +171,10 @@ class GlHistory:
     Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): at each t, with
     L = t & -t, the inputs [t-L, t) are added to the outputs [t, t+L)
     through lags _BLOCK..2L-1, so n samples cost O(n log^2 n).  A square
-    of width up to _DIRECT_WIDTH is one direct convolution per pair.  A
-    wider one is an FFT product per pair, summed in the frequency domain
+    of width W up to _DIRECT_WIDTH is one valid-mode direct convolution per
+    pair, of the W inputs with the pair's weights of lags 1..2W-1 (those
+    below _BLOCK set to zero), which forms exactly the W outputs.  A wider
+    one is an FFT product per pair, summed in the frequency domain
     and brought back by one inverse FFT.  Its kernel spectra depend only on
     the width; up to _CACHE_WIDTH they are kept while a later square of
     that width is still to come, and wider ones are formed, used and dropped.
@@ -179,14 +182,20 @@ class GlHistory:
 
     def __init__(self, kernel, series: np.ndarray, *pairs):
         self._far = np.zeros(len(series))
-        self._pairs = []  # (tail, series), tail[i] = kernel[_BLOCK + i], per far-reaching pair
+        # (head, tail, series) per far-reaching pair: tail[i] = kernel[_BLOCK + i], and
+        # head[i] = kernel[i + 1] for lags _BLOCK <= i + 1 < 2 * _DIRECT_WIDTH, else 0
+        self._pairs = []
         self._lags = 0
         for weights, values in ((kernel, series), *pairs):
             if len(values) != len(self._far):
                 raise ValueError("the series of one history must have one length")
             weights = _support(np.asarray(weights, dtype=float))
             if len(weights) > _BLOCK:
-                self._pairs.append((weights[_BLOCK:], values))
+                head = np.zeros(2 * _DIRECT_WIDTH - 1)
+                far = weights[_BLOCK:2 * _DIRECT_WIDTH]
+                head[_BLOCK - 1:_BLOCK - 1 + len(far)] = far
+                head.flags.writeable = False
+                self._pairs.append((head, weights[_BLOCK:], values))
                 self._lags = max(self._lags, len(weights) - 1)
         self._spectra = {}  # width -> the pairs' kernel tail spectra
 
@@ -203,25 +212,23 @@ class GlHistory:
         out = self._far[t:t + width]
         if width < _BLOCK or not len(out):
             return  # no lag of the square reaches _BLOCK
-        # output t + o takes input t - width + i through lag o + width - i,
-        # which is tail index o + width - _BLOCK - i: the full product's
-        # entries [width - _BLOCK, 2 * width - _BLOCK) over tail[:2 * width - _BLOCK]
-        lo, hi = width - _BLOCK, 2 * width - _BLOCK
+        # output t + o takes input t - width + i through lag o + width - i
         if width <= _DIRECT_WIDTH:
-            for tail, series in self._pairs:
-                # a pair with fewer lags than the row has a shorter product
-                part = np.convolve(series[t - width:t], tail[:hi])[lo:lo + len(out)]
-                out[:len(part)] += part
+            # head index o + width - 1 - i: the valid product over head[:2 * width - 1]
+            for head, _, series in self._pairs:
+                out += np.convolve(series[t - width:t], head[:2 * width - 1], "valid")[:len(out)]
             return
-        size = 2 * width
+        # tail index o + width - _BLOCK - i: the full product's entries
+        # [width - _BLOCK, 2 * width - _BLOCK) over tail[:2 * width - _BLOCK]
+        lo, hi, size = width - _BLOCK, 2 * width - _BLOCK, 2 * width
         # uncached, each kernel spectrum is formed just before its product
         spectra = (self._spectra.pop(width, None)
-                   or (np.fft.rfft(tail[:hi], size) for tail, _ in self._pairs))
+                   or (np.fft.rfft(tail[:hi], size) for _, tail, _ in self._pairs))
         if width <= _CACHE_WIDTH and t + 2 * width < len(self._far):
             # the next square of this width reuses them
             spectra = self._spectra[width] = list(spectra)
         total = None
-        for spectrum, (_, series) in zip(spectra, self._pairs):
+        for spectrum, (_, _, series) in zip(spectra, self._pairs):
             product = np.fft.rfft(series[t - width:t], size)
             product *= spectrum
             if total is None:

@@ -2,6 +2,9 @@ import csv
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import fracreg
 from fracreg import charpoly
 from fracreg.cli import build_parser, main, write_trajectory_csv
 from fracreg.errors import DivergedError
@@ -182,6 +186,23 @@ class TestTrajectoryCsv:
         write_trajectory_csv(tmp_path / "chunked.csv", traj)
         per_row_csv(tmp_path / "per_row.csv", traj)
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+
+
+class TestImportCost:
+    """An import loads no module the package does not need at load time: each one costs
+    start-up time on every run."""
+
+    @pytest.mark.parametrize("module, absent", [("fracreg", ("argparse", "json", "logging")),
+                                                ("fracreg.cli", ("logging",))])
+    def test_import_leaves_modules_unloaded(self, module, absent):
+        # a fresh interpreter, on the path of the package under test
+        src = str(Path(fracreg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 class TestParserReuse:
@@ -481,9 +502,21 @@ class TestConfigErrors:
          "sim.input.amplitud"),
         ("simulate", "golden_pd_sim", lambda d: _rename(d, "controller", "contoller"),
          "contoller"),
+        # a key in a block the command does not use: read all the same
+        ("poles", "golden_pd_sim", lambda d: d["sim"].update(hh=1), "sim.hh"),
+        ("poles", "golden_pd_sim", lambda d: d["sim"]["input"].update(amplitud=5.0),
+         "sim.input.amplitud"),
+        ("simulate", "golden_pd_sim",
+         lambda d: d.update(design={"poles": [[-1.0, 1.0]], "ess": 4, "bogus": 1}),
+         "design.bogus"),
+        ("simulate", "golden_pd_sim",
+         lambda d: d.update(design={"type": "pi", "poles": [[-1.0, 0.0]], "ess": 4}),
+         "design.ess"),
+        ("design", "design_pd_ess4", lambda d: d.update(sim={**GOLDEN_SIM, "hh": 1}), "sim.hh"),
     ], ids=["top-level", "Td-on-pi", "lambda-on-pd", "values-on-step", "amplitude-on-samples",
             "ess-with-integer", "ess-on-pi", "output", "intger", "trajectory_cvs", "amplitud",
-            "contoller"])
+            "contoller", "poles-sim", "poles-sim-input", "simulate-design", "simulate-pi-design",
+            "design-sim"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, command, name, edit, key):
         doc = json.loads((CONFIGS / f"{name}.json").read_text())
         edit(doc)
@@ -491,6 +524,14 @@ class TestConfigErrors:
         assert main([command, "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
         assert list(tmp_path.iterdir()) == [config]  # no output file
+
+    def test_values_of_a_skipped_block_are_not_parsed(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
+        doc["sim"]["h"] = "fast"  # `simulate` rejects it; `poles` reads only the sim keys
+        config = write_config(tmp_path, doc)
+        assert main(["poles", "--config", str(config)]) == 0
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: key 'sim.h' must be a number\n"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -647,14 +688,13 @@ def config_blocks(doc, path=()):
 
 
 #: (command, bundled config, path of one of its blocks): each bundled config under a command
-#: it runs, and each block that command reads (only `simulate` reads `sim`).
+#: it runs, and each block present, whether or not that command uses it (`poles` skips `sim`).
 BLOCKS = [(command, name, path)
           for command, name in [("simulate", "golden_pd_sim"), ("simulate", "pi_fractional_sim"),
                                 ("simulate", "short_memory_sim"), ("design", "design_pd_ess4"),
                                 ("design", "design_pd_integer"), ("design", "design_pi_planted"),
                                 ("poles", "golden_pd_sim"), ("poles", "poles_far_pair")]
-          for path in config_blocks(json.loads((CONFIGS / f"{name}.json").read_text()))
-          if command == "simulate" or path[:1] != ("sim",)]
+          for path in config_blocks(json.loads((CONFIGS / f"{name}.json").read_text()))]
 
 
 #: Every key the config schema names, in any block.

@@ -387,6 +387,29 @@ class TestGlHistoryRow:
         np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0,
                                    atol=sum(fft_atol(k, x) for k, x in pairs))
 
+    def test_direct_squares_form_only_their_outputs(self, monkeypatch):
+        n = 4097
+        rng = np.random.default_rng(22)
+        # the second kernel stops short of the widest direct square's lags (2 * 256)
+        kernels = [lgamma_weights(0.6, n), rng.normal(size=300)]
+        pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
+        calls = []  # (width, outputs) per direct product: the width is its series slice
+        convolve = np.convolve
+
+        def recording_convolve(a, v, *args, **kwargs):
+            result = convolve(a, v, *args, **kwargs)
+            calls.append((len(a), len(result)))
+            return result
+
+        monkeypatch.setattr(glcalc.np, "convolve", recording_convolve)
+        got = far_sums(GlHistory(*pairs[0], *pairs[1:]), n)
+        monkeypatch.undo()
+        # direct squares below 4097: width 64 at 32 t, 128 at 16 and 256 at 8, one per pair
+        squares = [64] * 32 + [128] * 16 + [256] * 8
+        assert sorted(calls) == sorted((width, width) for width in squares * 2)
+        np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0,
+                                   atol=sum(fft_atol(k, x) for k, x in pairs))
+
 
 class TestGlSeriesOracles:
     @pytest.mark.parametrize("n", EDGE_LENGTHS)
