@@ -18,6 +18,11 @@ complete the Newton search is:
 The third counts, for each lambda range of the planted PI^lambda survey
 below, the designs solved and those that raised `NoSolutionError`.
 
+The exit status is 1 when any newton-grid report holds more distinct
+roots than its count ("over" above 0): such a root set is no set of
+principal-sheet roots, so the script guards completeness as well as
+printing the digest.  It is 0 otherwise.
+
 The survey, seeded:
   - PD^delta designs on the bundled plant over the benchmark's
     `design_sweep` ranges (poles in [-2, -0.5] x [3, 8]i, e_ss 2-8 %);
@@ -187,6 +192,9 @@ def main():
         print(f"{label} designs: solved {outcomes[label, 'solved']}, "
               f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
+    if coverage["over"]:
+        sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "
+                 "than their count")
 
 
 if __name__ == "__main__":

@@ -28,13 +28,14 @@ logged.  Each run takes at most MAX_ITER iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
-`_distinct_roots`: candidates are folded onto Im >= 0 and reduced to one
-per DEDUPE_TOL cell.  `_polish` Newton-polishes each one, point by point
-in float arithmetic (`evaluate_terms`), and keeps it as a RootResult on
-Im >= 0 when |P| is within `_tolerance`: NEWTON_TOL times the larger of
-1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k.  Newton
-counts a start as converged by the same rule, and that |P| is the root's
-reported residual.  The kept roots are deduplicated within
+`_distinct_roots`: candidates are folded onto Im >= 0 and reduced to the
+first in each DEDUPE_TOL cell.  `_polish` Newton-polishes each one, point
+by point in float arithmetic (`evaluate_terms`), and keeps it as a
+RootResult on Im >= 0 when |P| is within NEWTON_TOL times the larger of
+1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k, if finite.
+Newton counts a start as converged by the same rule, from the one
+evaluation of its iteration, and that |P| is the root's reported
+residual.  The kept roots are deduplicated within
 DEDUPE_TOL max(1, |s|), the conjugate of each non-real one is added, and
 the set is sorted.  These are fixed constants, not settings.  When every
 exponent is positive, P(0) = 0 and both finders report the root s = 0 as
@@ -73,7 +74,6 @@ MAX_DENOMINATOR = 12
 MAX_DEGREE = 240
 
 _COMMENSURATE_TOL = 1e-9
-_DENOMINATORS = np.arange(1, MAX_DENOMINATOR + 1)[:, None]  # a column: m = 1, 2, ...
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
 
@@ -157,15 +157,6 @@ def normalize(p: FracPoly) -> FracPoly:
     return FracPoly.from_terms((c, e + shift) for c, e in p.terms)
 
 
-def _eval_vec(coeffs, dcoeffs, expts, s):
-    """Values and derivatives of the polynomial at an array of points.
-
-    `dcoeffs` is `coeffs * expts`, formed once per search by the caller.
-    """
-    powers = np.exp(np.log(s)[:, None] * expts)
-    return powers @ coeffs, (powers @ dcoeffs) / s
-
-
 def _zero_is_root(p: FracPoly) -> bool:
     """Whether P(0) = 0: every exponent is positive, so no term survives at s = 0."""
     return min(p.exponents) > 0
@@ -173,17 +164,6 @@ def _zero_is_root(p: FracPoly) -> bool:
 
 def _residual_scale(p: FracPoly) -> float:
     return NEWTON_TOL * (1.0 + max(abs(c) for c in p.coefficients))
-
-
-def _tolerance(scale, mags, expts, size):
-    """The largest |P| of a root of modulus `size` (a number or an array of them).
-
-    NEWTON_TOL times the size of the terms, sum |c_k| |s|^e_k, when that is
-    larger than the absolute `scale`; nan past the float range, where no
-    value passes.
-    """
-    tol = np.maximum(scale, NEWTON_TOL * (np.power.outer(size, expts) @ mags))
-    return tol + 0.0 * tol  # nan where tol is inf: 0 * inf is nan
 
 
 def _dedupe(roots):
@@ -220,7 +200,7 @@ def _polish(p: FracPoly, points):
                 value, slope, size = evaluate_terms(p, s)
             if s == 0 or not cmath.isfinite(s):
                 continue
-            # the bound of `_tolerance`; a sum past the float range is no root
+            # a sum past the float range is no root
             bound = max(scale, NEWTON_TOL * size)
             if not abs(value) <= bound < math.inf:
                 continue
@@ -294,13 +274,14 @@ def _newton_points(coeffs, expts, scale_n, log_radius, log_eps):
 
     The starts lie on the _RINGS, spaced geometrically from eps to R0 with
     both clamped to [1e-4, 1e6], at the _ANGLES; those at 0 and pi reach
-    real roots and roots by the cut.  Each iteration evaluates only the
-    starts still live.  Those whose |P| passes `_tolerance` have converged
-    and form its batch, with a mask of the ones resolved to a cell: their
-    next Newton step would be shorter than DEDUPE_TOL.  Only the first
-    iteration's batch and the non-empty ones are yielded, so a search where
-    no start converges yields one empty batch.  Starts that diverge, past
-    1e6 times the largest ring or into the origin, are dropped.
+    real roots and roots by the cut.  An iteration evaluates the live starts
+    once, from their powers s^e_k: those whose |P| is within NEWTON_TOL
+    times the larger of `scale_n` and sum |c_k| |s^e_k| (if finite) have
+    converged and form its batch, with a mask of the ones resolved to a
+    cell, whose Newton step s P / (s P') is shorter than DEDUPE_TOL.  Only
+    the first iteration's batch and the non-empty ones are yielded, so a
+    search where no start converges yields one empty batch.  Starts that
+    diverge, past 1e6 times the largest ring or into the origin, are dropped.
     """
     dcoeffs = coeffs * expts
     mags = np.abs(coeffs)
@@ -310,25 +291,41 @@ def _newton_points(coeffs, expts, scale_n, log_radius, log_eps):
     s = (rings[:, None] * _ANGLES).ravel()
     limit = 1e6 * rings[-1]
     for iteration in range(MAX_ITER + 1):
-        f, fp = _eval_vec(coeffs, dcoeffs, expts, s)
-        done = np.abs(f) <= _tolerance(scale_n, mags, expts, np.abs(s))
-        if iteration == 0 or done.any():
-            yield s[done], np.abs(f[done]) < DEDUPE_TOL * np.abs(fp[done])
+        powers = np.exp(np.log(s)[:, None] * expts)
+        f, sfp = powers @ coeffs, powers @ dcoeffs
+        tol = np.maximum(scale_n, NEWTON_TOL * (np.abs(powers) @ mags))
+        done = (np.abs(f) <= tol) & (tol < math.inf)
+        step = s * f / sfp
+        converged = s[done]
+        if iteration == 0 or converged.size:
+            yield converged, np.abs(step[done]) < DEDUPE_TOL
         if iteration == MAX_ITER:
             return
         # a step from a non-finite P or a P' of 0 is not finite and fails the
         # bounds; one from an infinite P' would be 0
-        s = s - f / fp
+        s = s - step
         mag = np.abs(s)
-        s = s[~done & np.isfinite(fp) & (mag <= limit) & (mag >= 1e-14)]
+        s = s[~done & np.isfinite(sfp) & (mag <= limit) & (mag >= 1e-14)]
         if not s.size:
             return
 
 
-def _cells(points):
-    """`points` folded onto Im >= 0, and the DEDUPE_TOL cells they fall in."""
-    folded = np.where(points.imag < 0, points.conj(), points)
-    return folded, np.round(folded / DEDUPE_TOL)
+def _first_per_cell(points):
+    """{cell: point}: the first of `points`, folded onto Im >= 0, in each DEDUPE_TOL cell.
+
+    A cell is the point's parts times 1 / DEDUPE_TOL, each rounded half to
+    even or left infinite: the np.round(folded / DEDUPE_TOL) that numpy
+    forms through the reciprocal.  A non-finite point falls in no cell.
+    """
+    per_unit = 1.0 / DEDUPE_TOL
+    firsts = {}
+    for z in points:
+        if cmath.isfinite(z):
+            z = z.conjugate() if z.imag < 0 else z
+            re, im = z.real * per_unit, z.imag * per_unit
+            key = (round(re) if abs(re) < math.inf else re, round(im) if abs(im) < math.inf else im)
+            firsts.setdefault(key, z)
+    return firsts
 
 
 def _until_covered(batches, cells):
@@ -345,8 +342,8 @@ def _until_covered(batches, cells):
     drawn, keys = [], set()
     for points, resolved in batches:
         drawn.append(points)
-        keys.update(_cells(points[resolved])[1].tolist())
-        if sum(2 if key.imag else 1 for key in keys) >= cells:
+        keys.update(_first_per_cell(points[resolved].tolist()))
+        if sum(2 if im else 1 for _, im in keys) >= cells:
             break
     return np.concatenate(drawn)
 
@@ -410,16 +407,14 @@ def newton_roots(p: FracPoly):
 def _distinct_roots(p: FracPoly, points):
     """Polished, conjugate-closed RootResults from candidate points, sorted.
 
-    The coefficients are real, so the points are folded onto Im >= 0 and
-    reduced to one per DEDUPE_TOL grid cell before polishing.  `_dedupe`
-    then merges the polished roots, all on Im >= 0, that a cell edge split,
-    and the conjugate of each non-real root is added with its residual.
-    The points are roots s != 0; the root s = 0, where P(0) = 0, is added
-    exactly.
+    The coefficients are real, so the points (an array) are folded onto
+    Im >= 0 and reduced to the first finite one in each DEDUPE_TOL cell
+    (`_first_per_cell`) before polishing.  `_dedupe` then merges the
+    polished roots, all on Im >= 0, that a cell edge split, and the
+    conjugate of each non-real root is added with its residual.  The points
+    are roots s != 0; the root s = 0, where P(0) = 0, is added exactly.
     """
-    folded, cells = _cells(points)
-    _, first = np.unique(cells, return_index=True)
-    roots = _dedupe(_polish(p, folded[first]))
+    roots = _dedupe(_polish(p, _first_per_cell(points.tolist()).values()))
     roots += [RootResult(r.value.conjugate(), r.residual) for r in roots if r.value.imag]
     if _zero_is_root(p):
         roots.append(RootResult(0j, 0.0))
@@ -432,11 +427,16 @@ def commensurate_base(p: FracPoly):
     None also when the integer polynomial in s^(1/m) would have a degree
     above MAX_DEGREE: its companion matrix would cost too much.
     """
-    expts = np.array(normalize(p).exponents, dtype=float)
-    scaled = expts * _DENOMINATORS  # row m - 1: the exponents times m
-    fits = ((np.abs(scaled - np.round(scaled)) <= _COMMENSURATE_TOL * _DENOMINATORS).all(axis=1)
-            & (scaled[:, 0] <= MAX_DEGREE))  # the degree grows with m
-    return int(fits.argmax()) + 1 if fits.any() else None
+    expts = normalize(p).exponents
+    for m in range(1, MAX_DENOMINATOR + 1):
+        if not expts[0] * m <= MAX_DEGREE:  # the degree grows with m
+            return None
+        for e in expts:  # math.remainder: e m less the nearest integer; nan for a nan e
+            if not abs(math.remainder(e * m, 1.0)) <= _COMMENSURATE_TOL * m:
+                break
+        else:
+            return m
+    return None
 
 
 def commensurate_roots(p: FracPoly):

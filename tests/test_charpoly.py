@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,14 @@ class TestEval:
         assert eval_fracpoly(poly, 0.0) == 3.0
 
 
+def numpy_eval(p, s):
+    """P and P' of `p` at the points of the array `s`, in numpy: s^e = exp(e log s)."""
+    coeffs = np.array(p.coefficients, dtype=complex)
+    expts = np.array(p.exponents, dtype=float)
+    powers = np.exp(np.log(s)[:, None] * expts)
+    return powers @ coeffs, (powers @ (coeffs * expts)) / s
+
+
 class TestScalarEvaluation:
     """`evaluate_terms`, the one-point arithmetic of `_polish` and `design._placed`."""
 
@@ -102,9 +111,7 @@ class TestScalarEvaluation:
             assert size == pytest.approx(sum(abs(c) * abs(s) ** e for c, e in poly.terms),
                                          rel=1e-14)
             assert abs(value - eval_fracpoly(poly, s)) <= 1e-14 * size
-            coeffs = np.array(poly.coefficients, dtype=complex)
-            expts = np.array(poly.exponents)
-            _, fp = charpoly._eval_vec(coeffs, coeffs * expts, expts, np.array([s]))
+            _, fp = numpy_eval(poly, np.array([s]))
             slope_size = sum(abs(c * e) * abs(s) ** e for c, e in poly.terms)
             assert abs(slope - s * fp[0]) <= 1e-14 * slope_size
 
@@ -234,6 +241,12 @@ class TestFindRoots:
         assert (report.method, report.root_count, len(values)) == ("newton-grid", 5, 5)
         assert not report.coverage_caveat
 
+    def test_root_past_the_cell_range_is_kept(self):
+        # -1e303 / DEDUPE_TOL overflows: the root's cell is infinite, and it is still reported
+        report = find_roots(FracPoly.from_terms([(1.0, 1.0), (1e303, 0.0)]))
+        assert [r.value for r in report.roots] == pytest.approx([-1e303], rel=1e-15)
+        assert (report.method, report.root_count) == ("commensurate", 1)
+
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))
@@ -341,8 +354,6 @@ def reference_newton_roots(p):
     after polishing.
     """
     pn = normalize(p)
-    coeffs = np.array(pn.coefficients, dtype=complex)
-    expts = np.array(pn.exponents, dtype=float)
     scale_n = charpoly._residual_scale(pn)
     axis = np.linspace(-REFERENCE_RADIUS, REFERENCE_RADIUS, REFERENCE_DENSITY)
     re, im = np.meshgrid(axis, axis)
@@ -350,7 +361,7 @@ def reference_newton_roots(p):
     s[np.abs(s) < 1e-9] = 1e-3 + 1e-3j
     limit = 1e6 * REFERENCE_RADIUS
     for _ in range(charpoly.MAX_ITER):
-        f, fp = charpoly._eval_vec(coeffs, coeffs * expts, expts, s)
+        f, fp = numpy_eval(pn, s)
         bad = ~np.isfinite(f) | ~np.isfinite(fp) | (fp == 0)
         done = np.abs(f) <= scale_n
         active = ~(bad | done)
@@ -361,7 +372,7 @@ def reference_newton_roots(p):
         s = s - step
         escaped = ~np.isfinite(s) | (np.abs(s) > limit) | (np.abs(s) < 1e-14)
         s[escaped] = np.nan
-    f, _ = charpoly._eval_vec(coeffs, coeffs * expts, expts, np.where(np.isfinite(s), s, 1.0))
+    f, _ = numpy_eval(pn, np.where(np.isfinite(s), s, 1.0))
     converged = s[np.isfinite(s) & (np.abs(f) <= scale_n)]
     candidates = list(converged) + [z.conjugate() for z in converged]
     roots = [r.value for r in charpoly._polish(p, candidates)]  # all on Im >= 0
@@ -389,6 +400,33 @@ def seeded_pd_poly(seed):
     pole = complex(rng.uniform(-2.0, -0.5), rng.uniform(3.0, 8.0))
     spec = DesignSpecPd(plant=BENCH_PLANT, pole=pole, ess_percent=rng.uniform(2.0, 8.0))
     return char_poly_pd(BENCH_PLANT, design_pd_fractional(spec))
+
+
+def numpy_first_per_cell(points):
+    """{cell: point} by numpy: np.round(folded / DEDUPE_TOL) and np.unique's first indices."""
+    points = np.array(points, dtype=complex)
+    points = points[np.isfinite(points)]
+    folded = np.where(points.imag < 0, points.conj(), points)
+    with np.errstate(over="ignore"):  # a part past 1.8e302 gives an infinite key
+        cells, first = np.unique(np.round(folded / charpoly.DEDUPE_TOL), return_index=True)
+    return {(key.real, key.imag): z for key, z in zip(cells.tolist(), folded[first].tolist())}
+
+
+#: Parts of the points `_first_per_cell` is checked on: exact half cells, signed zeros,
+#: values near the cells' scale, finite floats up to the float range, and non-finite ones.
+CELL_PARTS = st.one_of(
+    st.integers(-10 ** 12, 10 ** 12).map(lambda k: (k + 0.5) * charpoly.DEDUPE_TOL),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(-1e-3, 1e-3),
+    st.floats(allow_nan=False, allow_infinity=False))
+CELL_POINT = st.builds(complex, CELL_PARTS, CELL_PARTS)
+#: Lists of points and, after some, a partner in or next to its cell: its conjugate
+#: (Im < 0 for one of them), or the point moved by under DEDUPE_TOL along the real axis.
+CELL_POINTS = st.lists(st.one_of(
+    CELL_POINT.map(lambda z: [z]),
+    st.builds(lambda z, d: [z, z.conjugate(), complex(z.real + d, z.imag)],
+              CELL_POINT, st.floats(-charpoly.DEDUPE_TOL, charpoly.DEDUPE_TOL)),
+), max_size=8).map(lambda groups: [z for group in groups for z in group])
 
 
 @pytest.fixture
@@ -441,6 +479,21 @@ class TestNewtonGrid:
         assert len(roots) == 2
         assert roots[1] == roots[0].conjugate()
         assert abs(roots[1] - root) <= 1e-9
+
+    @given(points=CELL_POINTS)
+    @settings(max_examples=400, deadline=None)
+    def test_first_per_cell_matches_the_numpy_definition(self, points):
+        got = charpoly._first_per_cell(points)
+        assert {(float(re), float(im)): z for (re, im), z in got.items()} \
+            == numpy_first_per_cell(points)
+        assert all(type(z) is complex and z.imag >= 0 for z in got.values())
+
+    def test_non_finite_points_fall_in_no_cell(self):
+        bad = [complex(math.inf, 0.0), complex(math.nan, 1.0), complex(1.0, -math.inf)]
+        assert charpoly._first_per_cell(bad) == {}
+        root = max(newton_roots(GOLDEN_POLY), key=lambda z: z.imag)
+        roots = charpoly._distinct_roots(GOLDEN_POLY, np.array(bad + [root]))
+        assert [r.value for r in roots] == [root.conjugate(), root]
 
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
                                       MIXED_INTEGER_POLY])
@@ -627,17 +680,24 @@ class TestCountTerminatedSearch:
 
     def test_golden_evaluations(self, monkeypatch):
         calls = []
-        original = charpoly._eval_vec
 
-        def counting(coeffs, dcoeffs, expts, s):
-            calls.append(len(s))
-            return original(coeffs, dcoeffs, expts, s)
+        class CountingNumpy:
+            """numpy, less its `log`, which records the size of each complex argument."""
 
-        monkeypatch.setattr(charpoly, "_eval_vec", counting)
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log(x):
+                if np.iscomplexobj(x):
+                    calls.append(np.size(x))
+                return np.log(x)
+
+        monkeypatch.setattr(charpoly, "np", CountingNumpy())
         find_roots(GOLDEN_POLY)
-        # the Newton evaluations are counted: 8 rings of 6 starts
+        # each Newton evaluation takes log s of its points once: 8 rings of 6 starts first
         assert calls[0] == charpoly._RINGS.size * charpoly._ANGLES.size == 48
-        assert len(calls) <= 10  # 19 when the run is drawn to its end
+        assert len(calls) <= 10  # 18 when the run is drawn to its end
 
     @staticmethod
     def every_iteration(monkeypatch):
