@@ -9,8 +9,10 @@ b_0 = 1, b_j = (1 - (1+q)/j) b_{j-1}.  Negative q gives the fractional
 integral with the same formula.  Signals are assumed at rest (zero)
 before t = 0.
 
-`gl_convolve` applies a weight sequence to a series known in advance.
-`GlHistory` serves one equation row whose series are being solved for,
+`gl_convolve` applies a weight sequence to a series known in advance: a
+step or staircase from its few changes, by the kernel's running sums in
+O(n) each, and a dense series by chunked FFTs in O(n log n).  `GlHistory`
+serves one equation row whose series are being solved for,
 _BLOCK samples at a time: for each block it returns the row's sums over
 lags >= _BLOCK of all its (kernel, series) pairs, which read only earlier
 samples, and leaves the lags below _BLOCK to the caller.  Its lag-doubling
@@ -120,31 +122,64 @@ def _support(kernel: np.ndarray) -> np.ndarray:
 def gl_convolve(kernel, series) -> np.ndarray:
     """kernel * series on the samples of `series`: out[k] = sum_j kernel[j] series[k-j].
 
-    A short operand is convolved exactly and directly.  Otherwise both
-    operands are cut into pieces of at most _CHUNK samples whose rFFT
-    products are summed per output piece, so no transform is longer than
-    2 * _CHUNK points.  Sums past the float range come back as inf or nan,
-    without a RuntimeWarning.
+    A piecewise-constant series (a step, a staircase) is convolved from its
+    changes: each change series[j] - series[j-1], with series[-1] = 0, adds
+    itself times the kernel's running sum shifted to j, and past the
+    kernel's end that sum holds the kernel's total (short memory).  The
+    running sums of GL weights of order q are the weights of order q - 1,
+    as (1 - z)^q / (1 - z) = (1 - z)^(q-1).  Each change costs n
+    multiply-adds against the FFT's O(n log n), so this path is taken when
+    sample 0 and the later changes number at most n.bit_length().
+
+    Otherwise a short operand is convolved exactly and directly, and longer
+    ones are cut into pieces of at most _CHUNK samples whose rFFT products
+    are summed per output piece, so no transform is longer than 2 * _CHUNK
+    points.  Sums past the float range come back as inf or nan, without a
+    RuntimeWarning.
     """
     series = np.asarray(series, dtype=float)
     n = len(series)
     kernel = _support(np.asarray(kernel, dtype=float)[:n])
-    if min(len(kernel), n) <= _BLOCK:
-        # reversed operands make np.convolve add the newest sample first, as
-        # the GL sum is written, so the integer-order stencils round textbook-wise
-        return np.convolve(series[::-1], kernel[::-1])[::-1][:n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        changed = series[1:] != series[:-1]
+        if np.count_nonzero(changed) < n.bit_length():  # sample 0 counts as one more
+            return _from_changes(kernel, series, np.flatnonzero(changed) + 1)
+        if min(len(kernel), n) <= _BLOCK:
+            # reversed operands make np.convolve add the newest sample first, as
+            # the GL sum is written, so the integer-order stencils round textbook-wise
+            return np.convolve(series[::-1], kernel[::-1])[::-1][:n]
+        return _chunked_fft(kernel, series)
+
+
+def _from_changes(kernel, series, later):
+    """kernel * series from its changes at sample 0 and at the samples `later`.
+
+    out[k] = sum_j (series[j] - series[j-1]) * running[k - j] over those j <= k.
+    """
+    running = np.cumsum(kernel)
+    out = np.zeros(len(series))
+    for j in (0, *later):
+        change = series[j] - series[j - 1] if j else series[0]
+        head = out[j:j + len(running)]
+        head += change * running[:len(head)]
+        out[j + len(running):] += change * running[-1]  # short memory: the kernel's total
+    return out
+
+
+def _chunked_fft(kernel, series):
+    """kernel * series from the rFFT products of pieces of at most _CHUNK samples."""
+    n = len(series)
     chunk = min(_CHUNK, 1 << (n - 1).bit_length())
     size = 2 * chunk
-    with np.errstate(over="ignore", invalid="ignore"):
-        series_spectra = [np.fft.rfft(series[p:p + chunk], size) for p in range(0, n, chunk)]
-        kernel_spectra = [np.fft.rfft(kernel[q:q + chunk], size)
-                          for q in range(0, len(kernel), chunk)]
-        out = np.zeros((len(series_spectra) + 1) * chunk)
-        for m in range(len(series_spectra)):
-            # pieces p of the series and q of the kernel land at (p + q) * chunk
-            spectrum = sum(series_spectra[p] * kernel_spectra[m - p]
-                           for p in range(max(0, m - len(kernel_spectra) + 1), m + 1))
-            out[m * chunk:m * chunk + size] += np.fft.irfft(spectrum, size)
+    series_spectra = [np.fft.rfft(series[p:p + chunk], size) for p in range(0, n, chunk)]
+    kernel_spectra = [np.fft.rfft(kernel[q:q + chunk], size)
+                      for q in range(0, len(kernel), chunk)]
+    out = np.zeros((len(series_spectra) + 1) * chunk)
+    for m in range(len(series_spectra)):
+        # pieces p of the series and q of the kernel land at (p + q) * chunk
+        spectrum = sum(series_spectra[p] * kernel_spectra[m - p]
+                       for p in range(max(0, m - len(kernel_spectra) + 1), m + 1))
+        out[m * chunk:m * chunk + size] += np.fft.irfft(spectrum, size)
     return out[:n]
 
 

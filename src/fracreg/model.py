@@ -141,6 +141,8 @@ class FracPoly:
 
     def __post_init__(self):
         exps = [e for _, e in self.terms]
+        if not all(math.isfinite(e) for e in exps):
+            raise ValueError(f"exponents must be finite, got {exps}")
         if any(e1 <= e2 for e1, e2 in zip(exps, exps[1:])):
             raise ValueError("exponents must be strictly decreasing")
         if any(c == 0 for c, _ in self.terms):

@@ -16,9 +16,11 @@ one equation that act on the same series merge into one kernel, each
 order's GL table is formed once per call, and an order-0 term is a
 weight at lag 0 only.  The direct scheme builds both sides of its
 equation in one call, so an order on both sides (delta, lambda) forms
-one table.  `gl_convolve` serves series known in advance (the input's
-share of every equation, and the state-space output y, which is never
-fed back) and `GlHistory` the sums over the series being solved for.
+one table.  `gl_convolve` serves series known in advance: the input's
+share of every equation, which for a step or staircase reference is a few
+shifted running sums of the input kernel, and the state-space output y,
+which is never fed back and takes the FFT path.  `GlHistory` serves the
+sums over the series being solved for.
 One `GlHistory` serves each equation row: the PD^delta row with kernels
 on x1 and x2 sums both products in the frequency domain and takes one
 inverse FFT per square.
@@ -389,6 +391,8 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
 
 def steady_state_estimate(traj: Trajectory, window: float):
     """(mean, max-min) of the output over the trailing window in seconds."""
+    if not 0 < window < math.inf:
+        raise ValueError(f"window must be positive and finite, got {window}")
     duration = (len(traj.output) - 1) * traj.step
     if window > duration:
         raise ValueError(f"window {window}s exceeds trajectory duration {duration}s")

@@ -79,13 +79,15 @@ class TestSimulate:
         header, rows = read_csv(tmp_path / "trajectory.csv")  # partial retained
         assert rows
 
-    def test_input_past_the_float_range_reports_an_infinite_magnitude(self, tmp_path, capsys):
+    def test_input_at_the_float_range_reports_the_exact_magnitude(self, tmp_path, capsys):
         doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
         doc["sim"].update(t_end=2.0, input={"type": "step", "amplitude": 1e308})
         assert main(["simulate", "--config", str(write_config(tmp_path, doc)),
                      "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "simulation diverged: state magnitude inf at step 1 (t=0.001)" in err
+        # x2 after one step is h times the input share's first sample,
+        # 1e-3 * (1.25 * h^0.2) * 1e308, within the float range
+        assert "simulation diverged: state magnitude 3.14e+304 at step 1 (t=0.001)" in err
 
     def test_zero_amplitude(self, tmp_path):
         doc = {

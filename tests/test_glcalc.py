@@ -213,10 +213,16 @@ class TestGlSeries:
 
     @pytest.mark.parametrize("n", [50, 200, 5000])  # direct, one-chunk and two-chunk sums
     def test_values_past_the_float_range_come_back_non_finite(self, n):
-        # pytest turns any RuntimeWarning into an error (pyproject.toml)
-        out = gl_series(SampledSignal(step=1e-3, values=np.full(n, 1e308)), 0.5)
-        assert not np.isfinite(out.values[0])
-        assert not np.isfinite(gl_convolve(np.ones(n), np.full(n, 1e308))[-1])
+        # pytest turns any RuntimeWarning into an error (pyproject.toml); a
+        # step takes the running sums, a series changing at every sample the
+        # direct or FFT sums
+        step = np.full(n, 1e308)
+        dense = step.copy()
+        dense[1::2] = 1.7e308
+        for values in (step, dense):
+            out = gl_series(SampledSignal(step=1e-3, values=values), 0.5)
+            assert not np.isfinite(out.values[0])
+            assert not np.isfinite(gl_convolve(np.ones(n), values)[-1])
 
     def test_tiny_step_with_a_large_order_comes_back_non_finite(self):
         # h^-order = 1e400 is past the float range: inf and nan, no OverflowError
@@ -236,6 +242,79 @@ class TestGlConvolve:
         want = naive_convolve(kernel, series)
         np.testing.assert_allclose(gl_convolve(kernel, series), want, rtol=0,
                                    atol=fft_atol(kernel[:n], series))
+
+
+def staircase(n, edges, levels):
+    """levels[i] from sample edges[i] on, zero before edges[0]."""
+    series = np.zeros(n)
+    for edge, level in zip(edges, levels):
+        series[edge:] = level
+    return series
+
+
+class TestGlConvolveSteps:
+    """A step or staircase is convolved from its changes, by the kernel's running sums."""
+
+    @staticmethod
+    def check(kernel, series):
+        got = gl_convolve(kernel, series)
+        want = np.convolve(kernel[:len(series)], series)[:len(series)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("order", [-0.3, 0.6, 1.7])
+    def test_step(self, order):
+        self.check(gl_coefficients(order, 4999).coeffs, np.full(5000, 2.5))
+
+    def test_staircase_changing_at_the_first_and_last_samples(self):
+        n = 5000
+        series = staircase(n, [0, 1000, 3000, n - 1], [1.5, -0.5, 2.0, 4.0])
+        self.check(gl_coefficients(0.6, n - 1).coeffs, series)
+
+    @pytest.mark.parametrize("kernel_len", [301, 8000], ids=["short-memory", "longer"])
+    def test_kernel_shorter_and_longer_than_the_series(self, kernel_len):
+        # the short kernel's running sum holds its total past lag 300
+        series = staircase(5000, [0, 700, 2500], [1.0, 3.0, -2.0])
+        self.check(gl_coefficients(0.6, kernel_len - 1).coeffs, series)
+
+    def test_zero_series(self):
+        out = gl_convolve(gl_coefficients(0.6, 999).coeffs, np.zeros(1000))
+        np.testing.assert_array_equal(out, np.zeros(1000))
+
+    def test_integer_order_stencil(self):
+        series = staircase(1000, [0, 400], [1.0, 3.0])
+        out = gl_convolve(gl_coefficients(2.0, 999).coeffs, series)
+        want = np.zeros(1000)
+        want[[0, 1, 400, 401]] = [1.0, -1.0, 2.0, -2.0]
+        np.testing.assert_array_equal(out, want)
+
+    def test_step_at_the_float_range(self):
+        # the running sums of order 0.5 lie in (0, 1], so every output is
+        # finite; pytest turns any RuntimeWarning into an error (pyproject.toml)
+        kernel = gl_coefficients(0.5, 4999).coeffs
+        out = gl_convolve(kernel, np.full(5000, 1e308))
+        want = 1e308 * np.convolve(kernel, np.ones(5000))[:5000]
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_transform_counts(self, monkeypatch):
+        n = 4097  # n.bit_length() = 13: sample 0 and up to 12 later changes
+        kernel = gl_coefficients(0.6, n - 1).coeffs
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(a, size):
+            calls.append(size)
+            return rfft(a, size)
+
+        monkeypatch.setattr(glcalc.np.fft, "rfft", counting_rfft)
+        edges = list(range(0, 13 * 300, 300))
+        for series, transforms in [(np.ones(n), False),
+                                   (staircase(n, edges, np.arange(1.0, 14.0)), False),
+                                   (staircase(n, edges + [4000], np.arange(1.0, 15.0)), True),
+                                   (np.random.default_rng(9).normal(size=n), True)]:
+            calls.clear()
+            gl_convolve(kernel, series)
+            assert bool(calls) == transforms
 
 
 class TestGlHistory:

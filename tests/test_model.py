@@ -159,6 +159,14 @@ class TestFracPoly:
         with pytest.raises(ValueError):
             FracPoly(terms=((1.0, 1.0), (1.0, 2.0)))
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_exponent(self, exponent):
+        # nan compares false both ways, so the ordering check alone let it through
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            FracPoly(terms=((1.0, 2.0), (1.0, exponent), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="exponents must be finite"):
+            FracPoly.from_terms([(1.0, exponent), (1.0, 0.0)])
+
     def test_from_terms_drops_zero(self):
         poly = FracPoly.from_terms([(0.0, 2.0), (1.0, 1.0)])
         assert poly.terms == ((1.0, 1.0),)

@@ -482,6 +482,12 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state_estimate(traj, 100.0)
 
+    @pytest.mark.parametrize("window", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_window_not_positive_and_finite(self, window):
+        traj = Trajectory(step=0.1, states=(), output=np.ones(10), input=np.ones(10))
+        with pytest.raises(ValueError, match=f"window must be positive and finite, got {window}"):
+            steady_state_estimate(traj, window)
+
 
 class TestSimConfig:
     def test_rejects_large_step(self):
