@@ -11,16 +11,17 @@ before t = 0.
 
 `gl_convolve` applies a weight sequence to a series known in advance: a
 step or staircase from its few changes, by the kernel's running sums in
-O(n) each, and a dense series by chunked FFTs in O(n log n).  `GlHistory`
-serves one equation row whose series are being solved for,
-_BLOCK samples at a time: for each block it returns the row's sums over
-lags >= _BLOCK of all its (kernel, series) pairs, which read only earlier
-samples, and leaves the lags below _BLOCK to the caller.  Its lag-doubling
-squares of width W up to _DIRECT_WIDTH = 256 are one valid-mode direct
-convolution per pair, which forms exactly the W outputs the square adds.
-Wider ones are FFT products, with one inverse FFT per square for the whole
-row; the kernel spectra of a width up to _CACHE_WIDTH = 1024 are kept while a
-later square of that width is still to come.
+O(n) each, and a dense series by chunked FFTs in O(n log n), whose first
+_BLOCK outputs are summed directly.  `GlHistory` serves one equation row
+whose series are being solved for, _BLOCK samples at a time: before each
+block it adds the row's sums over lags >= _BLOCK of all its
+(kernel, series) pairs, which read only earlier samples, into an array
+the caller owns, and leaves the lags below _BLOCK to the caller.  Its
+lag-doubling squares of width W up to _DIRECT_WIDTH = 256 are one
+valid-mode direct convolution per pair, which forms exactly the W outputs
+the square adds.  Wider ones are FFT products, with one inverse FFT per
+square for the whole row; the kernel spectra of every width are kept
+while a later square of that width is still to come.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ _BLOCK = 64
 _CHUNK = 4096
 #: Widest GlHistory square summed by direct convolution rather than FFTs.
 _DIRECT_WIDTH = 256
-#: Widest GlHistory square whose kernel spectra are kept for its next square.
-_CACHE_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,10 @@ def _from_changes(kernel, series, later):
 
 
 def _chunked_fft(kernel, series):
-    """kernel * series from the rFFT products of pieces of at most _CHUNK samples."""
+    """kernel * series from the rFFT products of pieces of at most _CHUNK samples.
+
+    Both operands are longer than _BLOCK; the first _BLOCK outputs are direct sums.
+    """
     n = len(series)
     chunk = min(_CHUNK, 1 << (n - 1).bit_length())
     size = 2 * chunk
@@ -180,27 +182,36 @@ def _chunked_fft(kernel, series):
         spectrum = sum(series_spectra[p] * kernel_spectra[m - p]
                        for p in range(max(0, m - len(kernel_spectra) + 1), m + 1))
         out[m * chunk:m * chunk + size] += np.fft.irfft(spectrum, size)
+    # an FFT output's rounding scales with the largest values of its pieces, so the
+    # first outputs are summed directly: 0 while the series is at rest, and
+    # accurate to their own size where it grows later
+    out[:_BLOCK] = np.convolve(series[:_BLOCK][::-1], kernel[:_BLOCK][::-1])[::-1][:_BLOCK]
     return out[:n]
 
 
 class GlHistory:
     """GL history sums over the far lags of series produced a block at a time.
 
-    `GlHistory(kernel, series, *pairs)` serves one equation row: the sum of
-    kernel * series over the first pair and every further (kernel, series)
-    pair, all series of one length.  `history.block(t)`, for t = 0, _BLOCK,
-    2 * _BLOCK, ... in increasing order, returns the sums over lags
-    j >= _BLOCK,
+    `GlHistory(out, kernel, series, *pairs)` serves one equation row: the
+    sum of kernel * series over the first pair and every further
+    (kernel, series) pair, all series of the length of `out`.
+    `history.advance(t)`, for t = 0, _BLOCK, 2 * _BLOCK, ... in increasing
+    order, adds the squares due at t into `out`, the caller's array; once it
+    returns, out[t:t + _BLOCK] holds, on top of what the caller put there,
+    the sums over lags j >= _BLOCK,
 
-        sum_pairs sum_{j>=_BLOCK} kernel[j] * series[s-j]   for s = t .. t + _BLOCK - 1,
+        sum_pairs sum_{j>=_BLOCK} kernel[j] * series[s-j]   for s = t .. t + _BLOCK - 1.
 
-    as a read-only view of at most _BLOCK values.  Each series is the
-    caller's array; it is read, never written, and series[:t] must be final
-    when `block(t)` is called.  Every lag j >= _BLOCK of those samples
-    reaches back before t, so the sums are complete then.  Lags below
-    _BLOCK, which couple the samples of one block, are the caller's to
-    solve.  A kernel cut off after n_mem + 1 weights gives the short-memory
-    sums exactly.
+    The squares also add partial sums to later samples of `out`, never to
+    earlier ones, so the caller may use out[:t + _BLOCK] as it likes.  A
+    simulator passes its forcing or drive, pre-filled with the input's
+    share, so no sum is copied; a negated kernel subtracts its sums.  Each
+    series is the caller's array; it is read, never written, and
+    series[:t] must be final when `advance(t)` is called.  Every lag
+    j >= _BLOCK of those samples reaches back before t, so the sums are
+    complete then.  Lags below _BLOCK, which couple the samples of one
+    block, are the caller's to solve.  A kernel cut off after n_mem + 1
+    weights gives the short-memory sums exactly.
 
     The sums come from the lag-doubling scheme of Hairer, Lubich &
     Schlichte (SIAM J. Sci. Stat. Comput. 6(3), 1985): at each t, with
@@ -211,19 +222,22 @@ class GlHistory:
     below _BLOCK set to zero), which forms exactly the W outputs.  A wider
     one is an FFT product per pair, summed in the frequency domain
     and brought back by one inverse FFT.  Its kernel spectra depend only on
-    the width; up to _CACHE_WIDTH they are kept while a later square of
-    that width is still to come, and wider ones are formed, used and dropped.
+    the width, and are kept while a later square of that width is still to
+    come; the last square of each width forms, uses and drops them.  The
+    cache thus holds at most P * sum(W + 1) complex values for P pairs over
+    the FFT widths W whose squares repeat: about 17 MB for the two pairs of
+    the PD^delta row at 10^6 samples.
     """
 
-    def __init__(self, kernel, series: np.ndarray, *pairs):
-        self._far = np.zeros(len(series))
+    def __init__(self, out: np.ndarray, kernel, series: np.ndarray, *pairs):
+        self._out = out
         # (head, tail, series) per far-reaching pair: tail[i] = kernel[_BLOCK + i], and
         # head[i] = kernel[i + 1] for lags _BLOCK <= i + 1 < 2 * _DIRECT_WIDTH, else 0
         self._pairs = []
         self._lags = 0
         for weights, values in ((kernel, series), *pairs):
-            if len(values) != len(self._far):
-                raise ValueError("the series of one history must have one length")
+            if len(values) != len(out):
+                raise ValueError("the series of one history must have the length of its sums")
             weights = _support(np.asarray(weights, dtype=float))
             if len(weights) > _BLOCK:
                 head = np.zeros(2 * _DIRECT_WIDTH - 1)
@@ -234,17 +248,12 @@ class GlHistory:
                 self._lags = max(self._lags, len(weights) - 1)
         self._spectra = {}  # width -> the pairs' kernel tail spectra
 
-    def block(self, t: int) -> np.ndarray:
-        self._advance(t)
-        out = self._far[t:t + _BLOCK]
-        out.flags.writeable = False
-        return out
-
-    def _advance(self, t):
+    def advance(self, t: int):
+        """Add the square due at t; out[t:t + _BLOCK] is complete on return."""
         # kernels with fewer lags than L only link inputs and outputs that
         # lie within `lags` of t, so the square shrinks to that width
         width = min(t & -t, self._lags)
-        out = self._far[t:t + width]
+        out = self._out[t:t + width]
         if width < _BLOCK or not len(out):
             return  # no lag of the square reaches _BLOCK
         # output t + o takes input t - width + i through lag o + width - i
@@ -259,7 +268,7 @@ class GlHistory:
         # uncached, each kernel spectrum is formed just before its product
         spectra = (self._spectra.pop(width, None)
                    or (np.fft.rfft(tail[:hi], size) for _, tail, _ in self._pairs))
-        if width <= _CACHE_WIDTH and t + 2 * width < len(self._far):
+        if t + 2 * width < len(self._out):
             # the next square of this width reuses them
             spectra = self._spectra[width] = list(spectra)
         total = None

@@ -25,20 +25,28 @@ One `GlHistory` serves each equation row: the PD^delta row with kernels
 on x1 and x2 sums both products in the frequency domain and takes one
 inverse FFT per square.
 
-Both step _BLOCK = 64 samples at a time.  `GlHistory` hands over the sums
-over lags >= _BLOCK for a whole block, which read only samples before it;
-the lags below _BLOCK couple the samples of the block, and each simulator
-solves them with its own small linear operator, formed once per run.  The
-Euler scheme folds the near lags, their solve and the summing of the steps
-into one propagator (`_euler_block`), so a block of states is one
-matrix-vector product with the block's forcing and the 64 states before
-it; the direct scheme takes a triangular Toeplitz solve with one
-refinement step.  A run of n steps thus costs
-n / 64 Python iterations plus the O(n log^2 n) work of the history sums:
-direct convolutions for squares up to 256 samples wide, FFTs beyond, with
-the kernel spectra of widths up to 1024 cached.  `memory_len` keeps its
-exact short-memory meaning: every kernel is cut off after
-floor(memory_len / step) + 1 weights.
+Both step _BLOCK = 64 samples at a time.  Before each block, `GlHistory`
+adds the sums over lags >= _BLOCK, which read only samples before it,
+straight into an array the simulator owns: the state space's forcing, a
+time-major array with one column per row that has an input share or a
+history, pre-filled with the share; the direct scheme's drive, through
+the negated kernel.  The lags below _BLOCK couple the samples of the
+block, and each simulator solves them with its own small linear
+operator, formed once per run.  The Euler scheme folds the near lags,
+their solve and the summing of the steps into one propagator
+(`_euler_block`, built from windows of one lag table), and keeps its
+states time-major in one buffer with _BLOCK - 1 rest rows before sample
+0, so a block of states is A @ f + C @ v over two contiguous windows,
+the block's forcing and the 64 states before it, written straight into
+that buffer; the direct scheme takes a triangular Toeplitz solve with one
+refinement step.  One dot product, the block's sum of squares against
+DIVERGENCE_LIMIT ** 2, screens each block for divergence, and only a
+block that fails it is searched sample by sample.  A run of n steps thus
+costs n / 64 Python iterations plus the O(n log^2 n) work of the history
+sums: direct convolutions for squares up to 256 samples wide, FFTs
+beyond, with each width's kernel spectra formed once while its squares
+repeat.  `memory_len` keeps its exact short-memory meaning: every kernel
+is cut off after floor(memory_len / step) + 1 weights.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DivergedError, ResourceLimitError, SingularStepError
 from .glcalc import _BLOCK, GlHistory, _truncation, gl_coefficients, gl_convolve
@@ -193,44 +202,54 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
     n = cfg.n_steps
     w = _input_samples(cfg, n)
     n_mem = _truncation(n, h, cfg.memory_len)
-    x = np.zeros((model.dim, n + 1))
+    # time-major states, x[k, i] = buffer[_BLOCK - 1 + k, i]: with the rest rows
+    # before sample 0, every block reads its _BLOCK previous states as one window
+    buffer = np.zeros((_BLOCK - 1 + n + 1, model.dim))
+    x = buffer[_BLOCK - 1:]
 
     def equations():
-        """(near, rows) of the state equations for `_block_steps`.
+        """(near, forced, forcing, histories) of the state equations for `_block_steps`.
 
-        near[j][row, target] is the weight of x[target][k - j] in the
-        right-hand side of `row` at step k, j < _BLOCK.  Each row with more
-        than that gets (row, share, history): the input is known in advance,
-        so its share is formed once (None if the row has no input term), and
-        one online history covers the lags j >= _BLOCK of the row's state
-        kernels (None if none reaches that far).
+        near[j][row, target] is the weight of x[k - j, target] in the
+        right-hand side of `row` at step k, j < _BLOCK.  The rows that get
+        more than that are `forced`, each with a column of the time-major
+        `forcing`: the input is known in advance, so the column starts as its
+        share, and the row's one online history adds the lags j >= _BLOCK of
+        its state kernels into it.
         """
+        rows = [_gl_kernels(terms, h, n_mem) for terms in model.state_terms]
         near = np.zeros((_BLOCK, model.dim, model.dim))
-        rows = []
-        for row, terms in enumerate(model.state_terms):
-            kernels = _gl_kernels(terms, h, n_mem)
-            # a share past the float range makes the states diverge at its
-            # first step, which _block_steps reports
-            share = gl_convolve(kernels.pop(INPUT), w) if INPUT in kernels else None
+        for row, kernels in enumerate(rows):
             for target, kernel in kernels.items():
-                near[:min(_BLOCK, len(kernel)), row, target] += kernel[:_BLOCK]
-            pairs = [(kernel, x[target]) for target, kernel in kernels.items()
+                if target != INPUT:
+                    near[:min(_BLOCK, len(kernel)), row, target] += kernel[:_BLOCK]
+        forced = [row for row, kernels in enumerate(rows)
+                  if INPUT in kernels or any(len(kernel) > _BLOCK for kernel in kernels.values())]
+        forcing = np.zeros((n + 1, len(forced)))
+        histories = []
+        for column, row in zip(forcing.T, forced):
+            kernels = rows[row]
+            if INPUT in kernels:
+                # a share past the float range makes the states diverge at its
+                # first step, which _block_steps reports
+                column[:] = gl_convolve(kernels.pop(INPUT), w)
+            pairs = [(kernel, x[:, target]) for target, kernel in kernels.items()
                      if len(kernel) > _BLOCK]
-            history = GlHistory(*pairs[0], *pairs[1:]) if pairs else None
-            if share is not None or history is not None:
-                rows.append((row, share, history))
-        return near, rows
+            if pairs:
+                histories.append(GlHistory(column, *pairs[0], *pairs[1:]))
+        return near, forced, forcing, histories
 
-    # the history buffers are freed when _block_steps returns
-    upto = _block_steps(x, *equations(), h, n)
+    # the forcing and the histories' cached spectra are freed when _block_steps
+    # returns, before y's convolutions need their memory
+    upto = _block_steps(buffer, *equations(), h, n)
 
     # y is never fed back, so it is formed from the finished series
     y = np.zeros(upto)
     for target, kernel in _gl_kernels(model.output_terms, h, n_mem).items():
-        y += gl_convolve(kernel, (w if target == INPUT else x[target])[:upto])
-    traj = Trajectory(step=h, states=tuple(x[:, :upto]), output=y, input=w[:upto])
+        y += gl_convolve(kernel, (w if target == INPUT else x[:, target])[:upto])
+    traj = Trajectory(step=h, states=tuple(x[:upto].T), output=y, input=w[:upto])
     if upto <= n:
-        bad = np.abs(x[:, upto])  # a NaN state reads as inf, where max() would give nan
+        bad = np.abs(x[upto])  # a NaN state reads as inf, where max() would give nan
         bad = bad.max() if np.isfinite(bad).all() else math.inf
         raise DivergedError(f"state magnitude {bad:.3g} at step {upto} (t={h * upto:.6g})",
                             index=upto, trajectory=traj)
@@ -240,18 +259,18 @@ def simulate_state_space(model: StateModel, cfg: SimConfig) -> Trajectory:
 def _euler_block(near, h):
     """The propagator P = [A | C] of one block of Euler steps, (B*d) x (2*B*d).
 
-    Step k evaluates g[k] = sum_{j<B} near[j] x[:, k-j] + f[k], where f is
+    Step k evaluates g[k] = sum_{j<B} near[j] x[k-j] + f[k], where f is
     the input share plus the far history sums, and sets
-    x[:, k+1] = x[:, k] + h g[k].  In the block of steps k = t..t+B-1 a
-    state x[:, t+i] is x[:, t] + h (g[t] + ... + g[t+i-1]), so with f and
-    v = x[:, t-B+1..t] flattened time-major, g solves
+    x[k+1] = x[k] + h g[k].  In the block of steps k = t..t+B-1 a
+    state x[t+i] is x[t] + h (g[t] + ... + g[t+i-1]), so with f and
+    v = x[t-B+1..t] flattened time-major, g solves
 
         (I - h N) g = carry @ v + f,
 
     N[m, i] = cum[m-1-i] for i < m, with cum[l] = near[0] + ... + near[l].
     carry[m, p] = near[m + B-1 - p] for m <= p < B-1 reaches back before
-    the block, and its last column, x[:, t] itself, is cum[m].  The new
-    states x[:, t+1..t+B] are then P @ [f; v], with
+    the block, and its last column, x[t] itself, is cum[m].  The new
+    states x[t+1..t+B] are then P @ [f; v], with
 
         A = h L (I - h N)^-1,   C = A @ carry + [0 ... 0 | I],
 
@@ -273,51 +292,62 @@ def _euler_block(near, h):
     # diverge, but a zero forcing must still give zero states, not 0 * inf
     np.nan_to_num(rev, copy=False)
     lagged = h * np.cumsum(rev[::-1], axis=0)[::-1]  # lagged[size-1-k] is A's block at lag k
+    # one lag table holds block (m, p) of A and of the carry at index size-1 + (p - m):
+    # lagged, then zeros (p > m), and zeros (p < m), then near reversed
+    zeros = np.zeros((size - 1, dim, dim))
+    table = np.stack([np.concatenate([lagged, zeros]), np.concatenate([zeros, near[::-1]])])
+    table = table.transpose(0, 2, 1, 3).reshape(2, dim, -1)  # (A or carry, i, (index, j))
+    # so row (m, i) of either is the window of its table row i that starts at index size-1-m
+    windows = sliding_window_view(table, size * dim, axis=2)[:, :, (size - 1) * dim::-dim]
     prop = np.zeros((size, dim, 2, size, dim))  # [A | C], row (m, i) to column (A or C, p, j)
-    carry = np.zeros((size, dim, size, dim))
-    for m in range(size):
-        prop[m, :, 0, :m + 1] = lagged[size - 1 - m:].transpose(1, 0, 2)
-        carry[m, :, m:size - 1] = near[size - 1:m:-1].transpose(1, 0, 2)
+    prop[:, :, 0] = windows[0].transpose(1, 0, 2).reshape(size, dim, size, dim)
+    carry = windows[1].transpose(1, 0, 2).reshape(size, dim, size, dim).copy()
     carry[:, :, size - 1] = cum
     rows = prop.reshape(size * dim, 2, size * dim)
     np.matmul(rows[:, 0], carry.reshape(size * dim, -1), out=rows[:, 1])
     del carry
-    prop[:, :, 1, size - 1] += np.eye(dim)  # x[:, t] itself starts every step
+    prop[:, :, 1, size - 1] += np.eye(dim)  # x[t] itself starts every step
     np.nan_to_num(prop, copy=False)
     return prop.reshape(size * dim, -1)
 
 
-def _block_steps(x, near, rows, h, n) -> int:
+def _block_steps(buffer, near, forced, forcing, histories, h, n) -> int:
     """Explicit Euler steps k = 0..n-1; returns n + 1, or k + 1 once a state diverges.
 
-    Each block of _BLOCK steps is one product of the propagator of
-    `_euler_block` with [f; v]: f holds each row's one input share, formed
-    before the run, and its far history sums, which read only states
-    before the block, and v the states x[:, t-B+1..t].  No state is read after it diverges, so the
-    products run with overflow ignored; one reduction checks each block,
-    and only the block that fails it looks for its first bad step.
+    `buffer` holds the states time-major, x[k] at row _BLOCK - 1 + k, and
+    `forcing` the forced rows' forcing time-major.  Each block of _BLOCK
+    steps from t is A @ f + C @ v, the propagator [A | C] of `_euler_block`
+    with A cut to the forced rows' columns: f = forcing[t:t + B] is each
+    forced row's input share plus its far history sums, which the row's
+    history adds in first and which read only states before the block, and
+    v = x[t-B+1..t] = buffer[t:t + B].  Both are contiguous windows, and the
+    new states are written straight into buffer[t + B:t + 2B].  No state is
+    read after it diverges, so the products run with overflow ignored; one
+    dot product screens each block, and only a block that fails it is
+    searched for its first bad step.
     """
-    dim = len(x)
+    dim = buffer.shape[1]
     size = _BLOCK * dim
-    forcing = np.zeros(2 * size)  # [f; v], both time-major
-    f, v = forcing[:size].reshape(_BLOCK, dim), forcing[size:].reshape(_BLOCK, dim)
+    states, f = buffer.reshape(-1), forcing.reshape(-1)
+    cols = len(forced)
+    bound = DIVERGENCE_LIMIT ** 2  # a NaN, or a square past the float range, fails it too
     with np.errstate(over="ignore", invalid="ignore"):
         prop = _euler_block(near, h)
+        a = prop[:, :size].reshape(size, _BLOCK, dim)[:, :, forced].reshape(size, -1)
+        c = prop[:, size:]
         for t in range(0, n, _BLOCK):
+            for history in histories:
+                history.advance(t)
             b = min(_BLOCK, n - t)
-            f[:] = 0.0  # summed afresh each block; a short last block leaves zeros past b
-            for row, share, history in rows:
-                if share is not None:
-                    f[:b, row] += share[t:t + b]
-                if history is not None:
-                    f[:b, row] += history.block(t)[:b]
-            if t:  # before t = 0 the states are at rest
-                v[:] = x[:, t - _BLOCK + 1:t + 1].T
-            new = prop[:b * dim] @ forcing
-            x[:, t + 1:t + b + 1] = new.reshape(b, dim).T
-            if not np.abs(new).max() <= DIVERGENCE_LIMIT:  # a NaN fails it too
+            if b < _BLOCK:  # a short last block: its leading rows, read against its steps
+                a, c = a[:b * dim, :b * cols], c[:b * dim]
+            new = states[(t + _BLOCK) * dim:(t + _BLOCK + b) * dim]
+            np.matmul(a, f[t * cols:(t + b) * cols], out=new)
+            new += c @ states[t * dim:t * dim + size]
+            if not new @ new <= bound:
                 finite = (np.abs(new.reshape(b, dim)) <= DIVERGENCE_LIMIT).all(axis=1)
-                return t + 1 + int(np.argmin(finite))
+                if not finite.all():
+                    return t + 1 + int(np.argmin(finite))
     return n + 1
 
 
@@ -345,7 +375,9 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     near = np.zeros(_BLOCK)
     near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
     y = np.zeros(n + 1)
-    history = GlHistory(kernel, y)
+    # through the negated kernel the history subtracts the far sums from the
+    # drive: drive[t:t + B] is the block's right-hand side once it has advanced
+    history = GlHistory(drive, np.negative(kernel, out=kernel), y)
 
     # One block solves near * y = drive - far for u = y[t..t+B-1]: lags
     # within it form the lower-triangular Toeplitz matrix `lower` with the
@@ -358,28 +390,33 @@ def simulate_direct(plant: Plant, ctrl, cfg: SimConfig) -> Trajectory:
     lags = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
     lower, upper = np.tril(near[lags]), np.triu(near[lags], 1)
     first = np.zeros(_BLOCK)
+    bound = DIVERGENCE_LIMIT ** 2  # a NaN, or a square past the float range, fails it too
     with np.errstate(over="ignore", invalid="ignore"):
         first[0] = 1.0 / pivot
         for k in range(1, _BLOCK):
             first[k] = -np.dot(near[1:k + 1], first[k - 1::-1]) / pivot
         inverse = np.tril(np.nan_to_num(first)[lags])
         for t in range(0, n + 1, _BLOCK):
+            history.advance(t)
             b = min(_BLOCK, n + 1 - t)
-            r = drive[t:t + b] - history.block(t)[:b]
+            if b < _BLOCK:  # a short last block
+                inverse, lower, upper = inverse[:b, :b], lower[:b, :b], upper[:b]
+            r = drive[t:t + b]
             if t:  # before t = 0 the output is at rest
-                r -= upper[:b] @ y[t - _BLOCK:t]
-            u = inverse[:b, :b] @ r
-            finite = np.abs(u) <= DIVERGENCE_LIMIT
-            diverged = not finite.all()
-            if diverged:
-                # the samples after the first bad one are not needed, and an
-                # overflowed one would turn into NaN (0 * inf) in the refinement
-                u[np.argmin(finite) + 1:] = 0.0
+                r -= upper @ y[t - _BLOCK:t]
+            u = np.matmul(inverse, r, out=y[t:t + b])
+            bad = None
+            if not u @ u <= bound:  # one dot product screens the block
+                finite = np.abs(u) <= DIVERGENCE_LIMIT
+                if not finite.all():
+                    # the samples after the first bad one are not needed, and an
+                    # overflowed one would turn into NaN (0 * inf) in the refinement
+                    bad = int(np.argmin(finite))
+                    u[bad + 1:] = 0.0
             # one refinement step brings u to the accuracy of per-sample substitution
-            u += inverse[:b, :b] @ (r - lower[:b, :b] @ u)
-            y[t:t + b] = u
-            if diverged:
-                k = t + int(np.argmin(finite))
+            u += inverse @ (r - lower @ u)
+            if bad is not None:
+                k = t + bad
                 raise DivergedError(
                     f"output magnitude {abs(y[k]):.3g} at step {k} (t={h * k:.6g})",
                     index=k,

@@ -42,21 +42,22 @@ def naive_convolve(kernel, series):
 class PerSampleHistory:
     """sum_{j>=1} kernel[j] series[t-j] for t = 0, 1, 2, ... in turn.
 
-    GlHistory's block read gives the lags j >= _BLOCK; lags 1.._BLOCK-1 are
-    added by a naive dot product at every sample.
+    GlHistory adds the lags j >= _BLOCK into a zero array, read back at each
+    sample; lags 1.._BLOCK-1 are added by a naive dot product at every sample.
     """
 
     def __init__(self, kernel, series):
-        self.history = GlHistory(kernel, series)
+        self.far = np.zeros(len(series))
+        self.history = GlHistory(self.far, kernel, series)
         self.near = np.zeros(_BLOCK)
         self.near[:min(_BLOCK, len(kernel))] = kernel[:_BLOCK]
         self.series = series
 
     def __call__(self, t):
         if t % _BLOCK == 0:
-            self.far = self.history.block(t)
+            self.history.advance(t)
         lags = min(t, _BLOCK - 1)
-        return self.far[t % _BLOCK] + np.dot(self.near[1:lags + 1], self.series[t - lags:t][::-1])
+        return self.far[t] + np.dot(self.near[1:lags + 1], self.series[t - lags:t][::-1])
 
 
 def fft_atol(kernel, series):
@@ -243,6 +244,19 @@ class TestGlConvolve:
         np.testing.assert_allclose(gl_convolve(kernel, series), want, rtol=0,
                                    atol=fft_atol(kernel[:n], series))
 
+    def test_first_block_is_summed_to_its_own_size(self):
+        # an FFT's rounding scales with the largest values of its pieces: the
+        # first _BLOCK outputs, at rest and then small, must not carry the tail's
+        n = 5000
+        rng = np.random.default_rng(5)
+        series = np.r_[np.zeros(20), rng.normal(size=_BLOCK - 20),
+                       1e12 * rng.normal(size=n - _BLOCK)]
+        kernel = gl_coefficients(0.6, n - 1).coeffs
+        got = gl_convolve(kernel, series)[:_BLOCK]
+        want = np.convolve(kernel, series)[:_BLOCK]
+        np.testing.assert_array_equal(got[:20], np.zeros(20))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
 
 def staircase(n, edges, levels):
     """levels[i] from sample edges[i] on, zero before edges[0]."""
@@ -341,15 +355,16 @@ class TestGlHistory:
 
     @pytest.mark.parametrize("n", [200, 4097])
     def test_block_reads_only_earlier_samples(self, n):
-        # series[t:] is still NaN at block(t): the far sums must not touch it
+        # series[t:] is still NaN at advance(t): the far sums must not touch it
         rng = np.random.default_rng(n)
         kernel = rng.normal(size=n + 1)
         series = np.full(n, np.nan)
-        history = GlHistory(kernel, series)
+        far = np.zeros(n)
+        history = GlHistory(far, kernel, series)
         got = []
         for t in range(0, n, _BLOCK):
-            block = history.block(t)
-            assert len(block) == min(_BLOCK, n - t) and not block.flags.writeable
+            history.advance(t)
+            block = far[t:t + _BLOCK]
             got.append(block.copy())
             series[t:t + _BLOCK] = rng.normal(size=len(block))
         want = naive_convolve(np.r_[np.zeros(_BLOCK), kernel[_BLOCK:]], series)
@@ -384,9 +399,13 @@ class TestGlHistory:
         np.testing.assert_array_equal(got, want)
 
 
-def far_sums(history, n):
-    """The far-lag sums of `history` for samples 0..n-1, read block by block."""
-    return np.concatenate([history.block(t) for t in range(0, n, _BLOCK)])
+def far_sums(pairs, n):
+    """(far-lag sums of `pairs` for samples 0..n-1, their history), added into a zero array."""
+    far = np.zeros(n)
+    history = GlHistory(far, *pairs[0], *pairs[1:])
+    for t in range(0, n, _BLOCK):
+        history.advance(t)
+    return far, history
 
 
 def naive_far_sums(pairs):
@@ -398,8 +417,8 @@ def naive_far_sums(pairs):
 class TestGlHistoryRow:
     """One history for the sum of several (kernel, series) pairs of an equation row."""
 
-    #: Lengths on both sides of the direct-square limit (256), the widest
-    #: cached spectrum (1024) and the first uncached width (2048).
+    #: Lengths on both sides of the direct-square limit (256) and of the
+    #: FFT widths 1024 and 2048.
     LENGTHS = [63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 4097]
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -408,8 +427,7 @@ class TestGlHistoryRow:
         # the order-1 stencil has no lag past _BLOCK and adds nothing
         kernels = [rng.normal(size=n + 1), lgamma_weights(0.6, n), gl_coefficients(1.0, n).coeffs]
         pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
-        history = GlHistory(*pairs[0], *pairs[1:])
-        got = far_sums(history, n)
+        got, history = far_sums(pairs, n)
         atol = sum(fft_atol(kernel, series) for kernel, series in pairs)
         np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0, atol=atol)
         # every square's last one of its width has dropped the cached spectra
@@ -422,15 +440,14 @@ class TestGlHistoryRow:
         n = 9000
         kernels = [gl_coefficients(0.6, n_mem).coeffs, gl_coefficients(-0.3, 2 * n_mem).coeffs]
         pairs = [(kernel, rng.normal(size=n)) for kernel in kernels]
-        history = GlHistory(*pairs[0], *pairs[1:])
-        got = far_sums(history, n)
+        got, history = far_sums(pairs, n)
         atol = sum(fft_atol(kernel, series) for kernel, series in pairs)
         np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0, atol=atol)
         assert not history._spectra
 
     def test_series_of_different_lengths_rejected(self):
         with pytest.raises(ValueError):
-            GlHistory(np.ones(100), np.zeros(100), (np.ones(100), np.zeros(99)))
+            GlHistory(np.zeros(100), np.ones(100), np.zeros(100), (np.ones(100), np.zeros(99)))
 
     def test_transform_counts(self, monkeypatch):
         n = 8000
@@ -452,16 +469,16 @@ class TestGlHistoryRow:
 
         monkeypatch.setattr(glcalc.np.fft, "rfft", counting_rfft)
         monkeypatch.setattr(glcalc.np.fft, "irfft", counting_irfft)
-        history = GlHistory(*pairs[0], *pairs[1:])
-        got = far_sums(history, n)
+        got, history = far_sums(pairs, n)
         # FFT squares below 8000 (t = width * odd): width 512 at 8 t, 1024 at 4,
         # 2048 at 2 and 4096 at 1, each of transform size 2 * width
         squares = [1024] * 8 + [2048] * 4 + [4096] * 2 + [8192]
         assert sorted(inverse_sizes) == squares  # one inverse FFT per square for both pairs
         assert sorted(series_sizes) == sorted(squares * 2)
         for sizes in kernel_sizes.values():
-            # widths up to 1024 are transformed once per pair; wider ones per square
-            assert sorted(sizes) == [1024, 2048, 4096, 4096, 8192]
+            # every width is transformed once per pair, its spectra kept for its later squares
+            assert sorted(sizes) == [1024, 2048, 4096, 8192]
+        assert not history._spectra
         monkeypatch.undo()
         np.testing.assert_allclose(got, naive_far_sums(pairs), rtol=0,
                                    atol=sum(fft_atol(k, x) for k, x in pairs))
@@ -481,7 +498,7 @@ class TestGlHistoryRow:
             return result
 
         monkeypatch.setattr(glcalc.np, "convolve", recording_convolve)
-        got = far_sums(GlHistory(*pairs[0], *pairs[1:]), n)
+        got, _ = far_sums(pairs, n)
         monkeypatch.undo()
         # direct squares below 4097: width 64 at 32 t, 128 at 16 and 256 at 8, one per pair
         squares = [64] * 32 + [128] * 16 + [256] * 8

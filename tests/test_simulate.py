@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lti
 
 from fracreg.errors import DivergedError, ResourceLimitError, SingularStepError
-from fracreg.glcalc import _truncation, gl_coefficients, gl_convolve
+from fracreg.glcalc import _BLOCK, _truncation, gl_coefficients, gl_convolve
 from fracreg.model import (INPUT, PdController, PiController, Plant, Term, build_pd_model,
                            build_pi_model, closed_loop)
 from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
@@ -282,6 +282,41 @@ class TestBlockSteps:
         assert got == index is not None
         np.testing.assert_allclose(traj.output, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
 
+    @pytest.mark.parametrize("peak", [0.9e12, 1.1e12])
+    def test_divergence_screen(self, peak):
+        # The unstable loop grows slowly within a block.  Scaled to a peak of
+        # 0.9e12, the values of its last block (the last 3000 % 64 = 56 steps)
+        # stay below the limit while their sum of squares passes
+        # DIVERGENCE_LIMIT ** 2, which must not diverge.  Scaled to 1.1e12, a
+        # sample crosses the limit mid-block, at the reference's index.
+        h, n = 2e-3, 3000
+        model = build_pd_model(BENCH_PLANT, UNSTABLE_PD)
+        unit = SimConfig(step=h, t_end=n * h)
+
+        def scaled(values):
+            return SimConfig(step=h, t_end=n * h, input=StepInput(peak / np.max(np.abs(values))))
+
+        cfg = scaled(reference_state_space(model, unit)[0])
+        states, _, index = reference_state_space(model, cfg)
+        traj, got = run(simulate_state_space, model, cfg)
+        assert got == index
+        np.testing.assert_allclose(np.array(traj.states), states, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(states)))
+        if index is None:
+            assert np.sum(states[:, -(_BLOCK // 2):] ** 2) > DIVERGENCE_LIMIT ** 2
+        else:  # step index - 1 is neither the first nor the last of its block
+            assert 0 < (index - 1) % _BLOCK < _BLOCK - 1
+
+        cfg = scaled(reference_direct(BENCH_PLANT, UNSTABLE_PD, unit)[0])
+        y, index = reference_direct(BENCH_PLANT, UNSTABLE_PD, cfg)
+        traj, got = run(simulate_direct, BENCH_PLANT, UNSTABLE_PD, cfg)
+        assert got == index
+        np.testing.assert_allclose(traj.output, y, rtol=0, atol=1e-10 * np.max(np.abs(y)))
+        if index is None:
+            assert np.sum(y[-(_BLOCK // 2):] ** 2) > DIVERGENCE_LIMIT ** 2
+        else:  # sample index is neither the first nor the last of its block
+            assert 0 < index % _BLOCK < _BLOCK - 1
+        assert (index is None) == (peak < DIVERGENCE_LIMIT)
 
     @pytest.mark.parametrize("amplitude", [0.0, 1.0])
     def test_operators_past_float_range(self, amplitude):
@@ -304,6 +339,30 @@ class TestBlockSteps:
         assert (index is None) == (amplitude == 0.0)
         np.testing.assert_allclose(direct.output, y, rtol=1e-10)
         np.testing.assert_allclose(np.array(ss.states), states, rtol=1e-13)
+
+
+def per_row_euler_block(near, h):
+    """`_euler_block` with A and the carry filled one block row at a time, by a loop."""
+    size, dim, _ = near.shape
+    cum = np.cumsum(near, axis=0)
+    flat = cum.transpose(1, 0, 2).reshape(dim, -1)
+    rev = np.zeros_like(near)
+    rev[-1] = np.eye(dim)
+    for k in range(1, size):
+        rev[-1 - k] = h * (flat[:, :k * dim] @ rev[-k:].reshape(-1, dim))
+    np.nan_to_num(rev, copy=False)
+    lagged = h * np.cumsum(rev[::-1], axis=0)[::-1]
+    prop = np.zeros((size, dim, 2, size, dim))
+    carry = np.zeros((size, dim, size, dim))
+    for m in range(size):
+        prop[m, :, 0, :m + 1] = lagged[size - 1 - m:].transpose(1, 0, 2)
+        carry[m, :, m:size - 1] = near[size - 1:m:-1].transpose(1, 0, 2)
+    carry[:, :, size - 1] = cum
+    rows = prop.reshape(size * dim, 2, size * dim)
+    np.matmul(rows[:, 0], carry.reshape(size * dim, -1), out=rows[:, 1])
+    prop[:, :, 1, size - 1] += np.eye(dim)
+    np.nan_to_num(prop, copy=False)
+    return prop.reshape(size * dim, -1)
 
 
 class TestEulerBlock:
@@ -329,6 +388,19 @@ class TestEulerBlock:
         got = prop[:bd, :bd] @ f.reshape(-1) + prop[:bd, size * dim:] @ v.reshape(-1)
         np.testing.assert_allclose(got.reshape(b, dim), want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("h", [0.01, 5e-4])
+    @pytest.mark.parametrize("overflow", [False, True], ids=["normal", "overflow"])
+    def test_gathers_match_the_per_row_loop(self, dim, h, overflow):
+        # bit for bit: the blocks are the same values, and the product the same call
+        near = np.random.default_rng([dim, int(overflow)]).normal(size=(64, dim, dim))
+        if overflow:
+            near[0] = 1e9 * np.eye(dim)  # the later blocks pass 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _euler_block(near, h), per_row_euler_block(near, h)
+        assert np.isfinite(want).all() and (np.max(np.abs(want)) > 1e300) == overflow
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_zero_forcing_past_the_float_range_gives_zeros(self, dim):
