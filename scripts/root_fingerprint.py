@@ -8,7 +8,7 @@ residuals, verdicts, methods, caveats and root counts on the survey, so
 run it in both trees to check that a change to `charpoly` (or to the
 design code) moves no number.
 
-Three tallies print next to it; none enters the digest.  Two show how
+Four tallies print next to it; none enters the digest.  Two show how
 complete the Newton search is:
   - the newton-grid reports whose roots match the argument-principle
     count, fall short of it or exceed it, and those with no count;
@@ -16,7 +16,9 @@ complete the Newton search is:
     companion-matrix roots, each within 1e-6 relative, and those where
     it does not (or the companion matrix gives no roots).
 The third counts, for each lambda range of the planted PI^lambda survey
-below, the designs solved and those that raised `NoSolutionError`.
+below, the designs solved and those that raised `NoSolutionError`.  The
+fourth splits the newton-grid reports with a root count by how their
+search ended: completed by the ranked stage, or drawing the Newton grid.
 
 The exit status is 1 when any newton-grid report holds more distinct
 roots than its count ("over" above 0): such a root set is no set of
@@ -43,6 +45,7 @@ from collections import Counter
 
 import numpy as np
 
+from fracreg import charpoly
 from fracreg import (DesignSpecPd, DesignSpecPi, FracPoly, FracregError, PiController, Plant,
                      char_poly_pd, char_poly_pi, commensurate_roots, design_pd_fractional,
                      design_pd_integer, design_pi, find_roots, newton_roots)
@@ -161,13 +164,39 @@ def _agrees(poly):
             and all(min(abs(z - w) for z in got) <= 1e-6 * abs(w) for w in want))
 
 
+def _record_search_ends(ends):
+    """Append to `ends` how each Newton search ends: "stage", or "grid" once it draws the grid.
+
+    Wraps `charpoly._newton_search` and `charpoly._newton_points`, the grid
+    that a search draws when the ranked stage falls short of its count or
+    when it has none.  Nothing a search returns changes.
+    """
+    search, grid = charpoly._newton_search, charpoly._newton_points
+    drawn = []
+
+    def drawing(*args):
+        drawn.append(True)
+        return grid(*args)
+
+    def recording(p, pn):
+        drawn.clear()
+        found = search(p, pn)
+        ends.append("grid" if drawn else "stage")
+        return found
+
+    charpoly._newton_search, charpoly._newton_points = recording, drawing
+
+
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     digest = hashlib.sha256()
     methods, coverage, oracle, outcomes = Counter(), Counter(), Counter(), Counter()
+    searches, ends = Counter(), []
+    _record_search_ends(ends)
     for label, build in survey(seed):
         try:
             ctrl, poly = build()
+            ends.clear()
             report = find_roots(poly)
         except (FracregError, ValueError) as exc:
             record = (label, type(exc).__name__, str(exc))
@@ -179,6 +208,8 @@ def main():
             methods[f"{label}: {report.method}"] += 1
             if report.method == "newton-grid":
                 coverage[_coverage(report)] += 1
+                if report.root_count is not None:
+                    searches.update(ends)
             if label == "commensurate":
                 oracle["agrees" if _agrees(poly) else "differs"] += 1
         digest.update(repr(record).encode())
@@ -191,6 +222,8 @@ def main():
     for label in map(_planted_label, PI_LAMBDA_RANGES):
         print(f"{label} designs: solved {outcomes[label, 'solved']}, "
               f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
+    print(f"counted newton-grid reports: completed by the ranked stage {searches['stage']}, "
+          f"drew the grid {searches['grid']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
     if coverage["over"]:
         sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "

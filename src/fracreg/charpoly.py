@@ -13,18 +13,25 @@ eigenvalues and mapped back to the principal sheet.
 The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane, inside the annulus eps < |s| < R0 that `_bounds`
-gives in closed form: no root lies outside it.  Newton runs once, from 8
+gives in closed form: no root lies outside it.  The grid's starts lie on 8
 rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
-each with 6 starts at angles evenly spaced over [0, pi], and only until
-its converged points cover the count: those resolved to a cell (next
-Newton step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are
-roots, a cell off the real axis counting twice for its conjugate.  When
-the distinct roots it finds match the count, the root set is complete and
-the search stops there.  Otherwise the same run is drawn to its end, as it
-is at once when the count fails (a root on the cut).  A count that the
-whole run does not match either, or a failed count, leaves a stable or
-inconclusive verdict with its coverage caveat; the unmatched count is
-logged.  Each run takes at most MAX_ITER iterations.
+each with 6 starts at angles evenly spaced over [0, pi].  A positive
+count is sought first by a ranked stage: one evaluation ranks the 48
+starts by their Newton step |P / (s P')|, and scalar Newton runs from the
+best _RANKED_STARTS, for at most _RANKED_ITER iterations each, until the
+converged points cover the count: those resolved to a cell (next Newton
+step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are roots,
+a cell off the real axis counting twice for its conjugate.  When the
+distinct roots it finds match the count, the root set is complete and
+the search ends there.  Otherwise the grid runs: Newton once from all 48
+starts, vectorized, drawn only until its converged points cover the count
+by the same rule, and kept when its distinct roots match it.  Otherwise
+the same run is drawn to its end, as it is at once when the count fails
+(a root on the cut).  A count of 0 goes straight to the grid, whose first
+evaluation ends it.  A count that the whole run does not match either, or
+a failed count, leaves a stable or inconclusive verdict with its coverage
+caveat; the unmatched count is logged.  Each grid run takes at most
+MAX_ITER iterations.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
@@ -76,6 +83,10 @@ MAX_DEGREE = 240
 _COMMENSURATE_TOL = 1e-9
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
+#: The ranked stage of a counted Newton search: scalar Newton from the best-ranked
+#: _RANKED_STARTS grid starts, each run for at most _RANKED_ITER iterations.
+_RANKED_STARTS = 8
+_RANKED_ITER = 20
 
 
 def _read_only(array):
@@ -269,27 +280,34 @@ def _root_count(coeffs, expts, log_radius, log_eps):
     return count if abs(turn - count) < 0.25 else None
 
 
-def _newton_points(coeffs, expts, scale_n, log_radius, log_eps):
-    """Newton's method from the starts that span the annulus of `_bounds`, in batches.
+def _starts(log_radius, log_eps):
+    """(starts, limit): the grid's starts over the annulus of `_bounds`, and its drop radius.
 
     The starts lie on the _RINGS, spaced geometrically from eps to R0 with
     both clamped to [1e-4, 1e6], at the _ANGLES; those at 0 and pi reach
-    real roots and roots by the cut.  An iteration evaluates the live starts
-    once, from their powers s^e_k: those whose |P| is within NEWTON_TOL
-    times the larger of `scale_n` and sum |c_k| |s^e_k| (if finite) have
-    converged and form its batch, with a mask of the ones resolved to a
-    cell, whose Newton step s P / (s P') is shorter than DEDUPE_TOL.  Only
-    the first iteration's batch and the non-empty ones are yielded, so a
-    search where no start converges yields one empty batch.  Starts that
-    diverge, past 1e6 times the largest ring or into the origin, are dropped.
+    real roots and roots by the cut.  A Newton iterate past `limit`, 1e6
+    times the largest ring, has diverged.
     """
-    dcoeffs = coeffs * expts
-    mags = np.abs(coeffs)
     # a bound may be astronomically large or small, or infinite
     log_lo, log_hi = (min(max(b, math.log(1e-4)), math.log(1e6)) for b in (log_eps, log_radius))
     rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS)
-    s = (rings[:, None] * _ANGLES).ravel()
-    limit = 1e6 * rings[-1]
+    return (rings[:, None] * _ANGLES).ravel(), 1e6 * rings[-1]
+
+
+def _newton_points(coeffs, expts, scale_n, s, limit):
+    """Newton's method from the `_starts` s, in batches.
+
+    An iteration evaluates the live starts once, from their powers s^e_k:
+    those whose |P| is within NEWTON_TOL times the larger of `scale_n` and
+    sum |c_k| |s^e_k| (if finite) have converged and form its batch, with a
+    mask of the ones resolved to a cell, whose Newton step s P / (s P') is
+    shorter than DEDUPE_TOL.  Only the first iteration's batch and the
+    non-empty ones are yielded, so a search where no start converges yields
+    one empty batch.  Starts that diverge, past `limit` or into the origin,
+    are dropped.
+    """
+    dcoeffs = coeffs * expts
+    mags = np.abs(coeffs)
     for iteration in range(MAX_ITER + 1):
         powers = np.exp(np.log(s)[:, None] * expts)
         f, sfp = powers @ coeffs, powers @ dcoeffs
@@ -343,9 +361,51 @@ def _until_covered(batches, cells):
     for points, resolved in batches:
         drawn.append(points)
         keys.update(_first_per_cell(points[resolved].tolist()))
-        if sum(2 if im else 1 for _, im in keys) >= cells:
+        if _fills(keys, cells):
             break
     return np.concatenate(drawn)
+
+
+def _fills(keys, cells):
+    """Whether the root cells `keys` fill `cells`, a cell off the real axis counting twice."""
+    return sum(2 if im else 1 for _, im in keys) >= cells
+
+
+def _ranked_points(pn: FracPoly, coeffs, expts, scale_n, starts, limit, cells):
+    """Converged points of scalar Newton runs on `pn` from its best-ranked `starts`.
+
+    One evaluation ranks the `_starts` by their Newton step |P / (s P')|,
+    non-finite ones last.  From the best _RANKED_STARTS, in that order,
+    Newton runs in float arithmetic (`evaluate_terms`) for at most
+    _RANKED_ITER iterations each, under the grid's rules: a run has
+    converged when |P| is within NEWTON_TOL times the larger of `scale_n`
+    and the size of its terms (if finite), and is dropped when its iterate
+    leaves [1e-14, `limit`], when P' = 0 or when a power leaves the float
+    range.  The runs stop once the resolved points, as in `_until_covered`,
+    fill `cells` root cells.
+    """
+    powers = np.exp(np.log(starts)[:, None] * expts)
+    ranks = np.argsort(np.abs((powers @ coeffs) / (powers @ (coeffs * expts))), kind="stable")
+    points, keys = [], set()
+    for s in starts[ranks[:_RANKED_STARTS]].tolist():
+        if _fills(keys, cells):
+            break
+        try:
+            for _ in range(_RANKED_ITER):
+                value, slope, size = evaluate_terms(pn, s)
+                if abs(value) <= max(scale_n, NEWTON_TOL * size) < math.inf:
+                    points.append(s)
+                    if slope and abs(s * value / slope) < DEDUPE_TOL:
+                        keys.update(_first_per_cell([s]))
+                    break
+                if not slope:
+                    break
+                s -= s * value / slope
+                if not 1e-14 <= abs(s) <= limit:  # also a non-finite s
+                    break
+        except ArithmeticError:  # a power past the float range: no root there
+            continue
+    return np.array(points, dtype=complex)
 
 
 def _log_warning(message, *args):
@@ -366,13 +426,15 @@ def _log_warning(message, *args):
 def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
-    `pn` is `normalize(p)`.  One Newton run from the starts over the count's
-    annulus is drawn only until its converged points cover the count, and
-    kept when its distinct roots match the count; otherwise the same run is
-    drawn to its end, as it is at once when the count failed.  A count the
-    whole run does not match either is logged.  Values past the float range
-    (huge exponents or coefficients) drop their starts without a numpy
-    warning.
+    `pn` is `normalize(p)`.  A positive count is first sought by the ranked
+    scalar runs of `_ranked_points`, whose distinct roots are kept when they
+    match it.  Otherwise one Newton run from the grid's starts over the
+    count's annulus is drawn only until its converged points cover the
+    count, and kept when its distinct roots match the count; otherwise the
+    same run is drawn to its end, as it is at once when the count failed.
+    A count the whole run does not match either is logged.  Values past the
+    float range (huge exponents or coefficients) drop their starts without
+    a numpy warning.
     """
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
@@ -380,7 +442,14 @@ def _newton_search(p: FracPoly, pn: FracPoly):
         return _distinct_roots(p, np.empty(0, dtype=complex)), None
     bounds = _bounds(coeffs, expts)
     count = _root_count(coeffs, expts, *bounds)  # the roots s != 0, all Newton on pn can find
-    batches = _newton_points(coeffs, expts, _residual_scale(pn), *bounds)
+    scale_n = _residual_scale(pn)
+    starts, limit = _starts(*bounds)
+    if count:  # a count of 0 is ended by the grid's first evaluation
+        roots = _distinct_roots(
+            p, _ranked_points(pn, coeffs, expts, scale_n, starts, limit, count))
+        if len(roots) == count + _zero_is_root(p):
+            return roots, len(roots)
+    batches = _newton_points(coeffs, expts, scale_n, starts, limit)
     points = _until_covered(batches, math.inf if count is None else count)
     roots = _distinct_roots(p, points)
     if count is None:

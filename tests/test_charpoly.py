@@ -614,6 +614,7 @@ class TestRootCount:
         assert found and not scaled.coverage_caveat
         assert scaled.verdict == base.verdict
 
+    @pytest.mark.usefixtures("grid_only")
     def test_golden_never_reaches_the_full_grid(self, batches):
         # one Newton run, stopped once it covers the count, gives the full set
         report = find_roots(GOLDEN_POLY)
@@ -656,6 +657,12 @@ class TestRootCount:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
         assert done.stdout == "4\n" and done.stderr == ""
+
+
+@pytest.fixture
+def grid_only(monkeypatch):
+    """The ranked stage switched off: every counted Newton search runs the grid."""
+    monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
 
 
 @pytest.fixture
@@ -704,6 +711,7 @@ class TestCountTerminatedSearch:
         monkeypatch.setattr(charpoly, "_until_covered",
                             lambda batches, cells: np.concatenate([s for s, _ in batches]))
 
+    @pytest.mark.usefixtures("grid_only")
     @pytest.mark.parametrize("seed", range(50))
     def test_same_result_as_every_iteration(self, seed, monkeypatch, batches):
         poly = seeded_pd_poly(seed)
@@ -715,6 +723,7 @@ class TestCountTerminatedSearch:
         assert (stopped.verdict, stopped.root_count) == (full.verdict, full.root_count)
         assert stopped.coverage_caveat == full.coverage_caveat
 
+    @pytest.mark.usefixtures("grid_only")
     @pytest.mark.parametrize("gap", [1e-7, 2e-6])
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
     def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
@@ -783,9 +792,48 @@ class TestCountTerminatedSearch:
             template[0] = 1.0
 
 
+class TestRankedStage:
+    """A positive count is first sought by scalar Newton from the best-ranked grid starts."""
+
+    @pytest.mark.parametrize("poly, grid_runs", [(GOLDEN_POLY, 0), (UNSTABLE_POLY, 0)]
+                             # seed 40's real root is reached from the 9th-ranked start only:
+                             # the 8 best all reach its pair, so the grid runs
+                             + [(seeded_pd_poly(seed), seed == 40) for seed in range(50)],
+                             ids=["golden", "unstable"] + [f"seed{seed}" for seed in range(50)])
+    def test_fills_the_count_without_the_grid(self, poly, grid_runs, monkeypatch, batches):
+        ranked = find_roots(poly)
+        assert len(batches) == grid_runs
+        monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
+        grid = find_roots(poly)
+        assert len(batches) == grid_runs + 1
+        assert len(ranked.roots) == len(grid.roots) == ranked.root_count
+        for a, b in zip(ranked.roots, grid.roots):
+            assert abs(a.value - b.value) <= 1e-11 * abs(b.value)
+        assert (ranked.verdict, ranked.root_count, ranked.coverage_caveat) \
+            == (grid.verdict, grid.root_count, grid.coverage_caveat)
+
+    def test_bounded_work_before_a_fallback(self, monkeypatch, batches):
+        # the golden pair fills 2 of the 4 cells: every ranked run is made, then the
+        # grid is drawn to its end
+        monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
+        before_grid = []
+        evaluate = charpoly.evaluate_terms
+
+        def counting(p, s):
+            before_grid.append(not batches)
+            return evaluate(p, s)
+
+        monkeypatch.setattr(charpoly, "evaluate_terms", counting)
+        report = find_roots(GOLDEN_POLY)
+        assert 0 < sum(before_grid) <= charpoly._RANKED_STARTS * charpoly._RANKED_ITER == 160
+        assert len(batches) == 1 and batches[0][0] == batches[0][1]
+        assert report.root_count == 4 and report.coverage_caveat
+
+
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 
+    @pytest.mark.usefixtures("grid_only")
     def test_newton_grid(self, batches, caplog):
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(CANCELLED_POLY)
