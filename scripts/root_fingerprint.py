@@ -18,7 +18,8 @@ complete the Newton search is:
 The third counts, for each lambda range of the planted PI^lambda survey
 below, the designs solved and those that raised `NoSolutionError`.  The
 fourth splits the newton-grid reports with a root count by how their
-search ended: completed by the ranked stage, or drawing the Newton grid.
+search ended: with no search (a count of 0), completed by the ranked
+stage, or running the Newton grid after it.
 
 The exit status is 1 when any newton-grid report holds more distinct
 roots than its count ("over" above 0): such a root set is no set of
@@ -165,26 +166,32 @@ def _agrees(poly):
 
 
 def _record_search_ends(ends):
-    """Append to `ends` how each Newton search ends: "stage", or "grid" once it draws the grid.
+    """Append to `ends` how each Newton search ends: "none", "stage" or "grid".
 
-    Wraps `charpoly._newton_search` and `charpoly._newton_points`, the grid
-    that a search draws when the ranked stage falls short of its count or
-    when it has none.  Nothing a search returns changes.
+    Wraps `charpoly._newton_search` and the two stages it may call:
+    `charpoly._ranked_points`, which a positive count runs first, and
+    `charpoly._newton_points`, the grid that runs when the ranked stage falls
+    short of its count or when there is none.  A search that calls neither
+    had a count of 0.  Nothing a search returns changes.
     """
-    search, grid = charpoly._newton_search, charpoly._newton_points
-    drawn = []
+    search = charpoly._newton_search
+    stages = {"stage": charpoly._ranked_points, "grid": charpoly._newton_points}
+    ran = []
 
-    def drawing(*args):
-        drawn.append(True)
-        return grid(*args)
+    def running(name):
+        def run(*args):
+            ran.append(name)
+            return stages[name](*args)
+        return run
 
     def recording(p, pn):
-        drawn.clear()
+        ran.clear()
         found = search(p, pn)
-        ends.append("grid" if drawn else "stage")
+        ends.append(ran[-1] if ran else "none")
         return found
 
-    charpoly._newton_search, charpoly._newton_points = recording, drawing
+    charpoly._newton_search = recording
+    charpoly._ranked_points, charpoly._newton_points = running("stage"), running("grid")
 
 
 def main():
@@ -222,8 +229,8 @@ def main():
     for label in map(_planted_label, PI_LAMBDA_RANGES):
         print(f"{label} designs: solved {outcomes[label, 'solved']}, "
               f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
-    print(f"counted newton-grid reports: completed by the ranked stage {searches['stage']}, "
-          f"drew the grid {searches['grid']}")
+    print(f"counted newton-grid reports: no search (count 0) {searches['none']}, "
+          f"completed by the ranked stage {searches['stage']}, ran the grid {searches['grid']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
     if coverage["over"]:
         sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "

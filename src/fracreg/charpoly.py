@@ -15,23 +15,20 @@ principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane, inside the annulus eps < |s| < R0 that `_bounds`
 gives in closed form: no root lies outside it.  The grid's starts lie on 8
 rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
-each with 6 starts at angles evenly spaced over [0, pi].  A positive
-count is sought first by a ranked stage: one evaluation ranks the 48
-starts by their Newton step |P / (s P')|, and scalar Newton runs from the
-best _RANKED_STARTS, for at most _RANKED_ITER iterations each, until the
-converged points cover the count: those resolved to a cell (next Newton
-step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are roots,
-a cell off the real axis counting twice for its conjugate.  When the
-distinct roots it finds match the count, the root set is complete and
-the search ends there.  Otherwise the grid runs: Newton once from all 48
-starts, vectorized, drawn only until its converged points cover the count
-by the same rule, and kept when its distinct roots match it.  Otherwise
-the same run is drawn to its end, as it is at once when the count fails
-(a root on the cut).  A count of 0 goes straight to the grid, whose first
-evaluation ends it.  A count that the whole run does not match either, or
-a failed count, leaves a stable or inconclusive verdict with its coverage
-caveat; the unmatched count is logged.  Each grid run takes at most
-MAX_ITER iterations.
+each with 6 starts at angles evenly spaced over [0, pi].  A count of 0
+needs no search.  A positive count is sought first by a ranked stage: one
+evaluation ranks the 48 starts by their Newton step |P / (s P')|, and
+scalar Newton runs from the best _RANKED_STARTS, for at most _RANKED_ITER
+iterations each, until the converged points cover the count: those
+resolved to a cell (next Newton step below DEDUPE_TOL) fill as many
+DEDUPE_TOL cells as there are roots, a cell off the real axis counting
+twice for its conjugate.  When the distinct roots it finds match the
+count, the root set is complete and the search ends there.  Otherwise,
+and when the count fails (a root on the cut), the grid runs to its end:
+Newton once from all 48 starts, vectorized, for at most MAX_ITER
+iterations.  A count the grid's roots do not match, or a failed count,
+leaves a stable or inconclusive verdict with its coverage caveat; the
+unmatched count is logged.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
@@ -295,37 +292,33 @@ def _starts(log_radius, log_eps):
 
 
 def _newton_points(coeffs, expts, scale_n, s, limit):
-    """Newton's method from the `_starts` s, in batches.
+    """Every converged point of Newton's method from the `_starts` s, in order of convergence.
 
     An iteration evaluates the live starts once, from their powers s^e_k:
     those whose |P| is within NEWTON_TOL times the larger of `scale_n` and
-    sum |c_k| |s^e_k| (if finite) have converged and form its batch, with a
-    mask of the ones resolved to a cell, whose Newton step s P / (s P') is
-    shorter than DEDUPE_TOL.  Only the first iteration's batch and the
-    non-empty ones are yielded, so a search where no start converges yields
-    one empty batch.  Starts that diverge, past `limit` or into the origin,
-    are dropped.
+    sum |c_k| |s^e_k| (if finite) have converged and leave the run.  Starts
+    that diverge, past `limit` or into the origin, are dropped.  The run
+    ends after MAX_ITER iterations, or earlier once no start is left.
     """
     dcoeffs = coeffs * expts
     mags = np.abs(coeffs)
+    converged = []
     for iteration in range(MAX_ITER + 1):
         powers = np.exp(np.log(s)[:, None] * expts)
         f, sfp = powers @ coeffs, powers @ dcoeffs
         tol = np.maximum(scale_n, NEWTON_TOL * (np.abs(powers) @ mags))
         done = (np.abs(f) <= tol) & (tol < math.inf)
-        step = s * f / sfp
-        converged = s[done]
-        if iteration == 0 or converged.size:
-            yield converged, np.abs(step[done]) < DEDUPE_TOL
+        converged.append(s[done])
         if iteration == MAX_ITER:
-            return
+            break
         # a step from a non-finite P or a P' of 0 is not finite and fails the
         # bounds; one from an infinite P' would be 0
-        s = s - step
+        s = s - s * f / sfp
         mag = np.abs(s)
         s = s[~done & np.isfinite(sfp) & (mag <= limit) & (mag >= 1e-14)]
         if not s.size:
-            return
+            break
+    return np.concatenate(converged)
 
 
 def _first_per_cell(points):
@@ -346,26 +339,6 @@ def _first_per_cell(points):
     return firsts
 
 
-def _until_covered(batches, cells):
-    """The points of `batches`, drawn until their resolved ones fill `cells` root cells.
-
-    A cell off the real axis stands for a conjugate pair and counts twice.
-    Only resolved points count: the converged iterates of an ill-conditioned
-    root (small |P'|) can spread over several cells, and an over-count
-    would stop the draw before every root is found.  A cell count is no
-    proof, though (a root on a cell edge fills two): an early stop that
-    misses a root only costs drawing the rest of the run.  With `cells`
-    = math.inf every batch is drawn.
-    """
-    drawn, keys = [], set()
-    for points, resolved in batches:
-        drawn.append(points)
-        keys.update(_first_per_cell(points[resolved].tolist()))
-        if _fills(keys, cells):
-            break
-    return np.concatenate(drawn)
-
-
 def _fills(keys, cells):
     """Whether the root cells `keys` fill `cells`, a cell off the real axis counting twice."""
     return sum(2 if im else 1 for _, im in keys) >= cells
@@ -381,8 +354,13 @@ def _ranked_points(pn: FracPoly, coeffs, expts, scale_n, starts, limit, cells):
     converged when |P| is within NEWTON_TOL times the larger of `scale_n`
     and the size of its terms (if finite), and is dropped when its iterate
     leaves [1e-14, `limit`], when P' = 0 or when a power leaves the float
-    range.  The runs stop once the resolved points, as in `_until_covered`,
-    fill `cells` root cells.
+    range.  The runs stop once the resolved points fill `cells` root cells
+    (`_fills`).  A point is resolved when its next Newton step is shorter
+    than DEDUPE_TOL: the converged iterates of an ill-conditioned root
+    (small |P'|) can spread over several cells, and an over-count would stop
+    the runs before every root is found.  A cell count is no proof, though
+    (a root on a cell edge fills two): a stop that misses a root only costs
+    the grid's fallback run.
     """
     powers = np.exp(np.log(starts)[:, None] * expts)
     ranks = np.argsort(np.abs((powers @ coeffs) / (powers @ (coeffs * expts))), kind="stable")
@@ -426,15 +404,13 @@ def _log_warning(message, *args):
 def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
-    `pn` is `normalize(p)`.  A positive count is first sought by the ranked
-    scalar runs of `_ranked_points`, whose distinct roots are kept when they
-    match it.  Otherwise one Newton run from the grid's starts over the
-    count's annulus is drawn only until its converged points cover the
-    count, and kept when its distinct roots match the count; otherwise the
-    same run is drawn to its end, as it is at once when the count failed.
-    A count the whole run does not match either is logged.  Values past the
-    float range (huge exponents or coefficients) drop their starts without
-    a numpy warning.
+    `pn` is `normalize(p)`.  A count of 0 needs no search.  A positive count
+    is first sought by the ranked scalar runs of `_ranked_points`, whose
+    distinct roots are kept when they match it.  Otherwise, and when the
+    count failed, one Newton run from the grid's starts over the count's
+    annulus runs to its end (`_newton_points`); a count its distinct roots
+    do not match is logged.  Values past the float range (huge exponents or
+    coefficients) drop their starts without a numpy warning.
     """
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
@@ -442,24 +418,23 @@ def _newton_search(p: FracPoly, pn: FracPoly):
         return _distinct_roots(p, np.empty(0, dtype=complex)), None
     bounds = _bounds(coeffs, expts)
     count = _root_count(coeffs, expts, *bounds)  # the roots s != 0, all Newton on pn can find
+    if count == 0:
+        roots = _distinct_roots(p, np.empty(0, dtype=complex))
+        return roots, len(roots)
     scale_n = _residual_scale(pn)
     starts, limit = _starts(*bounds)
-    if count:  # a count of 0 is ended by the grid's first evaluation
+    if count is not None:
         roots = _distinct_roots(
             p, _ranked_points(pn, coeffs, expts, scale_n, starts, limit, count))
         if len(roots) == count + _zero_is_root(p):
             return roots, len(roots)
-    batches = _newton_points(coeffs, expts, scale_n, starts, limit)
-    points = _until_covered(batches, math.inf if count is None else count)
-    roots = _distinct_roots(p, points)
+    roots = _distinct_roots(p, _newton_points(coeffs, expts, scale_n, starts, limit))
     if count is None:
         return roots, None
     count += _zero_is_root(p)
     if len(roots) != count:
-        roots = _distinct_roots(p, np.concatenate([points, *(s for s, _ in batches)]))
-        if len(roots) != count:
-            _log_warning("newton-grid search found %d distinct roots where the argument "
-                         "principle counts %d", len(roots), count)
+        _log_warning("newton-grid search found %d distinct roots where the argument "
+                     "principle counts %d", len(roots), count)
     return roots, count
 
 

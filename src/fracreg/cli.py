@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -311,6 +312,8 @@ def _resolve_design(doc, plant):
     if not (isinstance(raw, list) and all(isinstance(item, list) and len(item) == 2
                                           and all(map(_is_number, item)) for item in raw)):
         raise ConfigError("'design.poles' must be a list of [re, im] pairs of numbers")
+    if not all(math.isfinite(x) for item in raw for x in item):
+        raise ConfigError("'design.poles' must be finite")
     poles = [complex(re, im) for re, im in raw]
     try:
         if kind == "pi":
@@ -321,6 +324,8 @@ def _resolve_design(doc, plant):
                 raise ConfigError("'design.poles' must contain at least one pole")
             ess = _num(block, "ess", "design") if "ess" in block else None
             K = _num(block, "K", "design") if "K" in block else None
+            if K is not None and not math.isfinite(K):
+                raise ConfigError("key 'design.K' must be finite")
             spec = DesignSpecPd(plant=plant, pole=pole, ess_percent=ess, K_override=K)
             ctrl = (design_pd_integer if integer else design_pd_fractional)(spec)
     except ValueError as exc:

@@ -614,20 +614,12 @@ class TestRootCount:
         assert found and not scaled.coverage_caveat
         assert scaled.verdict == base.verdict
 
-    @pytest.mark.usefixtures("grid_only")
-    def test_golden_never_reaches_the_full_grid(self, batches):
-        # one Newton run, stopped once it covers the count, gives the full set
-        report = find_roots(GOLDEN_POLY)
-        assert len(batches) == 1 and batches[0][0] < batches[0][1]
-        assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
-        assert report.root_count == 2 and not report.coverage_caveat
-
-    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, batches,
+    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, grid_runs,
                                                              caplog):
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(GOLDEN_POLY)
-        assert len(batches) == 1 and batches[0][0] == batches[0][1]  # the run drawn to its end
+        assert len(grid_runs) == 1
         assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
         assert report.root_count == 4
         assert report.verdict == "stable" and report.coverage_caveat
@@ -666,24 +658,21 @@ def grid_only(monkeypatch):
 
 
 @pytest.fixture
-def batches(monkeypatch):
-    """(drawn, available) batches of every Newton run while the test runs."""
+def grid_runs(monkeypatch):
+    """The converged points of each grid run (`_newton_points` call) while the test runs."""
     runs = []
     original = charpoly._newton_points
 
-    def drawing(*args):
-        run = [0, len(list(original(*args)))]
-        runs.append(run)
-        for batch in original(*args):
-            run[0] += 1
-            yield batch
+    def counting(*args):
+        runs.append(original(*args))
+        return runs[-1]
 
-    monkeypatch.setattr(charpoly, "_newton_points", drawing)
+    monkeypatch.setattr(charpoly, "_newton_points", counting)
     return runs
 
 
 class TestCountTerminatedSearch:
-    """The Newton run stops once its converged points cover the count."""
+    """A counted search ends once its roots match the count; the grid is its fallback."""
 
     def test_golden_evaluations(self, monkeypatch):
         calls = []
@@ -702,73 +691,65 @@ class TestCountTerminatedSearch:
 
         monkeypatch.setattr(charpoly, "np", CountingNumpy())
         find_roots(GOLDEN_POLY)
-        # each Newton evaluation takes log s of its points once: 8 rings of 6 starts first
-        assert calls[0] == charpoly._RINGS.size * charpoly._ANGLES.size == 48
-        assert len(calls) <= 10  # 18 when the run is drawn to its end
+        # the ranked stage takes log s of the 8 rings of 6 starts once, to rank them,
+        # and completes the count: the grid never runs
+        assert calls == [charpoly._RINGS.size * charpoly._ANGLES.size] == [48]
 
-    @staticmethod
-    def every_iteration(monkeypatch):
-        monkeypatch.setattr(charpoly, "_until_covered",
-                            lambda batches, cells: np.concatenate([s for s, _ in batches]))
-
-    @pytest.mark.usefixtures("grid_only")
-    @pytest.mark.parametrize("seed", range(50))
-    def test_same_result_as_every_iteration(self, seed, monkeypatch, batches):
-        poly = seeded_pd_poly(seed)
-        stopped = find_roots(poly)
-        assert batches[0][0] < batches[0][1]  # the run stopped early
-        self.every_iteration(monkeypatch)
-        full = find_roots(poly)
-        assert stopped.roots == full.roots
-        assert (stopped.verdict, stopped.root_count) == (full.verdict, full.root_count)
-        assert stopped.coverage_caveat == full.coverage_caveat
-
-    @pytest.mark.usefixtures("grid_only")
     @pytest.mark.parametrize("gap", [1e-7, 2e-6])
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
     def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
         # |P'| is small near the pair: its converged iterates spread over several
-        # cells, none of them resolved, and the run must not stop on them
+        # cells, none of them resolved, and the ranked stage must not stop on them.
+        # Its roots stand only when they match the count; else the grid, run over
+        # every iteration, decides
         pair = [root, root + gap * (1 + 0.3j)]
-        poly = integer_fracpoly(pair + [z.conjugate() for z in pair])
-        stopped = charpoly._newton_search(poly, normalize(poly))
-        self.every_iteration(monkeypatch)
-        assert stopped == charpoly._newton_search(poly, normalize(poly))
+        roots = pair + [z.conjugate() for z in pair]
+        poly = integer_fracpoly(roots)
+        found, count = charpoly._newton_search(poly, normalize(poly))
+        monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
+        grid = charpoly._newton_search(poly, normalize(poly))
+        assert (found, count) == grid or len(found) == count == 4 != len(grid[0])
+        assert all(min(abs(r.value - z) for z in roots) < 1e-5 for r in found)
 
-    def test_unknown_count_runs_every_iteration(self, batches):
+    def test_unknown_count_runs_every_iteration(self, grid_runs):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
         assert root_count(poly) is None
         newton_roots(poly)
-        assert len(batches) == 1 and batches[0][0] == batches[0][1] > 1
+        assert len(grid_runs) == 1
+
+    @staticmethod
+    def fills(points, cells):
+        """Whether `points`, all resolved, fill `cells` root cells by the ranked stage's rule."""
+        return charpoly._fills(charpoly._first_per_cell(points), cells)
 
     def test_a_conjugate_pair_fills_two_cells(self):
-        pair = np.array([-1 + 6j, -1 - 6j + 1e-9])
-        real = np.array([-2.0 + 1e-12j, 3.0])
-        yes = np.array([True, True])
-
-        def draw(batches, cells):
-            return len(charpoly._until_covered(iter(batches), cells))
-
-        assert draw([(pair[:1], yes[:1]), (pair[1:], yes[:1]), (real, yes)], 2) == 1
-        assert draw([(real[:1], yes[:1]), (real[1:], yes[:1]), (pair, yes)], 3) == 4
-        assert draw([(real, yes), (pair, yes)], 5) == 4  # not covered: all drawn
+        pair = [-1 + 6j, -1 - 6j + 1e-9]  # one cell, once folded onto Im >= 0
+        real = [-2.0 + 1e-12j, 3.0]  # two cells on the real axis
+        assert self.fills(pair[:1], 2) and not self.fills(pair, 3)
+        assert self.fills(real + pair[:1], 4) and not self.fills(real + pair, 5)
 
     def test_unresolved_points_fill_no_cell(self):
-        spread = np.array([-1 + 6j, -1 + 6.00001j, -1 + 6.00002j])
-        yes, one = np.ones(3, dtype=bool), np.array([False, True, False])
+        # the three cells of one cloud would cover two pairs
+        assert self.fills([-1 + 6j, -1 + 6.00001j, -1 + 6.00002j], 4)
+        # at a double pair the ranked runs converge unresolved, each to its own cell:
+        # had they filled cells, the second point would have ended the stage
+        pn = integer_fracpoly([-0.5 + 3j, -0.5 + 3j, -0.5 - 3j, -0.5 - 3j])
+        coeffs = np.array(pn.coefficients, dtype=complex)
+        expts = np.array(pn.exponents, dtype=float)
+        bounds = charpoly._bounds(coeffs, expts)
+        assert charpoly._root_count(coeffs, expts, *bounds) == 4
+        points = charpoly._ranked_points(pn, coeffs, expts, charpoly._residual_scale(pn),
+                                         *charpoly._starts(*bounds), 4)
+        assert len(points) == len(charpoly._first_per_cell(points.tolist())) == 4
 
-        def draw(batches, cells):
-            return len(charpoly._until_covered(iter(batches), cells))
-
-        assert draw([(spread, yes), (spread, yes)], 4) == 3  # three cells cover two pairs
-        assert draw([(spread, one), (spread[:1], yes[:1]), (spread, yes)], 4) == 4
-
-    def test_no_start_converges(self, batches):
+    def test_no_start_converges(self, grid_runs, monkeypatch):
         # s^q + 1 with q = 1/sqrt(2): s^q = -1 needs arg s = pi / q > pi, so no root
-        # lies on the principal sheet, and the run yields only its empty first batch
+        # lies on the principal sheet; the count of 0 needs no search
         poly = FracPoly.from_terms([(1.0, 0.7071067811865476), (1.0, 0.0)])
+        ranked = []
+        monkeypatch.setattr(charpoly, "_ranked_points", lambda *args: ranked.append(args))
         report = find_roots(poly)
-        assert batches == [[1, 1]]
+        assert grid_runs == [] and ranked == []
         assert report.roots == ()
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("stable", False, 0)
 
@@ -795,38 +776,38 @@ class TestCountTerminatedSearch:
 class TestRankedStage:
     """A positive count is first sought by scalar Newton from the best-ranked grid starts."""
 
-    @pytest.mark.parametrize("poly, grid_runs", [(GOLDEN_POLY, 0), (UNSTABLE_POLY, 0)]
+    @pytest.mark.parametrize("poly, runs", [(GOLDEN_POLY, 0), (UNSTABLE_POLY, 0)]
                              # seed 40's real root is reached from the 9th-ranked start only:
                              # the 8 best all reach its pair, so the grid runs
                              + [(seeded_pd_poly(seed), seed == 40) for seed in range(50)],
                              ids=["golden", "unstable"] + [f"seed{seed}" for seed in range(50)])
-    def test_fills_the_count_without_the_grid(self, poly, grid_runs, monkeypatch, batches):
+    def test_fills_the_count_without_the_grid(self, poly, runs, monkeypatch, grid_runs):
         ranked = find_roots(poly)
-        assert len(batches) == grid_runs
+        assert len(grid_runs) == runs
         monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
         grid = find_roots(poly)
-        assert len(batches) == grid_runs + 1
+        assert len(grid_runs) == runs + 1
         assert len(ranked.roots) == len(grid.roots) == ranked.root_count
         for a, b in zip(ranked.roots, grid.roots):
             assert abs(a.value - b.value) <= 1e-11 * abs(b.value)
         assert (ranked.verdict, ranked.root_count, ranked.coverage_caveat) \
             == (grid.verdict, grid.root_count, grid.coverage_caveat)
 
-    def test_bounded_work_before_a_fallback(self, monkeypatch, batches):
+    def test_bounded_work_before_a_fallback(self, monkeypatch, grid_runs):
         # the golden pair fills 2 of the 4 cells: every ranked run is made, then the
-        # grid is drawn to its end
+        # grid runs
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         before_grid = []
         evaluate = charpoly.evaluate_terms
 
         def counting(p, s):
-            before_grid.append(not batches)
+            before_grid.append(not grid_runs)
             return evaluate(p, s)
 
         monkeypatch.setattr(charpoly, "evaluate_terms", counting)
         report = find_roots(GOLDEN_POLY)
         assert 0 < sum(before_grid) <= charpoly._RANKED_STARTS * charpoly._RANKED_ITER == 160
-        assert len(batches) == 1 and batches[0][0] == batches[0][1]
+        assert len(grid_runs) == 1
         assert report.root_count == 4 and report.coverage_caveat
 
 
@@ -834,7 +815,7 @@ class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 
     @pytest.mark.usefixtures("grid_only")
-    def test_newton_grid(self, batches, caplog):
+    def test_newton_grid(self, grid_runs, caplog):
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(CANCELLED_POLY)
         values = [r.value for r in report.roots]
@@ -843,7 +824,7 @@ class TestRootAtZero:
         assert all(abs(v) > 1 for v in values[:-1])  # no spurious root near the origin
         assert report.root_count == len(values) == 3
         assert report.verdict == "unstable" and not report.coverage_caveat
-        assert len(batches) == 1 and batches[0][0] < batches[0][1]  # the count matched early
+        assert len(grid_runs) == 1
         assert not caplog.records
 
     def test_commensurate(self):

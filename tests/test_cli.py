@@ -556,6 +556,24 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(write_config(tmp_path, doc))]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("design, key", [
+        ({"type": "pd", "poles": [[math.nan, 6.0]], "ess": 4.0}, "design.poles"),
+        ({"type": "pd", "poles": [[-1.0, math.inf]], "ess": 4.0}, "design.poles"),
+        ({"type": "pd", "poles": [[-1.0, 6.0]], "K": math.nan}, "design.K"),
+        ({"type": "pd", "poles": [[-1.0, 6.0]], "K": math.inf}, "design.K"),
+        ({"type": "pi", "poles": [[-1.0, 1.0], [-1.0, -1.0], [math.nan, 0.0]]}, "design.poles"),
+        ({"type": "pi", "poles": [[-1.0, 1.0], [-1.0, -1.0], [-math.inf, 0.0]]}, "design.poles"),
+    ], ids=["pd-pole-nan", "pd-pole-inf", "K-nan", "K-inf", "pi-pole-nan", "pi-pole-inf"])
+    def test_nonfinite_design_value(self, tmp_path, capsys, design, key):
+        # the design solvers would fail on these (exit 5); like the other blocks'
+        # non-finite values they are config errors
+        plant = PLANT if design["type"] == "pd" else {"a0": 1.0, "a1": 4.0, "a2": 1.0,
+                                                      "alpha": 2.0, "beta": 1.0}
+        doc = {"plant": plant, "design": design}
+        assert main(["design", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+
     @pytest.mark.parametrize("command, changes", [
         ("simulate", {"sim": {"h": 0.01, "t_end": 1.0,
                               "input": {"type": "samples", "values": [1.0] * 100}}}),
