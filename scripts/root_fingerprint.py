@@ -18,8 +18,9 @@ complete the Newton search is:
 The third counts, for each lambda range of the planted PI^lambda survey
 below, the designs solved and those that raised `NoSolutionError`.  The
 fourth splits the newton-grid reports with a root count by how their
-search ended: with no search (a count of 0), completed by the ranked
-stage, or running the Newton grid after it.
+search ended: with no search (a count of 0), after one Newton pass, or
+running every start after the pass stopped on a fill whose roots did not
+match the count.
 
 The exit status is 1 when any newton-grid report holds more distinct
 roots than its count ("over" above 0): such a root set is no set of
@@ -166,32 +167,35 @@ def _agrees(poly):
 
 
 def _record_search_ends(ends):
-    """Append to `ends` how each Newton search ends: "none", "stage" or "grid".
+    """Append to `ends` how each Newton search ends: "none", "one pass" or "every start".
 
-    Wraps `charpoly._newton_search` and the two stages it may call:
-    `charpoly._ranked_points`, which a positive count runs first, and
-    `charpoly._newton_points`, the grid that runs when the ranked stage falls
-    short of its count or when there is none.  A search that calls neither
-    had a count of 0.  Nothing a search returns changes.
+    Wraps `charpoly._newton_search` and two functions it calls:
+    `charpoly._newton_run`, the Newton run from one start, and
+    `charpoly._distinct_roots`, which reduces a pass's points to roots.  A
+    search with no run had a count of 0.  One that reduces its points twice
+    stopped its pass on a fill whose roots did not match the count, and
+    then ran every start.  Nothing a search returns changes.
     """
-    search = charpoly._newton_search
-    stages = {"stage": charpoly._ranked_points, "grid": charpoly._newton_points}
-    ran = []
+    search, run, distinct = charpoly._newton_search, charpoly._newton_run, charpoly._distinct_roots
+    calls = Counter()
 
-    def running(name):
-        def run(*args):
-            ran.append(name)
-            return stages[name](*args)
-        return run
+    def running(*args):
+        calls["run"] += 1
+        return run(*args)
+
+    def reducing(*args):
+        calls["distinct"] += 1
+        return distinct(*args)
 
     def recording(p, pn):
-        ran.clear()
+        calls.clear()
         found = search(p, pn)
-        ends.append(ran[-1] if ran else "none")
+        ends.append("none" if not calls["run"] else "every start" if calls["distinct"] > 1
+                    else "one pass")
         return found
 
-    charpoly._newton_search = recording
-    charpoly._ranked_points, charpoly._newton_points = running("stage"), running("grid")
+    charpoly._newton_search, charpoly._newton_run = recording, running
+    charpoly._distinct_roots = reducing
 
 
 def main():
@@ -230,7 +234,8 @@ def main():
         print(f"{label} designs: solved {outcomes[label, 'solved']}, "
               f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
     print(f"counted newton-grid reports: no search (count 0) {searches['none']}, "
-          f"completed by the ranked stage {searches['stage']}, ran the grid {searches['grid']}")
+          f"one pass {searches['one pass']}, "
+          f"every start after an unconfirmed fill {searches['every start']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
     if coverage["over"]:
         sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "

@@ -13,22 +13,20 @@ eigenvalues and mapped back to the principal sheet.
 The Newton search is driven by a count.  `_root_count` counts the
 principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane, inside the annulus eps < |s| < R0 that `_bounds`
-gives in closed form: no root lies outside it.  The grid's starts lie on 8
-rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
+gives in closed form: no root lies outside it.  Newton's 48 starts lie on
+8 rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
 each with 6 starts at angles evenly spaced over [0, pi].  A count of 0
-needs no search.  A positive count is sought first by a ranked stage: one
-evaluation ranks the 48 starts by their Newton step |P / (s P')|, and
-scalar Newton runs from the best _RANKED_STARTS, for at most _RANKED_ITER
-iterations each, until the converged points cover the count: those
-resolved to a cell (next Newton step below DEDUPE_TOL) fill as many
-DEDUPE_TOL cells as there are roots, a cell off the real axis counting
-twice for its conjugate.  When the distinct roots it finds match the
-count, the root set is complete and the search ends there.  Otherwise,
-and when the count fails (a root on the cut), the grid runs to its end:
-Newton once from all 48 starts, vectorized, for at most MAX_ITER
-iterations.  A count the grid's roots do not match, or a failed count,
-leaves a stable or inconclusive verdict with its coverage caveat; the
-unmatched count is logged.
+needs no search.  Otherwise one evaluation ranks the starts by their
+Newton step |P / (s P')|, and one pass runs scalar Newton from each in
+that order, for at most MAX_ITER iterations.  With a count, the pass stops
+once the converged points cover it: those resolved to a cell (next Newton
+step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are roots, a
+cell off the real axis counting twice for its conjugate.  When the
+distinct roots it found match the count, the root set is complete and the
+search ends there.  Otherwise, and when the count fails (a root on the
+cut), the pass runs from every start.  A count its roots do not match, or
+a failed count, leaves a stable or inconclusive verdict with its coverage
+caveat; the unmatched count is logged.
 
 Both finders search the polynomial normalized to a smallest exponent of
 0, which has the same roots s != 0 and none at s = 0, and finish through
@@ -80,10 +78,6 @@ MAX_DEGREE = 240
 _COMMENSURATE_TOL = 1e-9
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
-#: The ranked stage of a counted Newton search: scalar Newton from the best-ranked
-#: _RANKED_STARTS grid starts, each run for at most _RANKED_ITER iterations.
-_RANKED_STARTS = 8
-_RANKED_ITER = 20
 
 
 def _read_only(array):
@@ -277,48 +271,49 @@ def _root_count(coeffs, expts, log_radius, log_eps):
     return count if abs(turn - count) < 0.25 else None
 
 
-def _starts(log_radius, log_eps):
-    """(starts, limit): the grid's starts over the annulus of `_bounds`, and its drop radius.
+def _starts(coeffs, expts, log_radius, log_eps):
+    """(starts, limit): Newton's starts over the annulus of `_bounds`, best first; a drop radius.
 
     The starts lie on the _RINGS, spaced geometrically from eps to R0 with
     both clamped to [1e-4, 1e6], at the _ANGLES; those at 0 and pi reach
-    real roots and roots by the cut.  A Newton iterate past `limit`, 1e6
-    times the largest ring, has diverged.
+    real roots and roots by the cut.  One evaluation ranks them by their
+    Newton step |P / (s P')| on sum coeffs * s^expts, a non-finite step
+    last; they are returned in that order, as Python complex.  A Newton
+    iterate past `limit`, 1e6 times the largest ring, has diverged.
     """
     # a bound may be astronomically large or small, or infinite
     log_lo, log_hi = (min(max(b, math.log(1e-4)), math.log(1e6)) for b in (log_eps, log_radius))
     rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS)
-    return (rings[:, None] * _ANGLES).ravel(), 1e6 * rings[-1]
+    starts = (rings[:, None] * _ANGLES).ravel()
+    powers = np.exp(np.log(starts)[:, None] * expts)
+    ranks = np.argsort(np.abs((powers @ coeffs) / (powers @ (coeffs * expts))), kind="stable")
+    return starts[ranks].tolist(), 1e6 * rings[-1]
 
 
-def _newton_points(coeffs, expts, scale_n, s, limit):
-    """Every converged point of Newton's method from the `_starts` s, in order of convergence.
+def _newton_run(pn: FracPoly, scale_n, s, limit):
+    """(point, resolved) where scalar Newton on `pn` from `s` converges, or None.
 
-    An iteration evaluates the live starts once, from their powers s^e_k:
-    those whose |P| is within NEWTON_TOL times the larger of `scale_n` and
-    sum |c_k| |s^e_k| (if finite) have converged and leave the run.  Starts
-    that diverge, past `limit` or into the origin, are dropped.  The run
-    ends after MAX_ITER iterations, or earlier once no start is left.
+    Newton runs in float arithmetic (`evaluate_terms`) for at most MAX_ITER
+    iterations.  It has converged when |P| is within NEWTON_TOL times the
+    larger of `scale_n` and the size of its terms (if finite), and is
+    dropped when its iterate leaves [1e-14, `limit`], when P' = 0 or when a
+    power leaves the float range.  The point is resolved when its next
+    Newton step is shorter than DEDUPE_TOL: the converged iterates of an
+    ill-conditioned root (small |P'|) can spread over several cells.
     """
-    dcoeffs = coeffs * expts
-    mags = np.abs(coeffs)
-    converged = []
-    for iteration in range(MAX_ITER + 1):
-        powers = np.exp(np.log(s)[:, None] * expts)
-        f, sfp = powers @ coeffs, powers @ dcoeffs
-        tol = np.maximum(scale_n, NEWTON_TOL * (np.abs(powers) @ mags))
-        done = (np.abs(f) <= tol) & (tol < math.inf)
-        converged.append(s[done])
-        if iteration == MAX_ITER:
-            break
-        # a step from a non-finite P or a P' of 0 is not finite and fails the
-        # bounds; one from an infinite P' would be 0
-        s = s - s * f / sfp
-        mag = np.abs(s)
-        s = s[~done & np.isfinite(sfp) & (mag <= limit) & (mag >= 1e-14)]
-        if not s.size:
-            break
-    return np.concatenate(converged)
+    try:
+        for _ in range(MAX_ITER):
+            value, slope, size = evaluate_terms(pn, s)
+            if abs(value) <= max(scale_n, NEWTON_TOL * size) < math.inf:
+                return s, bool(slope) and abs(s * value / slope) < DEDUPE_TOL
+            if not slope:
+                break
+            s -= s * value / slope
+            if not 1e-14 <= abs(s) <= limit:  # also a non-finite s
+                break
+    except ArithmeticError:  # a power past the float range: no root there
+        pass
+    return None
 
 
 def _first_per_cell(points):
@@ -344,48 +339,6 @@ def _fills(keys, cells):
     return sum(2 if im else 1 for _, im in keys) >= cells
 
 
-def _ranked_points(pn: FracPoly, coeffs, expts, scale_n, starts, limit, cells):
-    """Converged points of scalar Newton runs on `pn` from its best-ranked `starts`.
-
-    One evaluation ranks the `_starts` by their Newton step |P / (s P')|,
-    non-finite ones last.  From the best _RANKED_STARTS, in that order,
-    Newton runs in float arithmetic (`evaluate_terms`) for at most
-    _RANKED_ITER iterations each, under the grid's rules: a run has
-    converged when |P| is within NEWTON_TOL times the larger of `scale_n`
-    and the size of its terms (if finite), and is dropped when its iterate
-    leaves [1e-14, `limit`], when P' = 0 or when a power leaves the float
-    range.  The runs stop once the resolved points fill `cells` root cells
-    (`_fills`).  A point is resolved when its next Newton step is shorter
-    than DEDUPE_TOL: the converged iterates of an ill-conditioned root
-    (small |P'|) can spread over several cells, and an over-count would stop
-    the runs before every root is found.  A cell count is no proof, though
-    (a root on a cell edge fills two): a stop that misses a root only costs
-    the grid's fallback run.
-    """
-    powers = np.exp(np.log(starts)[:, None] * expts)
-    ranks = np.argsort(np.abs((powers @ coeffs) / (powers @ (coeffs * expts))), kind="stable")
-    points, keys = [], set()
-    for s in starts[ranks[:_RANKED_STARTS]].tolist():
-        if _fills(keys, cells):
-            break
-        try:
-            for _ in range(_RANKED_ITER):
-                value, slope, size = evaluate_terms(pn, s)
-                if abs(value) <= max(scale_n, NEWTON_TOL * size) < math.inf:
-                    points.append(s)
-                    if slope and abs(s * value / slope) < DEDUPE_TOL:
-                        keys.update(_first_per_cell([s]))
-                    break
-                if not slope:
-                    break
-                s -= s * value / slope
-                if not 1e-14 <= abs(s) <= limit:  # also a non-finite s
-                    break
-        except ArithmeticError:  # a power past the float range: no root there
-            continue
-    return np.array(points, dtype=complex)
-
-
 def _log_warning(message, *args):
     """Warn on logging.getLogger("fracreg"), silent until the application sets up logging.
 
@@ -404,31 +357,41 @@ def _log_warning(message, *args):
 def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
-    `pn` is `normalize(p)`.  A count of 0 needs no search.  A positive count
-    is first sought by the ranked scalar runs of `_ranked_points`, whose
-    distinct roots are kept when they match it.  Otherwise, and when the
-    count failed, one Newton run from the grid's starts over the count's
-    annulus runs to its end (`_newton_points`); a count its distinct roots
-    do not match is logged.  Values past the float range (huge exponents or
-    coefficients) drop their starts without a numpy warning.
+    `pn` is `normalize(p)`.  A count of 0 needs no search.  Otherwise one
+    pass runs Newton (`_newton_run`) from each of the `_starts` over the
+    count's annulus, best-ranked first.  With a count, the pass stops once
+    its resolved points fill the count's root cells (`_fills`), and its
+    distinct roots are kept when they match the count.  A cell count is no
+    proof, though (a root on a cell edge fills two): when they do not match,
+    the pass goes on through every start left, as it does with no count.
+    A count the distinct roots of every start do not match is logged.
+    Values past the float range (huge exponents or coefficients) drop their
+    starts without a numpy warning.
     """
     coeffs = np.array(pn.coefficients, dtype=complex)
     expts = np.array(pn.exponents, dtype=float)
     if expts.size < 2:  # c s^e has no root s != 0
-        return _distinct_roots(p, np.empty(0, dtype=complex)), None
+        return _distinct_roots(p, []), None
     bounds = _bounds(coeffs, expts)
     count = _root_count(coeffs, expts, *bounds)  # the roots s != 0, all Newton on pn can find
     if count == 0:
-        roots = _distinct_roots(p, np.empty(0, dtype=complex))
+        roots = _distinct_roots(p, [])
         return roots, len(roots)
     scale_n = _residual_scale(pn)
-    starts, limit = _starts(*bounds)
-    if count is not None:
-        roots = _distinct_roots(
-            p, _ranked_points(pn, coeffs, expts, scale_n, starts, limit, count))
-        if len(roots) == count + _zero_is_root(p):
-            return roots, len(roots)
-    roots = _distinct_roots(p, _newton_points(coeffs, expts, scale_n, starts, limit))
+    starts, limit = _starts(coeffs, expts, *bounds)
+    runs = filter(None, (_newton_run(pn, scale_n, s, limit) for s in starts))
+    points, keys = [], set()
+    for s, resolved in runs:
+        points.append(s)
+        if resolved and count is not None:
+            keys.update(_first_per_cell([s]))
+            if _fills(keys, count):
+                roots = _distinct_roots(p, points)
+                if len(roots) == count + _zero_is_root(p):
+                    return roots, len(roots)
+                break
+    points += [s for s, _ in runs]  # every start left, once a fill is not confirmed
+    roots = _distinct_roots(p, points)
     if count is None:
         return roots, None
     count += _zero_is_root(p)
@@ -451,14 +414,14 @@ def newton_roots(p: FracPoly):
 def _distinct_roots(p: FracPoly, points):
     """Polished, conjugate-closed RootResults from candidate points, sorted.
 
-    The coefficients are real, so the points (an array) are folded onto
+    The coefficients are real, so the points (Python complex) are folded onto
     Im >= 0 and reduced to the first finite one in each DEDUPE_TOL cell
     (`_first_per_cell`) before polishing.  `_dedupe` then merges the
     polished roots, all on Im >= 0, that a cell edge split, and the
     conjugate of each non-real root is added with its residual.  The points
     are roots s != 0; the root s = 0, where P(0) = 0, is added exactly.
     """
-    roots = _dedupe(_polish(p, _first_per_cell(points.tolist()).values()))
+    roots = _dedupe(_polish(p, _first_per_cell(points).values()))
     roots += [RootResult(r.value.conjugate(), r.residual) for r in roots if r.value.imag]
     if _zero_is_root(p):
         roots.append(RootResult(0j, 0.0))
@@ -511,8 +474,7 @@ def _commensurate_search(p: FracPoly, pn: FracPoly):
     w_roots = np.roots(vec)
     principal = (np.abs(w_roots) > 0) & (np.abs(np.angle(w_roots)) <= math.pi / m + 1e-12)
     # w ** m root by root: the array power can differ in the last bit
-    s_roots = np.array([w ** m for w in w_roots[principal]], dtype=complex)
-    return _distinct_roots(p, s_roots)
+    return _distinct_roots(p, [complex(w ** m) for w in w_roots[principal]])
 
 
 def classify_stability(roots, complete: bool):

@@ -90,7 +90,18 @@ def _kind(block, path, kinds, default=None):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number that converts to float.
+
+    A bool is not, nor is an integer past the float range: float() raises
+    OverflowError on it.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _num(block, key, path):

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -614,12 +615,12 @@ class TestRootCount:
         assert found and not scaled.coverage_caveat
         assert scaled.verdict == base.verdict
 
-    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, grid_runs,
+    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, newton_runs,
                                                              caplog):
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(GOLDEN_POLY)
-        assert len(grid_runs) == 1
+        assert len(newton_runs) == STARTS  # the pass never fills the count: every start runs
         assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
         assert report.root_count == 4
         assert report.verdict == "stable" and report.coverage_caveat
@@ -651,28 +652,32 @@ class TestRootCount:
         assert done.stdout == "4\n" and done.stderr == ""
 
 
-@pytest.fixture
-def grid_only(monkeypatch):
-    """The ranked stage switched off: every counted Newton search runs the grid."""
-    monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
+#: The Newton starts of a search: 8 rings of 6.
+STARTS = charpoly._RINGS.size * charpoly._ANGLES.size
 
 
 @pytest.fixture
-def grid_runs(monkeypatch):
-    """The converged points of each grid run (`_newton_points` call) while the test runs."""
+def every_start(monkeypatch):
+    """No fill ends a Newton pass: every counted search runs Newton from every start."""
+    monkeypatch.setattr(charpoly, "_fills", lambda keys, cells: False)
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """What each Newton run (`_newton_run` call) returned while the test runs."""
     runs = []
-    original = charpoly._newton_points
+    original = charpoly._newton_run
 
     def counting(*args):
         runs.append(original(*args))
         return runs[-1]
 
-    monkeypatch.setattr(charpoly, "_newton_points", counting)
+    monkeypatch.setattr(charpoly, "_newton_run", counting)
     return runs
 
 
 class TestCountTerminatedSearch:
-    """A counted search ends once its roots match the count; the grid is its fallback."""
+    """A counted search ends once its roots match the count; else every start runs."""
 
     def test_golden_evaluations(self, monkeypatch):
         calls = []
@@ -691,35 +696,34 @@ class TestCountTerminatedSearch:
 
         monkeypatch.setattr(charpoly, "np", CountingNumpy())
         find_roots(GOLDEN_POLY)
-        # the ranked stage takes log s of the 8 rings of 6 starts once, to rank them,
-        # and completes the count: the grid never runs
-        assert calls == [charpoly._RINGS.size * charpoly._ANGLES.size] == [48]
+        # the pass takes log s of the 8 rings of 6 starts once, to rank them; its
+        # Newton runs are scalar
+        assert calls == [STARTS] == [48]
 
     @pytest.mark.parametrize("gap", [1e-7, 2e-6])
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
     def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
         # |P'| is small near the pair: its converged iterates spread over several
-        # cells, none of them resolved, and the ranked stage must not stop on them.
-        # Its roots stand only when they match the count; else the grid, run over
-        # every iteration, decides
+        # cells, none of them resolved, and the pass must not stop on them. Its
+        # roots stand only when they match the count; else every start decides
         pair = [root, root + gap * (1 + 0.3j)]
         roots = pair + [z.conjugate() for z in pair]
         poly = integer_fracpoly(roots)
         found, count = charpoly._newton_search(poly, normalize(poly))
-        monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
-        grid = charpoly._newton_search(poly, normalize(poly))
-        assert (found, count) == grid or len(found) == count == 4 != len(grid[0])
+        monkeypatch.setattr(charpoly, "_fills", lambda keys, cells: False)
+        every = charpoly._newton_search(poly, normalize(poly))
+        assert (found, count) == every or len(found) == count == 4 != len(every[0])
         assert all(min(abs(r.value - z) for z in roots) < 1e-5 for r in found)
 
-    def test_unknown_count_runs_every_iteration(self, grid_runs):
+    def test_unknown_count_runs_every_iteration(self, newton_runs):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
         assert root_count(poly) is None
         newton_roots(poly)
-        assert len(grid_runs) == 1
+        assert len(newton_runs) == STARTS
 
     @staticmethod
     def fills(points, cells):
-        """Whether `points`, all resolved, fill `cells` root cells by the ranked stage's rule."""
+        """Whether `points`, all resolved, fill `cells` root cells by the Newton pass's rule."""
         return charpoly._fills(charpoly._first_per_cell(points), cells)
 
     def test_a_conjugate_pair_fills_two_cells(self):
@@ -728,28 +732,31 @@ class TestCountTerminatedSearch:
         assert self.fills(pair[:1], 2) and not self.fills(pair, 3)
         assert self.fills(real + pair[:1], 4) and not self.fills(real + pair, 5)
 
-    def test_unresolved_points_fill_no_cell(self):
+    def test_unresolved_points_fill_no_cell(self, newton_runs, monkeypatch):
         # the three cells of one cloud would cover two pairs
         assert self.fills([-1 + 6j, -1 + 6.00001j, -1 + 6.00002j], 4)
-        # at a double pair the ranked runs converge unresolved, each to its own cell:
-        # had they filled cells, the second point would have ended the stage
+        # at a double pair the runs converge unresolved, each to its own cell: had
+        # they filled cells, the second point would have ended the pass
         pn = integer_fracpoly([-0.5 + 3j, -0.5 + 3j, -0.5 - 3j, -0.5 - 3j])
-        coeffs = np.array(pn.coefficients, dtype=complex)
-        expts = np.array(pn.exponents, dtype=float)
-        bounds = charpoly._bounds(coeffs, expts)
-        assert charpoly._root_count(coeffs, expts, *bounds) == 4
-        points = charpoly._ranked_points(pn, coeffs, expts, charpoly._residual_scale(pn),
-                                         *charpoly._starts(*bounds), 4)
-        assert len(points) == len(charpoly._first_per_cell(points.tolist())) == 4
+        assert root_count(pn) == 4
+        reduced = []
+        distinct = charpoly._distinct_roots
+        monkeypatch.setattr(charpoly, "_distinct_roots",
+                            lambda p, points: reduced.append(len(points)) or distinct(p, points))
+        charpoly._newton_search(pn, normalize(pn))
+        converged = list(filter(None, newton_runs))
+        points = [s for s, _ in converged]
+        assert not any(resolved for _, resolved in converged)
+        assert len(points) == len(charpoly._first_per_cell(points)) > 2
+        # no fill stopped the pass: its points were reduced to roots once, after every start
+        assert reduced == [len(points)] and len(newton_runs) == STARTS
 
-    def test_no_start_converges(self, grid_runs, monkeypatch):
+    def test_no_start_converges(self, newton_runs):
         # s^q + 1 with q = 1/sqrt(2): s^q = -1 needs arg s = pi / q > pi, so no root
         # lies on the principal sheet; the count of 0 needs no search
         poly = FracPoly.from_terms([(1.0, 0.7071067811865476), (1.0, 0.0)])
-        ranked = []
-        monkeypatch.setattr(charpoly, "_ranked_points", lambda *args: ranked.append(args))
         report = find_roots(poly)
-        assert grid_runs == [] and ranked == []
+        assert newton_runs == []
         assert report.roots == ()
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("stable", False, 0)
 
@@ -773,49 +780,56 @@ class TestCountTerminatedSearch:
             template[0] = 1.0
 
 
+#: The golden, unstable and `seeded_pd_poly` polynomials, by case name.
+PD_POLYS = {"golden": GOLDEN_POLY, "unstable": UNSTABLE_POLY,
+            **{f"seed{seed}": seeded_pd_poly(seed) for seed in range(50)}}
+#: find_roots of PD_POLYS, by case name, from the search that ran a ranked stage of 8
+#: scalar runs and then the vectorized grid.
+STORED_PD_ROOTS = {report.pop("case"): report for report in json.loads(
+    Path(__file__).with_name("stored_pd_roots.json").read_text())["reports"]}
+
+
 class TestRankedStage:
-    """A positive count is first sought by scalar Newton from the best-ranked grid starts."""
+    """A positive count is sought by one Newton pass over the ranked starts, ended by a fill."""
 
-    @pytest.mark.parametrize("poly, runs", [(GOLDEN_POLY, 0), (UNSTABLE_POLY, 0)]
-                             # seed 40's real root is reached from the 9th-ranked start only:
-                             # the 8 best all reach its pair, so the grid runs
-                             + [(seeded_pd_poly(seed), seed == 40) for seed in range(50)],
-                             ids=["golden", "unstable"] + [f"seed{seed}" for seed in range(50)])
-    def test_fills_the_count_without_the_grid(self, poly, runs, monkeypatch, grid_runs):
-        ranked = find_roots(poly)
-        assert len(grid_runs) == runs
-        monkeypatch.setattr(charpoly, "_RANKED_STARTS", 0)
-        grid = find_roots(poly)
-        assert len(grid_runs) == runs + 1
-        assert len(ranked.roots) == len(grid.roots) == ranked.root_count
-        for a, b in zip(ranked.roots, grid.roots):
-            assert abs(a.value - b.value) <= 1e-11 * abs(b.value)
-        assert (ranked.verdict, ranked.root_count, ranked.coverage_caveat) \
-            == (grid.verdict, grid.root_count, grid.coverage_caveat)
+    @pytest.mark.parametrize("name", PD_POLYS)
+    def test_fills_the_count_without_the_grid(self, name, newton_runs):
+        report = find_roots(PD_POLYS[name])
+        stored = STORED_PD_ROOTS[name]
+        assert (report.verdict, report.root_count, report.coverage_caveat) \
+            == (stored["verdict"], stored["root_count"], stored["coverage_caveat"])
+        assert len(report.roots) == len(stored["roots"]) == report.root_count
+        for r, (re, im) in zip(report.roots, stored["roots"]):
+            assert abs(r.value - complex(re, im)) <= 1e-11 * abs(complex(re, im))
+        # one pass, ended by its fill before the last start
+        assert len(newton_runs) < STARTS
+        if name == "seed40":  # its real root is reached from the 9th-ranked start only
+            assert len(newton_runs) == 9
 
-    def test_bounded_work_before_a_fallback(self, monkeypatch, grid_runs):
-        # the golden pair fills 2 of the 4 cells: every ranked run is made, then the
-        # grid runs
+    def test_bounded_work_before_a_fallback(self, monkeypatch, newton_runs):
+        # the golden pair fills 2 of the 4 cells: the pass runs every start, each for
+        # at most MAX_ITER evaluations, and leaves the count short
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
-        before_grid = []
+        in_runs = []
         evaluate = charpoly.evaluate_terms
 
         def counting(p, s):
-            before_grid.append(not grid_runs)
+            # until every start has run, each evaluation is a Newton run's
+            in_runs.append(len(newton_runs) < STARTS)
             return evaluate(p, s)
 
         monkeypatch.setattr(charpoly, "evaluate_terms", counting)
         report = find_roots(GOLDEN_POLY)
-        assert 0 < sum(before_grid) <= charpoly._RANKED_STARTS * charpoly._RANKED_ITER == 160
-        assert len(grid_runs) == 1
-        assert report.root_count == 4 and report.coverage_caveat
+        assert len(newton_runs) == STARTS
+        assert 0 < sum(in_runs) <= STARTS * charpoly.MAX_ITER
+        assert report.root_count == 4 and len(report.roots) == 2 and report.coverage_caveat
 
 
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 
-    @pytest.mark.usefixtures("grid_only")
-    def test_newton_grid(self, grid_runs, caplog):
+    @pytest.mark.usefixtures("every_start")
+    def test_newton_grid(self, newton_runs, caplog):
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(CANCELLED_POLY)
         values = [r.value for r in report.roots]
@@ -824,7 +838,7 @@ class TestRootAtZero:
         assert all(abs(v) > 1 for v in values[:-1])  # no spurious root near the origin
         assert report.root_count == len(values) == 3
         assert report.verdict == "unstable" and not report.coverage_caveat
-        assert len(grid_runs) == 1
+        assert len(newton_runs) == STARTS
         assert not caplog.records
 
     def test_commensurate(self):

@@ -574,6 +574,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"'{key}'" in err
 
+    @pytest.mark.parametrize("command, name, edit, key", [
+        ("poles", "golden_pd_sim", lambda d: d["plant"].update(a0=10 ** 400), "plant.a0"),
+        ("poles", "golden_pd_sim", lambda d: d["controller"].update(K=10 ** 400),
+         "controller.K"),
+        ("simulate", "golden_pd_sim", lambda d: d["sim"].update(h=10 ** 400), "sim.h"),
+        ("simulate", "golden_pd_sim", lambda d: d["sim"]["input"].update(amplitude=-10 ** 400),
+         "sim.input.amplitude"),
+        ("simulate", "golden_pd_sim", lambda d: _samples_input(d)["values"].append(10 ** 400),
+         "sim.input.values"),
+        ("design", "design_pd_ess4", lambda d: d["design"]["poles"][0].__setitem__(1, 10 ** 400),
+         "design.poles"),
+        ("design", "design_pd_ess4", lambda d: d["design"].update(ess=10 ** 400), "design.ess"),
+    ], ids=["plant", "controller", "h", "amplitude", "samples", "pole", "ess"])
+    def test_integer_past_the_float_range(self, tmp_path, capsys, command, name, edit, key):
+        # JSON integers are unbounded; float() of this one raises OverflowError
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        edit(doc)
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+
     @pytest.mark.parametrize("command, changes", [
         ("simulate", {"sim": {"h": 0.01, "t_end": 1.0,
                               "input": {"type": "samples", "values": [1.0] * 100}}}),
