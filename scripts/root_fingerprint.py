@@ -22,6 +22,11 @@ search ended: with no search (a count of 0), after one Newton pass, or
 running every start after the pass stopped on a fill whose roots did not
 match the count.
 
+A last line gives the median time per call, in µs, of `design_pi`,
+`design_pd_fractional`, `design_pd_integer` and `find_roots` (by the
+method of its report) over the survey.  It varies from run to run, and
+the digest leaves it out; it shows which layer a change made faster.
+
 The exit status is 1 when any newton-grid report holds more distinct
 roots than its count ("over" above 0): such a root set is no set of
 principal-sheet roots, so the script guards completeness as well as
@@ -42,8 +47,10 @@ Usage: PYTHONPATH=src python scripts/root_fingerprint.py [seed]
 """
 
 import hashlib
+import statistics
 import sys
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -57,6 +64,8 @@ PI_PLANT = Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0)
 N_PD, N_PD_INTEGER, N_PI, N_RANDOM, N_COMMENSURATE = 300, 60, 60, 2000, 1000
 N_PI_PLANTED = 60
 PI_LAMBDA_RANGES = ((0.05, 0.3), (0.2, 2.5), (1.9, 2.1), (2.5, 3.5))
+#: Seconds per call of each timed layer, by name (see `_timed`).
+TIMINGS = defaultdict(list)
 
 
 def _pole(rng):
@@ -138,13 +147,22 @@ def _planted_label(lam_range):
     return "pi-planted [{:g}, {:g}]".format(*lam_range)
 
 
+def _timed(name, fn, *args):
+    """fn(*args), its wall time appended to TIMINGS[name], whether it returns or raises."""
+    start = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        TIMINGS[name].append(time.perf_counter() - start)
+
+
 def _pd(design, spec):
-    ctrl = design(spec)
+    ctrl = _timed(design.__name__, design, spec)
     return ctrl, char_poly_pd(spec.plant, ctrl)
 
 
 def _pi(spec):
-    ctrl = design_pi(spec)
+    ctrl = _timed("design_pi", design_pi, spec)
     return ctrl, char_poly_pi(spec.plant, ctrl)
 
 
@@ -208,12 +226,14 @@ def main():
         try:
             ctrl, poly = build()
             ends.clear()
+            start = time.perf_counter()
             report = find_roots(poly)
         except (FracregError, ValueError) as exc:
             record = (label, type(exc).__name__, str(exc))
             methods[f"{label}: {type(exc).__name__}"] += 1
             outcomes[label, type(exc).__name__] += 1
         else:
+            TIMINGS[f"find_roots {report.method}"].append(time.perf_counter() - start)
             outcomes[label, "solved"] += 1
             record = (label, ctrl, poly, report)
             methods[f"{label}: {report.method}"] += 1
@@ -237,6 +257,9 @@ def main():
           f"one pass {searches['one pass']}, "
           f"every start after an unconfirmed fill {searches['every start']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
+    print("median µs per call: " + ", ".join(
+        f"{name} {1e6 * statistics.median(times):.1f} ({len(times)} calls)"
+        for name, times in sorted(TIMINGS.items())))
     if coverage["over"]:
         sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "
                  "than their count")

@@ -15,10 +15,12 @@ principal-sheet roots by the argument principle on a keyhole contour
 around the cut plane, inside the annulus eps < |s| < R0 that `_bounds`
 gives in closed form: no root lies outside it.  Newton's 48 starts lie on
 8 rings spaced geometrically over that annulus (clamped to [1e-4, 1e6]),
-each with 6 starts at angles evenly spaced over [0, pi].  A count of 0
-needs no search.  Otherwise one evaluation ranks the starts by their
-Newton step |P / (s P')|, and one pass runs scalar Newton from each in
-that order, for at most MAX_ITER iterations.  With a count, the pass stops
+each with 6 starts at angles evenly spaced over [0, pi].  One numpy
+evaluation, at logs built from templates made at import, gives both the
+count's first 2 x 64 samples (and its point s = eps) and P and s P' at the
+starts.  A count of 0 needs no search.  Otherwise the starts are ranked by
+their Newton step |P / (s P')|, and one pass runs scalar Newton from each
+in that order, for at most MAX_ITER iterations.  With a count, the pass stops
 once the converged points cover it: those resolved to a cell (next Newton
 step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are roots, a
 cell off the real axis counting twice for its conjugate.  When the
@@ -86,10 +88,16 @@ def _read_only(array):
 
 
 #: Newton's start templates, shared by every search: the 8 rings as fractions of the
-#: annulus's log width, and the 6 directions e^(i theta), theta evenly spaced over [0, pi].
+#: annulus's log width, and the 6 directions e^(i theta), theta (_THETAS) evenly spaced
+#: over [0, pi].
 #: The coefficients are real, so the lower half-plane mirrors the upper one.
+_THETAS = _read_only(np.linspace(0.0, math.pi, 6))
 _RINGS = _read_only(np.linspace(0.0, 1.0, 8))
-_ANGLES = _read_only(np.exp(1j * np.linspace(0.0, math.pi, 6)))
+_ANGLES = _read_only(np.exp(1j * _THETAS))
+#: The _ANGLES as Python complex.
+_DIRECTIONS = _ANGLES.tolist()
+#: Where the starts' rings may lie: the annulus clamped to [1e-4, 1e6], in log |s|.
+_LOG_START_RANGE = (math.log(1e-4), math.log(1e6))
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,42 @@ def _polish(p: FracPoly, points):
 
 
 @functools.lru_cache(maxsize=None)  # n is _COUNT_MIN_SAMPLES times a power of 2
-def _arc(n):
-    """i theta at n angles theta evenly spaced over [0, pi], read-only."""
-    return _read_only(1j * np.linspace(0.0, math.pi, n))
+def _count_template(n):
+    """(weights, phases) of the count's 2n + 1 sample logs, both read-only.
+
+    Sample k lies at log s = weights[k] @ (log R0, log eps - log R0) + phases[k]:
+    n samples on the arc |s| = R0 at angles evenly spaced over [0, pi], n
+    down the cut's upper side from R0 to eps, evenly spaced in log |s|, and
+    last s = eps itself.
+    """
+    t = np.linspace(0.0, 1.0, n)
+    weights = np.ones((2 * n + 1, 2))
+    weights[:n, 1] = 0.0
+    weights[n:-1, 1] = t
+    phases = np.concatenate([1j * math.pi * t, np.full(n, 1j * math.pi), [0j]])
+    return _read_only(weights), _read_only(phases)
+
+
+def _search_template():
+    """(weights, phases) of the logs one Newton search evaluates at, both read-only.
+
+    Row k lies at log s = weights[k] @ (log R0, log eps - log R0, log lo,
+    log hi - log lo) + phases[k], where lo and hi are eps and R0 clamped to
+    [1e-4, 1e6].  The first 2 _COUNT_MIN_SAMPLES + 1 rows are the count's
+    first samples (`_count_template`); the rest are the starts, ring by ring
+    from lo to hi, at the _THETAS of the _ANGLES.
+    """
+    count_weights, count_phases = _count_template(_COUNT_MIN_SAMPLES)
+    n = count_weights.shape[0]
+    weights = np.zeros((n + _RINGS.size * _ANGLES.size, 4))
+    weights[:n, :2] = count_weights
+    weights[n:, 2] = 1.0
+    weights[n:, 3] = np.repeat(_RINGS, _ANGLES.size)
+    phases = np.concatenate([count_phases, np.tile(1j * _THETAS, _RINGS.size)])
+    return _read_only(weights), _read_only(phases)
+
+
+_SEARCH_WEIGHTS, _SEARCH_PHASES = _search_template()
 
 
 def _bounds(coeffs, expts):
@@ -238,26 +279,29 @@ def _bounds(coeffs, expts):
     return log_radius, log_eps
 
 
-def _root_count(coeffs, expts, log_radius, log_eps):
+def _root_count(coeffs, expts, log_radius, log_eps, samples=None):
     """Number of principal-sheet roots s != 0 of sum coeffs * s^expts, or None.
 
     The exponents are normalized, and (log_radius, log_eps) are its `_bounds`.
     Argument principle on a keyhole contour: the circle |s| = R0, both sides
     of the cut along the negative real axis down to |s| = eps, and the
     circle |s| = eps.  The coefficients are real, so the upper half of the
-    contour turns the phase by pi per root.  The samples double until every
-    phase step is below pi / 4; None when that fails by _COUNT_MAX_SAMPLES,
-    as it does for a root on the cut, or when a bound is infinite.
+    contour turns the phase by pi per root.  `samples`, when given, is P at
+    the first 2 _COUNT_MIN_SAMPLES + 1 points of `_count_template`; else
+    they are evaluated here.  The samples double until every phase step is
+    below pi / 4; None when that fails by _COUNT_MAX_SAMPLES, as it does
+    for a root on the cut, or when a bound is infinite.
     """
     if not expts[0] * max(log_radius, -log_eps) <= 600.0:  # s^q would overflow
         return None
-    p_eps = np.exp(log_eps * expts) @ coeffs  # real and near c0
     n = _COUNT_MIN_SAMPLES
     while True:
-        logs = np.concatenate([log_radius + _arc(n),
-                               np.linspace(log_radius, log_eps, n) + 1j * math.pi])
-        values = np.exp(np.outer(logs, expts)) @ coeffs
-        if not np.all(np.isfinite(values) & (values != 0)):
+        if samples is None:
+            weights, phases = _count_template(n)
+            logs = weights @ (log_radius, log_eps - log_radius) + phases
+            samples = np.exp(np.outer(logs, expts)) @ coeffs
+        values, p_eps = samples[:-1], samples[-1]  # p_eps is near c0
+        if not (np.isfinite(values) & (values != 0)).all():
             return None
         steps = np.angle(values[1:] / values[:-1])
         if np.abs(steps).max() < math.pi / 4:
@@ -265,29 +309,11 @@ def _root_count(coeffs, expts, log_radius, log_eps):
         n *= 2
         if n > _COUNT_MAX_SAMPLES:
             return None
+        samples = None
     # the small circle stays within |c0| / 2 of c0: its turn is the principal angle
     turn = (steps.sum() + np.angle(p_eps / values[-1])) / math.pi
     count = round(turn)
     return count if abs(turn - count) < 0.25 else None
-
-
-def _starts(coeffs, expts, log_radius, log_eps):
-    """(starts, limit): Newton's starts over the annulus of `_bounds`, best first; a drop radius.
-
-    The starts lie on the _RINGS, spaced geometrically from eps to R0 with
-    both clamped to [1e-4, 1e6], at the _ANGLES; those at 0 and pi reach
-    real roots and roots by the cut.  One evaluation ranks them by their
-    Newton step |P / (s P')| on sum coeffs * s^expts, a non-finite step
-    last; they are returned in that order, as Python complex.  A Newton
-    iterate past `limit`, 1e6 times the largest ring, has diverged.
-    """
-    # a bound may be astronomically large or small, or infinite
-    log_lo, log_hi = (min(max(b, math.log(1e-4)), math.log(1e6)) for b in (log_eps, log_radius))
-    rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS)
-    starts = (rings[:, None] * _ANGLES).ravel()
-    powers = np.exp(np.log(starts)[:, None] * expts)
-    ranks = np.argsort(np.abs((powers @ coeffs) / (powers @ (coeffs * expts))), kind="stable")
-    return starts[ranks].tolist(), 1e6 * rings[-1]
 
 
 def _newton_run(pn: FracPoly, scale_n, s, limit):
@@ -357,28 +383,50 @@ def _log_warning(message, *args):
 def _newton_search(p: FracPoly, pn: FracPoly):
     """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
 
-    `pn` is `normalize(p)`.  A count of 0 needs no search.  Otherwise one
-    pass runs Newton (`_newton_run`) from each of the `_starts` over the
-    count's annulus, best-ranked first.  With a count, the pass stops once
-    its resolved points fill the count's root cells (`_fills`), and its
-    distinct roots are kept when they match the count.  A cell count is no
-    proof, though (a root on a cell edge fills two): when they do not match,
-    the pass goes on through every start left, as it does with no count.
-    A count the distinct roots of every start do not match is logged.
-    Values past the float range (huge exponents or coefficients) drop their
-    starts without a numpy warning.
+    `pn` is `normalize(p)`.  Everything the search reads before its Newton
+    runs comes from one numpy evaluation at the logs of `_search_template`:
+    exp(outer(log s, e)) @ [c | c e] gives the count's first samples and
+    P and s P' at the starts.  The starts lie on the _RINGS, spaced
+    geometrically from eps to R0 with both clamped to [1e-4, 1e6], at the
+    _ANGLES; those at 0 and pi reach real roots and roots by the cut.  A
+    count of 0 needs no search.  Otherwise the starts are ranked by their
+    Newton step |P / (s P')|, a non-finite step last, and one pass runs
+    Newton (`_newton_run`) from each in that order; a start becomes a
+    Python complex only when its run begins.  With a count, the pass stops
+    once its resolved points fill the count's root cells (`_fills`), and
+    its distinct roots are kept when they match the count.  A cell count
+    is no proof, though (a root on a cell edge fills two): when they do not
+    match, the pass goes on through every start left, as it does with no
+    count.  A count the distinct roots of every start do not match is
+    logged.  Values past the float range (huge exponents or coefficients)
+    drop their starts without a numpy warning.
     """
-    coeffs = np.array(pn.coefficients, dtype=complex)
+    terms = np.array([(c, c * e) for c, e in pn.terms], dtype=complex)  # [c | c e]
+    coeffs = terms[:, 0]
     expts = np.array(pn.exponents, dtype=float)
     if expts.size < 2:  # c s^e has no root s != 0
         return _distinct_roots(p, []), None
-    bounds = _bounds(coeffs, expts)
-    count = _root_count(coeffs, expts, *bounds)  # the roots s != 0, all Newton on pn can find
+    log_radius, log_eps = _bounds(coeffs, expts)
+    # a bound may be astronomically large or small, or infinite
+    log_lo, log_hi = (min(max(b, _LOG_START_RANGE[0]), _LOG_START_RANGE[1])
+                      for b in (log_eps, log_radius))
+    # an infinite bound fails the count's guard before it reads a sample; (0, 0) keeps
+    # the starts' logs finite
+    count_at = ((log_radius, log_eps - log_radius) if math.isfinite(log_radius - log_eps)
+                else (0.0, 0.0))
+    logs = _SEARCH_WEIGHTS @ (*count_at, log_lo, log_hi - log_lo) + _SEARCH_PHASES
+    values = np.exp(np.outer(logs, expts)) @ terms
+    n = 2 * _COUNT_MIN_SAMPLES + 1
+    # the roots s != 0, all Newton on pn can find
+    count = _root_count(coeffs, expts, log_radius, log_eps, values[:n, 0])
     if count == 0:
         roots = _distinct_roots(p, [])
         return roots, len(roots)
     scale_n = _residual_scale(pn)
-    starts, limit = _starts(coeffs, expts, *bounds)
+    ranks = np.argsort(np.abs(values[n:, 0] / values[n:, 1]), kind="stable").tolist()
+    rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS).tolist()
+    limit = 1e6 * rings[-1]  # an iterate past it has diverged
+    starts = (rings[i // _ANGLES.size] * _DIRECTIONS[i % _ANGLES.size] for i in ranks)
     runs = filter(None, (_newton_run(pn, scale_n, s, limit) for s in starts))
     points, keys = [], set()
     for s, resolved in runs:
@@ -459,22 +507,29 @@ def commensurate_roots(p: FracPoly):
     return None if roots is None else [r.value for r in roots]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _commensurate_search(p: FracPoly, pn: FracPoly):
     """`commensurate_roots` as RootResults, or None; `pn` is `normalize(p)`."""
     m = commensurate_base(pn)
     if m is None:
         return None
     degrees = [round(e * m) for e in pn.exponents]
-    vec = np.zeros(degrees[0] + 1)
+    poly = [0.0] * (degrees[0] + 1)
     for (c, _), d in zip(pn.terms, degrees):
-        vec[degrees[0] - d] += c
-    if not np.isfinite(vec / vec[0]).all():  # the companion matrix overflows
-        return None
-    w_roots = np.roots(vec)
-    principal = (np.abs(w_roots) > 0) & (np.abs(np.angle(w_roots)) <= math.pi / m + 1e-12)
-    # w ** m root by root: the array power can differ in the last bit
-    return _distinct_roots(p, [complex(w ** m) for w in w_roots[principal]])
+        poly[degrees[0] - d] += c
+    while len(poly) > 1 and not poly[-1]:  # a root w = 0, which is no root s != 0
+        poly.pop()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = np.array(poly) / poly[0]
+        if not np.isfinite(ratios).all():  # the companion matrix overflows
+            return None
+        # np.roots' companion matrix and its eigenvalues, less np.roots' Python prelude
+        companion = np.eye(len(poly) - 1, k=-1)
+        companion[:1] = -ratios[1:]
+        w_roots = np.linalg.eigvals(companion)
+        principal = (np.abs(w_roots) > 0) & (np.abs(np.angle(w_roots)) <= math.pi / m + 1e-12)
+        # w ** m root by root: the array power can differ in the last bit
+        points = [complex(w ** m) for w in w_roots[principal]]
+    return _distinct_roots(p, points)
 
 
 def classify_stability(roots, complete: bool):

@@ -17,6 +17,7 @@ stability is reported separately, never enforced here.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ RESIDUAL_REL_TOL = 1e-8
 #: (0, 6 - alpha), each cut into _PI_SUBCELLS steps.
 _PI_GRID_CELLS = 64
 _PI_SUBCELLS = 8
+#: The lattice steps `design_pi` evaluates D on at a time.
+_PI_CHUNK = 256
 #: Cap on the refinement steps; a bracket on a smooth D needs about five.
 _PI_REFINE_STEPS = 100
 #: The rounding floor of D, whose rows have unit norm: a zero of D to working precision.
@@ -110,7 +113,6 @@ def gain_from_ss_error(a0: float, ess_percent: float) -> float:
     return (100.0 / ess_percent - 1.0) * a0
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
     """Closed-form (Td, delta) pairs solving Td s^delta = R at the pole.
 
@@ -120,10 +122,10 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
     real axis (|Im s| <= eps |Re s|) has no branch: the pair is one real
     point to working precision, which the residual check cannot tell from a
     single real root (and near theta = 0, where arg R is known to about eps,
-    delta would be undetermined).  Pairs with a non-finite Td or
-    delta (powers past the float range) are dropped, without a numpy
-    warning.  The rest are ordered by |delta * theta|, so the branch with
-    the derivative phase in (-pi/2, pi/2] comes first.
+    delta would be undetermined).  The pairs are formed in float
+    arithmetic, and those with a non-finite Td or delta (powers past the
+    float range) are dropped.  The rest are ordered by |delta * theta|, so
+    the branch with the derivative phase in (-pi/2, pi/2] comes first.
     """
     s = complex(pole)
     try:
@@ -134,13 +136,16 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
         return [(0.0, 1.0)]
     if abs(s.imag) <= np.finfo(float).eps * abs(s.real):
         return []
-    theta = np.angle(s)
-    phi = np.angle(r)
+    # numpy's arg, as a float: cmath.phase differs from it in the last bit now and then
+    theta, phi = np.angle([s, r]).tolist()
     candidates = []
     for offset, sign in ((0.0, 1.0), (math.pi, -1.0)):
         for n in range(-2, 3):
             delta = (phi - offset + 2 * math.pi * n) / theta
-            td = sign * abs(r) / abs(s) ** delta
+            try:
+                td = sign * abs(r) / abs(s) ** delta
+            except ArithmeticError:  # |s|^delta past the float range, or below it
+                continue
             if math.isfinite(delta) and math.isfinite(td):
                 candidates.append((td, delta))
     candidates.sort(key=lambda c: abs(c[1] * theta))
@@ -166,15 +171,15 @@ def _placed(poly, poles):
     return placed, largest
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def design_pd_fractional(spec: DesignSpecPd) -> PdController:
     """(Td, delta) placing the conjugate pair by the branch formula, K fixed by spec.
 
     The design is the first candidate of `_pd_branch_candidates` (smallest
     |delta * theta| first) whose characteristic residual at the pole is
     within tolerance (`_placed`).  A pole far out may take a candidate's
-    powers past the float range; that only fails the candidate, so numpy's
-    floating-point warnings are off.
+    powers past the float range; that only fails the candidate.  Both the
+    candidates and the check run in float arithmetic, so no numpy warning
+    can arise.
     """
     K = spec.resolve_gain()
     plant, pole = spec.plant, spec.pole
@@ -240,16 +245,31 @@ def _pi_row(equation, lam):
     return (z * a_weight).real, math.exp(-lam * k) * b_weight, (z * c_weight).real, lam * k + m
 
 
-def _pi_columns(equations, lams):
+def _pi_terms(equations):
+    """The `_pi_equations` rows as the arrays `_pi_columns` reads.
+
+    (log p - k, -k, index, a_weight, b_weight, c_weight): the first two are
+    P x 1 columns with one row per distinct pole p, since a pair's two rows
+    share p^lam and k; `index` maps each equation row to its pole; the
+    weights are 3 x 1 columns, row by equation.
+    """
+    poles = list(dict.fromkeys((log_power, k) for log_power, *_, k, _ in equations))
+    index = [poles.index((log_power, k)) for log_power, *_, k, _ in equations]
+    log_power, k = (np.array(column)[:, None] for column in zip(*poles))
+    _, a_weight, c_weight, b_weight, *_ = (np.array(column)[:, None] for column in zip(*equations))
+    return log_power, -k, index, a_weight, b_weight, c_weight
+
+
+def _pi_columns(terms, lams):
     """The columns a, b, c of the three `_pi_row`s at every lambda of the array `lams`.
 
-    Each is an array of shape (3, lams.size), row by lambda, formed in one
-    numpy pass.
+    `terms` is `_pi_terms` of the equations.  Each column is an array of
+    shape (3, lams.size), row by lambda, formed in one numpy pass with one
+    complex exponential per distinct pole.
     """
-    log_power, a_weight, c_weight, b_weight, k, _ = (
-        np.array(column)[:, None] for column in zip(*equations))
-    z = np.exp(log_power * lams)
-    return (z * a_weight).real, np.exp(-k * lams) * b_weight, (z * c_weight).real
+    log_power, minus_k, index, a_weight, b_weight, c_weight = terms
+    z = np.exp(log_power * lams)[index]
+    return (z * a_weight).real, np.exp(minus_k * lams)[index] * b_weight, (z * c_weight).real
 
 
 def _unit_det(a, b, c):
@@ -297,6 +317,31 @@ def _pi_root(equations, a, b, fa, fb):
     return b
 
 
+@functools.lru_cache(maxsize=16)  # one lattice per plant order alpha in use
+def _pi_lattice(top):
+    """The lambda lattice of (0, top) that `design_pi` scans, ascending and read-only.
+
+    _PI_GRID_CELLS cells of _PI_SUBCELLS steps each, and the two points a
+    millionth of a cell from either end.
+    """
+    cell = top / _PI_GRID_CELLS
+    lattice = cell * np.arange(1, _PI_GRID_CELLS * _PI_SUBCELLS) / _PI_SUBCELLS
+    lams = np.concatenate([[1e-6 * cell], lattice, [top - 1e-6 * cell]])
+    lams.flags.writeable = False
+    return lams
+
+
+def _pi_gains(equations, lam):
+    """(K, Ti) solving the three rows at `lam` by least squares, each row at its pole's scale."""
+    rows = [_pi_row(equation, lam) for equation in equations]
+    top_scale = max(log_scale for *_, log_scale in rows)
+    # each row at its own scale, as the residual check weighs the poles
+    rows = np.array([[x * math.exp(log_scale - top_scale) for x in row]
+                     for *row, log_scale in rows])
+    (K, Ti), *_ = np.linalg.lstsq(rows[:, :2], rows[:, 2], rcond=None)
+    return float(K), float(Ti)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def design_pi(spec: DesignSpecPi) -> PiController:
     """Solve for (K, Ti, 0 < lambda < 6 - alpha) placing all three poles.
@@ -305,50 +350,51 @@ def design_pi(spec: DesignSpecPi) -> PiController:
     pair's real and imaginary parts and a real pole's real part, or three
     real parts) are linear in (K, Ti).  They are consistent exactly where
     D(lambda), the determinant of their augmented rows (`_pi_row`) scaled
-    to unit norm, vanishes.  D is evaluated once, in ascending order and in
-    one numpy pass (`_pi_columns`, `_unit_det`), on a fixed lattice of
-    (0, 6 - alpha), the orders `build_pi_model` takes: _PI_GRID_CELLS cells
-    of _PI_SUBCELLS steps each, and the two points a millionth of a cell
-    from either end.  The sign change between each pair of neighbouring
-    points is refined on its own, in float arithmetic (`_pi_root`); a
-    lattice point with |D| at its rounding floor is a root as it stands.
-    At each root, (K, Ti) solves the three rows by least squares, each row
-    at the scale of its pole's residual.  The design is the smallest such
-    lambda whose complex residual at every pole is within tolerance
-    (`_placed`): for a negative real pole and a non-integer lambda, P(pole)
-    is complex, so the spec is four real equations in three unknowns, and
-    this check judges the fourth.  Values past the float range only fail
-    their lambda, without numpy warnings.
+    to unit norm, vanishes.  D is scanned on a fixed lattice of (0, 6 -
+    alpha), the orders `build_pi_model` takes (`_pi_lattice`), in ascending
+    chunks of _PI_CHUNK steps, each evaluated in one numpy pass
+    (`_pi_columns`, `_unit_det`) and sharing its last point with the next.
+    Within a chunk the candidates are taken in ascending order: a lattice
+    point with |D| at its rounding floor is a root as it stands, and a sign
+    change between neighbouring points is refined, when the scan reaches
+    it, in float arithmetic (`_pi_root`).  At each root, (K, Ti) solves the
+    three rows by least squares (`_pi_gains`).  The design is the first,
+    so the smallest, such lambda whose complex residual at every pole is
+    within tolerance (`_placed`): for a negative real pole and a
+    non-integer lambda, P(pole) is complex, so the spec is four real
+    equations in three unknowns, and this check judges the fourth.  Values
+    past the float range only fail their lambda, without numpy warnings.
     """
     plant, reps = spec.plant, spec.residual_poles()
     equations = _pi_equations(plant, reps)
+    terms = _pi_terms(equations)
     top = 3.0 + MAX_GL_ORDER - plant.alpha  # build_pi_model needs 3 - alpha - lam > -MAX_GL_ORDER
-    cell = top / _PI_GRID_CELLS
-    lattice = cell * np.arange(1, _PI_GRID_CELLS * _PI_SUBCELLS) / _PI_SUBCELLS
-    lams = np.concatenate([[1e-6 * cell], lattice, [top - 1e-6 * cell]])
-    det, norms = _unit_det(*_pi_columns(equations, lams))
-    values = det / np.sqrt(norms)
-    cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0).tolist()
-    candidates = lams[np.abs(values) <= _PI_DET_FLOOR].tolist()
-    lams, values = lams.tolist(), values.tolist()
-    candidates += [_pi_root(equations, lams[i], lams[i + 1], values[i], values[i + 1])
-                   for i in cross]
+    lams = _pi_lattice(top)
     best = math.inf
-    for lam in sorted(filter(math.isfinite, candidates)):  # a row that underflows to 0 gives nan
-        rows = [_pi_row(equation, lam) for equation in equations]
-        top_scale = max(log_scale for *_, log_scale in rows)
-        # each row at its own scale, as the residual check weighs the poles
-        rows = np.array([[x * math.exp(log_scale - top_scale) for x in row]
-                         for *row, log_scale in rows])
-        (K, Ti), *_ = np.linalg.lstsq(rows[:, :2], rows[:, 2], rcond=None)
-        K, Ti = float(K), float(Ti)
-        if not (math.isfinite(K) and math.isfinite(Ti)):  # a gain past the float range
-            continue
-        ctrl = PiController(K=K, Ti=Ti, lam=lam)
-        # P(conj p) = conj P(p), so the residual poles stand for all three
-        placed, residual = _placed(char_poly_pi(plant, ctrl), reps)
-        if placed:
-            return ctrl
-        best = min(best, residual)
+    for first in range(0, lams.size - 1, _PI_CHUNK):
+        chunk = lams[first:first + _PI_CHUNK + 1]  # its last point is the next chunk's first
+        det, norms = _unit_det(*_pi_columns(terms, chunk))
+        values = det / np.sqrt(norms)
+        floors = np.flatnonzero(np.abs(values) <= _PI_DET_FLOOR).tolist()
+        crosses = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0).tolist()
+        # a point at the floor comes before the sign change that starts at it; the shared
+        # first point was the last chunk's last
+        for i, refine in sorted([(i, False) for i in floors if i or not first]
+                                + [(i, True) for i in crosses]):
+            if refine:
+                lam = _pi_root(equations, *chunk[i:i + 2].tolist(), *values[i:i + 2].tolist())
+                if not math.isfinite(lam):  # a row that underflows to 0 gives nan
+                    continue
+            else:
+                lam = chunk[i].item()
+            K, Ti = _pi_gains(equations, lam)
+            if not (math.isfinite(K) and math.isfinite(Ti)):  # a gain past the float range
+                continue
+            ctrl = PiController(K=K, Ti=Ti, lam=lam)
+            # P(conj p) = conj P(p), so the residual poles stand for all three
+            placed, residual = _placed(char_poly_pi(plant, ctrl), reps)
+            if placed:
+                return ctrl
+            best = min(best, residual)
     raise NoSolutionError(f"PI^lambda design found no lambda in (0, {top:g}) placing poles "
                           f"{spec.poles}; best residual {best:.3g}")

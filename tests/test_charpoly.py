@@ -597,6 +597,19 @@ class TestRootCount:
         assert charpoly.commensurate_base(poly) == 2
         assert root_count(poly) == len(commensurate_roots(poly))
 
+    def test_count_doubles_its_samples(self, monkeypatch):
+        # s^(12 sqrt 2) turns the phase by about 17 pi along the arc |s| = R0: the
+        # search's 64 samples per segment leave steps above pi / 4, so the count
+        # doubles them.  It counts 18 from the search's first samples and from its own
+        poly = FracPoly.from_terms([(1.0, 12 * math.sqrt(2)), (2.0, math.sqrt(3)), (3.0, 0.0)])
+        sizes = []
+        template = charpoly._count_template
+        monkeypatch.setattr(charpoly, "_count_template", lambda n: sizes.append(n) or template(n))
+        report = find_roots(poly)
+        assert report.method == "newton-grid"
+        assert sizes and min(sizes) > charpoly._COUNT_MIN_SAMPLES
+        assert report.root_count == root_count(poly) == 18
+
     def test_root_on_the_cut_gives_none(self):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
         assert root_count(poly) is None
@@ -683,22 +696,41 @@ class TestCountTerminatedSearch:
         calls = []
 
         class CountingNumpy:
-            """numpy, less its `log`, which records the size of each complex argument."""
+            """numpy, recording each name looked up on it and the shape of each complex
+            argument of its `exp` and `log`."""
 
             def __getattr__(self, name):
+                calls.append(name)
                 return getattr(np, name)
+
+            @staticmethod
+            def exp(x):
+                if np.iscomplexobj(x):
+                    calls.append(("exp", np.shape(x)))
+                return np.exp(x)
 
             @staticmethod
             def log(x):
                 if np.iscomplexobj(x):
-                    calls.append(np.size(x))
+                    calls.append(("log", np.shape(x)))
                 return np.log(x)
 
+        run = charpoly._newton_run
+
+        def marking(*args):
+            calls.append("run")
+            return run(*args)
+
         monkeypatch.setattr(charpoly, "np", CountingNumpy())
+        monkeypatch.setattr(charpoly, "_newton_run", marking)
         find_roots(GOLDEN_POLY)
-        # the pass takes log s of the 8 rings of 6 starts once, to rank them; its
-        # Newton runs are scalar
-        assert calls == [STARTS] == [48]
+        # one evaluation of its 4 terms gives the count's first 2 x 64 samples and its
+        # eps point, and P and s P' at the 8 rings of 6 starts; no log s is taken
+        points = 2 * 64 + 1 + STARTS
+        assert [c for c in calls if isinstance(c, tuple)] == [("exp", (points, 4))]
+        # its Newton runs are scalar, and a start becomes a Python complex with no numpy call
+        first = calls.index("run")
+        assert calls[first:] == ["run"] * (len(calls) - first)
 
     @pytest.mark.parametrize("gap", [1e-7, 2e-6])
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])

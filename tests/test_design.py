@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracreg import design
 from fracreg.charpoly import NEWTON_TOL, eval_fracpoly, find_roots
 from fracreg.design import (RESIDUAL_REL_TOL, DesignSpecPd, DesignSpecPi,
                             _pd_branch_candidates, _pi_columns, _pi_det, _pi_equations,
-                            _placed, _unit_det, design_pd_fractional, design_pd_integer,
-                            design_pi, gain_from_ss_error)
+                            _pi_gains, _pi_lattice, _pi_root, _pi_terms, _placed, _unit_det,
+                            design_pd_fractional, design_pd_integer, design_pi,
+                            gain_from_ss_error)
 from fracreg.errors import NoSolutionError
 from fracreg.model import (FracPoly, PdController, PiController, Plant, char_poly_pd,
                            char_poly_pi)
@@ -337,7 +339,7 @@ class TestPiScalarArithmetic:
             equations = _pi_equations(spec.plant, spec.residual_poles())
             cell = (6.0 - spec.plant.alpha) / 64
             lams = cell * np.arange(1, 512) / 8
-            columns = _pi_columns(equations, lams)
+            columns = _pi_columns(_pi_terms(equations), lams)
             rows = np.stack(columns, axis=-1).swapaxes(0, 1)  # lambda, row, column
             want = np.linalg.det(rows / np.linalg.norm(rows, axis=2, keepdims=True))
             assert np.isfinite(want).all()
@@ -370,6 +372,137 @@ class TestPiScalarArithmetic:
     ], ids=["pd", "pi", "phase"])
     def test_pole_past_the_float_range_is_not_placed(self, poly, pole):
         assert _placed(poly, [POLE, pole]) == (False, math.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def full_lattice_design_pi(spec):
+    """`design_pi` as it scanned the whole lambda lattice at once.
+
+    D at every lattice point in one numpy pass, one complex exponential per
+    equation row, every sign change refined, and every candidate checked in
+    ascending order: the result a chunked scan must give bit for bit.
+    """
+    plant, reps = spec.plant, spec.residual_poles()
+    equations = _pi_equations(plant, reps)
+    top = 6.0 - plant.alpha
+    cell = top / 64
+    lams = np.concatenate([[1e-6 * cell], cell * np.arange(1, 512) / 8, [top - 1e-6 * cell]])
+    log_power, a_weight, c_weight, b_weight, k, _ = (
+        np.array(column)[:, None] for column in zip(*equations))
+    z = np.exp(log_power * lams)
+    det, norms = _unit_det((z * a_weight).real, np.exp(-k * lams) * b_weight,
+                           (z * c_weight).real)
+    values = det / np.sqrt(norms)
+    cross = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0).tolist()
+    candidates = lams[np.abs(values) <= design._PI_DET_FLOOR].tolist()
+    lams, values = lams.tolist(), values.tolist()
+    candidates += [_pi_root(equations, lams[i], lams[i + 1], values[i], values[i + 1])
+                   for i in cross]
+    best = math.inf
+    for lam in sorted(filter(math.isfinite, candidates)):
+        K, Ti = _pi_gains(equations, lam)
+        if not (math.isfinite(K) and math.isfinite(Ti)):
+            continue
+        ctrl = PiController(K=K, Ti=Ti, lam=lam)
+        placed, residual = _placed(char_poly_pi(plant, ctrl), reps)
+        if placed:
+            return ctrl
+        best = min(best, residual)
+    raise NoSolutionError(f"PI^lambda design found no lambda in (0, {top:g}) placing poles "
+                          f"{spec.poles}; best residual {best:.3g}")
+
+
+def design_or_error(design_fn, spec):
+    """The PiController `design_fn` gives for `spec`, or the message of its NoSolutionError."""
+    try:
+        return design_fn(spec)
+    except NoSolutionError as exc:
+        return str(exc)
+
+
+def planted_pi_spec(rng, alpha, lam):
+    """A spec whose poles are roots of a random loop of order `alpha` planted at `lam`, or None.
+
+    The poles are the smallest pair and real root, or the three smallest
+    real roots, of the loop's `find_roots`.
+    """
+    plant = Plant(a0=rng.uniform(0.05, 3.0), a1=rng.uniform(-2.0, 2.0),
+                  a2=rng.uniform(-2.0, 2.0), alpha=alpha, beta=rng.uniform(0.0, alpha))
+    ctrl = PiController(K=rng.uniform(0.5, 10.0), Ti=rng.uniform(0.5, 8.0), lam=lam)
+    try:
+        roots = sorted((r.value for r in find_roots(char_poly_pi(plant, ctrl)).roots), key=abs)
+    except ValueError:  # a loop that normalizes to fewer than two terms
+        return None
+    pairs = [z for z in roots if z.imag > 0]
+    reals = [z for z in roots if z.imag == 0]
+    if pairs and reals:
+        return DesignSpecPi(plant=plant, poles=(pairs[0], pairs[0].conjugate(), reals[0]))
+    return DesignSpecPi(plant=plant, poles=tuple(reals[:3])) if len(reals) >= 3 else None
+
+
+def seeded_planted_specs(seed, lam_ranges, n):
+    """`n` planted specs per lambda range, drawn as `scripts/root_fingerprint.py` draws them."""
+    rng = np.random.default_rng(seed)
+    for lo, hi in lam_ranges:
+        found = 0
+        while found < n:
+            spec = planted_pi_spec(rng, rng.uniform(0.3, min(3.0, 5.95 - hi)),
+                                   rng.uniform(lo, hi))
+            if spec is not None:
+                found += 1
+                yield spec
+
+
+def chunk_edge_specs(n):
+    """Planted specs whose lambda lies in the lattice step either side of each chunk edge.
+
+    A chunked scan must carry each edge point over to the next chunk, or it
+    loses the sign change in the step that ends there.
+    """
+    rng = np.random.default_rng(3)
+    steps = design._PI_GRID_CELLS * design._PI_SUBCELLS
+    for edge in range(design._PI_CHUNK, steps, design._PI_CHUNK):
+        for side in (-0.5, 0.5):
+            found = 0
+            while found < n:
+                alpha = rng.uniform(0.3, 3.0)
+                lams = _pi_lattice(6.0 - alpha)
+                step = lams[edge + 1] - lams[edge]
+                spec = planted_pi_spec(rng, alpha, lams[edge] + side * step)
+                if spec is not None:
+                    found += 1
+                    yield spec
+
+
+class TestChunkedPiScan:
+    """The chunked scan of `design_pi` gives the design of the full-lattice scan, bit for bit."""
+
+    @staticmethod
+    def assert_same_designs(specs):
+        for spec in specs:
+            assert repr(design_or_error(design_pi, spec)) \
+                == repr(design_or_error(full_lattice_design_pi, spec)), spec
+
+    def test_design_sweep_specs(self):
+        # the benchmark's PI^lambda specs: planted at lambda = 1 on its plant
+        rng = np.random.default_rng(0)
+        plant = Plant(a0=1.0, a1=4.0, a2=1.0, alpha=2.0, beta=1.0)
+        self.assert_same_designs(
+            DesignSpecPi(plant=plant, poles=tuple(np.roots([1.0, 4.0, 1.0 + K, Ti])))
+            for K, Ti in zip(rng.uniform(2.0, 10.0, 60), rng.uniform(1.0, 8.0, 60)))
+
+    def test_stored_planted_specs(self):
+        self.assert_same_designs(
+            DesignSpecPi(plant=Plant(**entry["plant"]),
+                         poles=tuple(complex(*p) for p in entry["poles"]))
+            for entry in PLANTED_PI_DESIGNS["specs"])
+
+    def test_seeded_planted_specs(self):
+        self.assert_same_designs(seeded_planted_specs(
+            29, [(0.05, 0.3), (0.2, 2.5), (1.9, 2.1), (2.5, 3.5)], 50))
+
+    def test_specs_by_the_chunk_edges(self):
+        self.assert_same_designs(chunk_edge_specs(10))
 
 
 class TestRoundTrip:
