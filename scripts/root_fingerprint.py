@@ -22,6 +22,12 @@ search ended: with no search (a count of 0), after one Newton pass, or
 running every start after the pass stopped on a fill whose roots did not
 match the count.
 
+With `--records FILE` it also writes every report of the survey to FILE
+as JSON, outside the digest: kind, index in the survey, controller (its
+fields, or null), method, verdict, root_count, caveat and roots as
+[re, im], or the error a design or `find_roots` raised.
+`scripts/compare_records.py` compares two such files by tolerance.
+
 A last line gives the median time per call, in µs, of `design_pi`,
 `design_pd_fractional`, `design_pd_integer` and `find_roots` (by the
 method of its report) over the survey.  It varies from run to run, and
@@ -43,10 +49,13 @@ The survey, seeded:
   - planted PI^lambda designs on random plants, N_PI_PLANTED per lambda
     range in PI_LAMBDA_RANGES (see `planted_pi`).
 
-Usage: PYTHONPATH=src python scripts/root_fingerprint.py [seed]
+Usage: PYTHONPATH=src python scripts/root_fingerprint.py [seed] [--records FILE]
 """
 
+import argparse
+import dataclasses
 import hashlib
+import json
 import statistics
 import sys
 import time
@@ -216,13 +225,29 @@ def _record_search_ends(ends):
     charpoly._distinct_roots = reducing
 
 
+def _as_json(index, record):
+    """One report of the survey as a JSON object (see the module docstring)."""
+    if len(record) == 3:  # (label, error name, message)
+        return {"kind": record[0], "index": index, "error": record[1], "message": record[2]}
+    label, ctrl, _, report = record
+    return {"kind": label, "index": index,
+            "controller": None if ctrl is None else dataclasses.asdict(ctrl),
+            "method": report.method, "verdict": report.verdict,
+            "root_count": report.root_count, "caveat": report.coverage_caveat,
+            "roots": [[r.value.real, r.value.imag] for r in report.roots]}
+
+
 def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seed", nargs="?", type=int, default=0)
+    parser.add_argument("--records", metavar="FILE", help="write every report to FILE as JSON")
+    args = parser.parse_args()
+    seed = args.seed
     digest = hashlib.sha256()
     methods, coverage, oracle, outcomes = Counter(), Counter(), Counter(), Counter()
-    searches, ends = Counter(), []
+    searches, ends, records = Counter(), [], []
     _record_search_ends(ends)
-    for label, build in survey(seed):
+    for index, (label, build) in enumerate(survey(seed)):
         try:
             ctrl, poly = build()
             ends.clear()
@@ -244,6 +269,7 @@ def main():
             if label == "commensurate":
                 oracle["agrees" if _agrees(poly) else "differs"] += 1
         digest.update(repr(record).encode())
+        records.append(_as_json(index, record))
     for key, n in sorted(methods.items()):
         print(f"{key:40s} {n:5d}")
     print("newton-grid roots against the count: "
@@ -260,6 +286,10 @@ def main():
     print("median µs per call: " + ", ".join(
         f"{name} {1e6 * statistics.median(times):.1f} ({len(times)} calls)"
         for name, times in sorted(TIMINGS.items())))
+    if args.records:
+        with open(args.records, "w") as out:  # one report a line
+            out.write(f'{{"seed": {seed}, "reports": [\n'
+                      + ",\n".join(map(json.dumps, records)) + "\n]}\n")
     if coverage["over"]:
         sys.exit(f"seed {seed}: {coverage['over']} newton-grid reports hold more roots "
                  "than their count")

@@ -21,29 +21,30 @@ count's first 2 x 64 samples (and its point s = eps) and P and s P' at the
 starts.  A count of 0 needs no search.  Otherwise the starts are ranked by
 their Newton step |P / (s P')|, and one pass runs scalar Newton from each
 in that order, for at most MAX_ITER iterations.  With a count, the pass stops
-once the converged points cover it: those resolved to a cell (next Newton
-step below DEDUPE_TOL) fill as many DEDUPE_TOL cells as there are roots, a
-cell off the real axis counting twice for its conjugate.  When the
-distinct roots it found match the count, the root set is complete and the
-search ends there.  Otherwise, and when the count fails (a root on the
+once its resolved points (relative Newton step below DEDUPE_TOL) fill it,
+each new root counting twice off the real axis, for its conjugate.  When
+the distinct roots it found match the count, the root set is complete and
+the search ends there.  Otherwise, and when the count fails (a root on the
 cut), the pass runs from every start.  A count its roots do not match, or
 a failed count, leaves a stable or inconclusive verdict with its coverage
 caveat; the unmatched count is logged.
 
-Both finders search the polynomial normalized to a smallest exponent of
-0, which has the same roots s != 0 and none at s = 0, and finish through
-`_distinct_roots`: candidates are folded onto Im >= 0 and reduced to the
-first in each DEDUPE_TOL cell.  `_polish` Newton-polishes each one, point
-by point in float arithmetic (`evaluate_terms`), and keeps it as a
+One rule, relative to |s|, decides whether two points are one root: z is
+new when it lies more than DEDUPE_TOL |z| from every point kept before it
+(`_is_new`).  Both finders search the polynomial normalized to a smallest
+exponent of 0, which has the same roots s != 0 and none at s = 0, and
+finish through `_distinct_roots`: the finite candidates are folded onto
+Im >= 0 and reduced by that rule.  `_polish` Newton-polishes each one,
+point by point in float arithmetic (`evaluate_terms`), and keeps it as a
 RootResult on Im >= 0 when |P| is within NEWTON_TOL times the larger of
 1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k, if finite.
 Newton counts a start as converged by the same rule, from the one
-evaluation of its iteration, and that |P| is the root's reported
-residual.  The kept roots are deduplicated within
-DEDUPE_TOL max(1, |s|), the conjugate of each non-real one is added, and
-the set is sorted.  These are fixed constants, not settings.  When every
-exponent is positive, P(0) = 0 and both finders report the root s = 0 as
-exactly 0j; the count includes it and the verdict is unstable.
+evaluation of its iteration, and that |P| is the root's reported residual.
+The kept roots are deduplicated by the rule again, the conjugate of each
+non-real one is added, and the set is sorted.  These are fixed constants,
+not settings.  When every exponent is positive, P(0) = 0 and both finders
+report the root s = 0 as exactly 0j; the count includes it and the verdict
+is unstable.
 """
 
 from __future__ import annotations
@@ -176,11 +177,30 @@ def _residual_scale(p: FracPoly) -> float:
     return NEWTON_TOL * (1.0 + max(abs(c) for c in p.coefficients))
 
 
+def _is_new(z, kept):
+    """Whether z lies more than DEDUPE_TOL |z| from every point of `kept`: a root of its own.
+
+    With `kept` = (Re z,) it asks whether z lies off the real axis.
+    math.hypot gives inf where abs raises, past the float range.
+    """
+    size = DEDUPE_TOL * math.hypot(z.real, z.imag)
+    return all(math.hypot(z.real - k.real, z.imag - k.imag) > size for k in kept)
+
+
+def _keep_new(z, kept):
+    """Append z, folded onto Im >= 0, to `kept` when it is `_is_new`; return whether it was."""
+    z = z.conjugate() if z.imag < 0 else z
+    new = _is_new(z, kept)
+    if new:
+        kept.append(z)
+    return new
+
+
 def _dedupe(roots):
-    """`roots` sorted, less each one within DEDUPE_TOL max(1, |s|) of a root kept before it."""
+    """`roots` sorted, less each one within DEDUPE_TOL |s| of a root kept before it."""
     kept = []
     for r in sorted(roots, key=lambda r: (r.value.real, r.value.imag)):
-        if all(abs(r.value - k.value) > DEDUPE_TOL * max(1.0, abs(r.value)) for k in kept):
+        if _is_new(r.value, [k.value for k in kept]):
             kept.append(r)
     return kept
 
@@ -191,10 +211,9 @@ def _polish(p: FracPoly, points):
     Each point is polished on its own in scalar arithmetic (`evaluate_terms`),
     and a power past the float range drops it.  Returns RootResults whose
     residual is |P| at the root kept: the value its acceptance test read.  A
-    root within DEDUPE_TOL max(1, |s|) of the real axis is put on it when its
-    real part passes the same residual test, but never on s = 0: the root
-    s = 0 is decided exactly by `_zero_is_root`, and P may not even be
-    defined there (a negative exponent).
+    root not `_is_new` against its real part is put on it when its real part
+    passes the same residual test; so no root goes onto s = 0, which
+    `_zero_is_root` decides exactly (P may not be defined there).
     """
     scale = _residual_scale(p)
     out = []
@@ -214,7 +233,7 @@ def _polish(p: FracPoly, points):
             bound = max(scale, NEWTON_TOL * size)
             if not abs(value) <= bound < math.inf:
                 continue
-            if 0 < abs(s.imag) <= DEDUPE_TOL * max(1.0, abs(s)) and s.real != 0:
+            if s.imag and not _is_new(s, (s.real,)):
                 on_axis = evaluate_terms(p, complex(s.real, 0.0))[0]
                 if abs(on_axis) <= bound:
                     s, value = complex(s.real, 0.0), on_axis
@@ -324,14 +343,15 @@ def _newton_run(pn: FracPoly, scale_n, s, limit):
     larger of `scale_n` and the size of its terms (if finite), and is
     dropped when its iterate leaves [1e-14, `limit`], when P' = 0 or when a
     power leaves the float range.  The point is resolved when its next
-    Newton step is shorter than DEDUPE_TOL: the converged iterates of an
-    ill-conditioned root (small |P'|) can spread over several cells.
+    Newton step, relative to |s|, |P / (s P')|, is below DEDUPE_TOL: the
+    converged iterates of an ill-conditioned root (small |P'|) can lie
+    further apart than DEDUPE_TOL |s|, and only resolved points fill a count.
     """
     try:
         for _ in range(MAX_ITER):
             value, slope, size = evaluate_terms(pn, s)
             if abs(value) <= max(scale_n, NEWTON_TOL * size) < math.inf:
-                return s, bool(slope) and abs(s * value / slope) < DEDUPE_TOL
+                return s, bool(slope) and abs(value / slope) < DEDUPE_TOL
             if not slope:
                 break
             s -= s * value / slope
@@ -340,29 +360,6 @@ def _newton_run(pn: FracPoly, scale_n, s, limit):
     except ArithmeticError:  # a power past the float range: no root there
         pass
     return None
-
-
-def _first_per_cell(points):
-    """{cell: point}: the first of `points`, folded onto Im >= 0, in each DEDUPE_TOL cell.
-
-    A cell is the point's parts times 1 / DEDUPE_TOL, each rounded half to
-    even or left infinite: the np.round(folded / DEDUPE_TOL) that numpy
-    forms through the reciprocal.  A non-finite point falls in no cell.
-    """
-    per_unit = 1.0 / DEDUPE_TOL
-    firsts = {}
-    for z in points:
-        if cmath.isfinite(z):
-            z = z.conjugate() if z.imag < 0 else z
-            re, im = z.real * per_unit, z.imag * per_unit
-            key = (round(re) if abs(re) < math.inf else re, round(im) if abs(im) < math.inf else im)
-            firsts.setdefault(key, z)
-    return firsts
-
-
-def _fills(keys, cells):
-    """Whether the root cells `keys` fill `cells`, a cell off the real axis counting twice."""
-    return sum(2 if im else 1 for _, im in keys) >= cells
 
 
 def _log_warning(message, *args):
@@ -392,14 +389,14 @@ def _newton_search(p: FracPoly, pn: FracPoly):
     count of 0 needs no search.  Otherwise the starts are ranked by their
     Newton step |P / (s P')|, a non-finite step last, and one pass runs
     Newton (`_newton_run`) from each in that order; a start becomes a
-    Python complex only when its run begins.  With a count, the pass stops
-    once its resolved points fill the count's root cells (`_fills`), and
-    its distinct roots are kept when they match the count.  A cell count
-    is no proof, though (a root on a cell edge fills two): when they do not
-    match, the pass goes on through every start left, as it does with no
-    count.  A count the distinct roots of every start do not match is
-    logged.  Values past the float range (huge exponents or coefficients)
-    drop their starts without a numpy warning.
+    Python complex only when its run begins.  With a count, the pass keeps
+    its resolved points that are new by `_is_new`, folded onto Im >= 0, and
+    stops once they fill the count, a kept point more than DEDUPE_TOL |s|
+    off the real axis counting twice; its distinct roots are kept when they
+    match the count.  A fill is no proof, though: when they do not match,
+    the pass goes on through every start left, as it does with no count.
+    A count the distinct roots of every start do not match is logged.
+    Values past the float range drop their starts without a numpy warning.
     """
     terms = np.array([(c, c * e) for c, e in pn.terms], dtype=complex)  # [c | c e]
     coeffs = terms[:, 0]
@@ -428,12 +425,12 @@ def _newton_search(p: FracPoly, pn: FracPoly):
     limit = 1e6 * rings[-1]  # an iterate past it has diverged
     starts = (rings[i // _ANGLES.size] * _DIRECTIONS[i % _ANGLES.size] for i in ranks)
     runs = filter(None, (_newton_run(pn, scale_n, s, limit) for s in starts))
-    points, keys = [], set()
+    points, kept, filled = [], [], 0
     for s, resolved in runs:
         points.append(s)
-        if resolved and count is not None:
-            keys.update(_first_per_cell([s]))
-            if _fills(keys, count):
+        if resolved and count is not None and _keep_new(s, kept):
+            filled += 1 + _is_new(kept[-1], (s.real,))  # a pair off the real axis counts twice
+            if filled >= count:
                 roots = _distinct_roots(p, points)
                 if len(roots) == count + _zero_is_root(p):
                     return roots, len(roots)
@@ -462,14 +459,17 @@ def newton_roots(p: FracPoly):
 def _distinct_roots(p: FracPoly, points):
     """Polished, conjugate-closed RootResults from candidate points, sorted.
 
-    The coefficients are real, so the points (Python complex) are folded onto
-    Im >= 0 and reduced to the first finite one in each DEDUPE_TOL cell
-    (`_first_per_cell`) before polishing.  `_dedupe` then merges the
-    polished roots, all on Im >= 0, that a cell edge split, and the
-    conjugate of each non-real root is added with its residual.  The points
-    are roots s != 0; the root s = 0, where P(0) = 0, is added exactly.
+    The coefficients are real, so the finite points are folded onto Im >= 0
+    and reduced before polishing: each is kept when it is new by `_is_new`
+    against those kept before it.  `_dedupe` merges the polished roots, all
+    on Im >= 0, by the same rule, and the conjugate of each non-real root is
+    added with its residual.  The points are roots s != 0; the root s = 0,
+    where P(0) = 0, is added exactly.
     """
-    roots = _dedupe(_polish(p, _first_per_cell(points).values()))
+    kept = []
+    for z in filter(cmath.isfinite, points):
+        _keep_new(z, kept)
+    roots = _dedupe(_polish(p, kept))
     roots += [RootResult(r.value.conjugate(), r.residual) for r in roots if r.value.imag]
     if _zero_is_root(p):
         roots.append(RootResult(0j, 0.0))

@@ -169,23 +169,35 @@ class FracPoly:
 
 
 def build_pd_model(plant: Plant, ctrl: PdController) -> StateModel:
-    """Two-state model of the PD^delta closed loop.
+    """Two-state model of the PD^delta closed loop, led by its highest order.
 
     x1 is the plant output before controller weighting, x2 its first
     derivative; the output recombines them through the controller:
-    y = K x1 + Td D^(delta-1) x2.
+    y = K x1 + Td D^(delta-1) x2.  In the loop equation
+    a2 D^alpha x1 + a1 D^beta x1 + Td D^delta x1 + (a0 + K) x1 = w, equal
+    orders among alpha, beta and delta are merged and those whose
+    coefficients sum to 0 dropped.  The x2 equation is divided by the
+    coefficient c_L of the highest order L left:
+    x2' = D^(2-L) (w - (a0 + K) x1) / c_L - sum over the other orders q of
+    (c_q / c_L) D^(1+q-L) x2.  So every order on x2 is below 1: with
+    delta > alpha, dividing by a2 would leave D^(1+delta-alpha) x2, on
+    which explicit Euler diverges at every step size.
     """
-    a0, a1, a2 = plant.a0, plant.a1, plant.a2
-    alpha, beta = plant.alpha, plant.beta
-    K, Td, delta = ctrl.K, ctrl.Td, ctrl.delta
+    merged = {}
+    for order, coeff in ((ctrl.delta, ctrl.Td), (plant.beta, plant.a1), (plant.alpha, plant.a2)):
+        merged[order] = merged.get(order, 0.0) + coeff
+    orders = {q: c for q, c in merged.items() if c != 0}
+    if not orders:  # delta = alpha, Td = -a2 and a1 = 0: (a0 + K) x1 = w
+        raise ValueError("the loop equation has no derivative term left")
+    lead = max(orders)
+    c_lead = orders.pop(lead)
     eq1 = (Term(1, 0.0, 1.0),)
     eq2 = (
-        Term(0, 2 - alpha, -(a0 + K) / a2),
-        Term(1, 1 + delta - alpha, -Td / a2),
-        Term(1, 1 + beta - alpha, -a1 / a2),
-        Term(INPUT, 2 - alpha, 1.0 / a2),
+        Term(0, 2 - lead, -(plant.a0 + ctrl.K) / c_lead),
+        *(Term(1, 1 + q - lead, -c / c_lead) for q, c in orders.items()),
+        Term(INPUT, 2 - lead, 1.0 / c_lead),
     )
-    out = (Term(0, 0.0, K), Term(1, delta - 1, Td))
+    out = (Term(0, 0.0, ctrl.K), Term(1, ctrl.delta - 1, ctrl.Td))
     return StateModel(dim=2, state_terms=(eq1, eq2), output_terms=out)
 
 

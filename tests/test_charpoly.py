@@ -216,20 +216,23 @@ class TestFindRoots:
             assert r.residual <= charpoly.NEWTON_TOL * size
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("unstable", False, 4)
 
-    @pytest.mark.parametrize("terms, far", [
+    @pytest.mark.parametrize("terms, far, runs", [
         ([(0.42047924425297456, 0.43393048427295133), (-1.386952939178384, 0.3571314442967352),
-          (7.492087927766465, 0.0), (-6.66727339574486, -0.0351330688420277)], 4.88117e6),
+          (7.492087927766465, 0.0), (-6.66727339574486, -0.0351330688420277)], 4.88117e6, 10),
         ([(0.18483886479060008, 0.46812715025033), (-1.6868484472330998, 0.3773726059559394),
-          (133.59236886724895, 0.0), (-132.1323556557776, -0.005187762245819446)], 3.76819e10),
+          (133.59236886724895, 0.0), (-132.1323556557776, -0.005187762245819446)], 3.76819e10,
+         16),
     ], ids=["5e6", "4e10"])
-    def test_far_real_root_is_one_real_root(self, terms, far):
-        # Newton's converged points by a far root spread over many DEDUPE_TOL cells,
-        # and it lies more than DEDUPE_TOL off the axis: merged and snapped relative to |s|
+    def test_far_real_root_is_one_real_root(self, terms, far, runs, newton_runs):
+        # Newton's converged points by a far root lie far more than DEDUPE_TOL apart, and
+        # it lies more than DEDUPE_TOL off the axis: resolved, merged and snapped relative
+        # to |s|, so its resolved point fills the count and ends the pass
         report = find_roots(FracPoly.from_terms(terms))
         values = [r.value for r in report.roots]
         assert values[-1] == pytest.approx(far, rel=1e-5) and values[-1].imag == 0.0
         assert (report.method, report.root_count, len(values)) == ("newton-grid", 3, 3)
         assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+        assert len(newton_runs) <= runs
 
     def test_far_root_converges_by_the_relative_residual(self):
         # |P| at the real root s ~ 406.24 is about 1e-4, far above the absolute scale,
@@ -243,10 +246,37 @@ class TestFindRoots:
         assert not report.coverage_caveat
 
     def test_root_past_the_cell_range_is_kept(self):
-        # -1e303 / DEDUPE_TOL overflows: the root's cell is infinite, and it is still reported
+        # -1e303 / DEDUPE_TOL overflows, as the old absolute cells did; the relative rule
+        # reads only |s| and distances, and the root is reported
         report = find_roots(FracPoly.from_terms([(1.0, 1.0), (1e303, 0.0)]))
         assert [r.value for r in report.roots] == pytest.approx([-1e303], rel=1e-15)
         assert (report.method, report.root_count) == ("commensurate", 1)
+
+    def test_near_axis_pair_of_a_small_root_stays_a_pair(self):
+        # seed 0 commensurate report 2805 of scripts/root_fingerprint.py: the pair lies
+        # 4.7e-8 off the axis, within the old absolute DEDUPE_TOL but 0.1 |s| from it.
+        # mpmath's findroot at 50 digits: -4.5225641807541946e-4 + 4.6930669140123e-8i
+        report = find_roots(FracPoly.from_terms([
+            (-0.7887249782795487, 5.0), (-0.050794203236804496, 4.5),
+            (-67.13888755753223, 4.25), (-0.030365579829878676, 3.25)]))
+        want = complex(-4.5225641807541946e-4, 4.6930669140123e-8)
+        assert [r.value for r in report.roots] == pytest.approx(
+            [want.conjugate(), want, 0j], rel=1e-13, abs=0)
+        assert (report.method, report.root_count) == ("commensurate", 3)
+        assert (report.verdict, report.coverage_caveat) == ("unstable", False)
+
+    def test_small_real_root_is_resolved_relative_to_its_size(self):
+        # seed 2 random report 868 of scripts/root_fingerprint.py: a Newton step of 1e-7
+        # relative is far below the absolute DEDUPE_TOL at |s| ~ 1.5e-7, so the
+        # root's resolved point must be relative too.  mpmath's findroot at 50 digits
+        # gives 1.4866065297556020e-7
+        report = find_roots(FracPoly.from_terms([
+            (-0.15090408973749941, 0.7127773817297416), (81.99379929309366, 0.5798224555411098),
+            (-2.6160694278969316, 0.5202042519939885),
+            (-0.011900660048338826, 0.023098544279727573)]))
+        real = [r.value for r in report.roots if r.value.imag == 0 and r.value]
+        assert real == pytest.approx([1.4866065297556020e-7], rel=1e-12, abs=0)
+        assert report.method == "newton-grid"
 
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
@@ -403,30 +433,38 @@ def seeded_pd_poly(seed):
     return char_poly_pd(BENCH_PLANT, design_pd_fractional(spec))
 
 
-def numpy_first_per_cell(points):
-    """{cell: point} by numpy: np.round(folded / DEDUPE_TOL) and np.unique's first indices."""
-    points = np.array(points, dtype=complex)
+def brute_force_distinct(points):
+    """The candidates `_distinct_roots` polishes, by numpy: the finite points folded onto
+    Im >= 0, each kept unless it lies within DEDUPE_TOL |z| of a point kept before it, from
+    the matrix of all distances."""
+    points = np.array(points, dtype=complex).reshape(-1)
     points = points[np.isfinite(points)]
     folded = np.where(points.imag < 0, points.conj(), points)
-    with np.errstate(over="ignore"):  # a part past 1.8e302 gives an infinite key
-        cells, first = np.unique(np.round(folded / charpoly.DEDUPE_TOL), return_index=True)
-    return {(key.real, key.imag): z for key, z in zip(cells.tolist(), folded[first].tolist())}
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        near = (np.abs(folded[:, None] - folded[None, :])
+                <= charpoly.DEDUPE_TOL * np.abs(folded)[:, None])
+    kept = []
+    for i in range(folded.size):
+        if not near[i, kept].any():
+            kept.append(i)
+    return folded[kept].tolist()
 
 
-#: Parts of the points `_first_per_cell` is checked on: exact half cells, signed zeros,
-#: values near the cells' scale, finite floats up to the float range, and non-finite ones.
-CELL_PARTS = st.one_of(
-    st.integers(-10 ** 12, 10 ** 12).map(lambda k: (k + 0.5) * charpoly.DEDUPE_TOL),
+#: Parts of the points the reduction is checked on: signed zeros, small values, finite
+#: floats up to the float range, and non-finite ones.
+POINT_PARTS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
     st.floats(-1e-3, 1e-3),
     st.floats(allow_nan=False, allow_infinity=False))
-CELL_POINT = st.builds(complex, CELL_PARTS, CELL_PARTS)
-#: Lists of points and, after some, a partner in or next to its cell: its conjugate
-#: (Im < 0 for one of them), or the point moved by under DEDUPE_TOL along the real axis.
-CELL_POINTS = st.lists(st.one_of(
-    CELL_POINT.map(lambda z: [z]),
-    st.builds(lambda z, d: [z, z.conjugate(), complex(z.real + d, z.imag)],
-              CELL_POINT, st.floats(-charpoly.DEDUPE_TOL, charpoly.DEDUPE_TOL)),
+ROOT_POINT = st.builds(complex, POINT_PARTS, POINT_PARTS)
+#: Lists of points and, after some, partners near the tolerance: its conjugate (Im < 0
+#: for one of them), the point scaled by 1 + d and moved by d |z| along the real axis,
+#: with |d| up to twice DEDUPE_TOL.
+ROOT_POINTS = st.lists(st.one_of(
+    ROOT_POINT.map(lambda z: [z]),
+    st.builds(lambda z, d: [z, z.conjugate(), z * (1 + d), z + d * abs(z)],
+              ROOT_POINT.filter(lambda z: abs(z.real) < 1e300 and abs(z.imag) < 1e300),
+              st.floats(-2 * charpoly.DEDUPE_TOL, 2 * charpoly.DEDUPE_TOL)),
 ), max_size=8).map(lambda groups: [z for group in groups for z in group])
 
 
@@ -468,32 +506,54 @@ class TestNewtonGrid:
         assert len(roots) == len(set(roots))
 
     def test_points_across_a_cell_edge_give_one_root(self, polished):
+        # the two points lie either side of an edge of the absolute DEDUPE_TOL grid that
+        # once reduced the candidates, 1e-9 apart: one root by the relative rule, and
+        # polished once
         root = max(newton_roots(GOLDEN_POLY), key=lambda z: z.imag)
         tol = charpoly.DEDUPE_TOL
         edge = (np.floor(root.real / tol) + 0.5) * tol
         points = np.array([complex(edge - 5e-10, root.imag), complex(edge + 5e-10, root.imag)])
-        keys = np.round(points / tol)
-        assert keys[0] != keys[1]  # the two points lie in different grid cells
+        assert np.round(points[0] / tol) != np.round(points[1] / tol)
         polished.clear()  # count only what _distinct_roots polishes
         roots = [r.value for r in charpoly._distinct_roots(GOLDEN_POLY, points)]
-        assert len(polished) == 2
+        assert len(polished) == 1
         assert len(roots) == 2
         assert roots[1] == roots[0].conjugate()
         assert abs(roots[1] - root) <= 1e-9
 
-    @given(points=CELL_POINTS)
-    @settings(max_examples=400, deadline=None)
-    def test_first_per_cell_matches_the_numpy_definition(self, points):
-        got = charpoly._first_per_cell(points)
-        assert {(float(re), float(im)): z for (re, im), z in got.items()} \
-            == numpy_first_per_cell(points)
-        assert all(type(z) is complex and z.imag >= 0 for z in got.values())
-
-    def test_non_finite_points_fall_in_no_cell(self):
-        bad = [complex(math.inf, 0.0), complex(math.nan, 1.0), complex(1.0, -math.inf)]
-        assert charpoly._first_per_cell(bad) == {}
+    @pytest.mark.parametrize("apart, polishes", [(0.4, 1), (0.6, 2)])
+    def test_points_near_one_root_give_one_root(self, polished, apart, polishes):
+        # two points `apart` DEDUPE_TOL |s| either side of the root: within the tolerance
+        # of each other they are one candidate; further apart both are polished, and the
+        # polished roots are merged by the same rule
         root = max(newton_roots(GOLDEN_POLY), key=lambda z: z.imag)
-        roots = charpoly._distinct_roots(GOLDEN_POLY, np.array(bad + [root]))
+        step = apart * charpoly.DEDUPE_TOL * abs(root)
+        points = np.array([root - step, root + step])
+        polished.clear()  # count only what _distinct_roots polishes
+        roots = [r.value for r in charpoly._distinct_roots(GOLDEN_POLY, points)]
+        assert len(polished) == polishes
+        assert len(roots) == 2
+        assert roots[1] == roots[0].conjugate()
+        assert abs(roots[1] - root) <= 1e-9
+
+    @given(points=ROOT_POINTS)
+    @settings(max_examples=400, deadline=None)
+    def test_reduction_matches_the_brute_force_definition(self, points):
+        handed = []  # the points handed to _polish
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(charpoly, "_polish", lambda p, pts: handed.extend(pts) or [])
+            charpoly._distinct_roots(GOLDEN_POLY, points)
+        want = brute_force_distinct(points)
+        assert [(z.real, z.imag) for z in handed] == [(z.real, z.imag) for z in want]
+        assert all(type(z) is complex and z.imag >= 0 for z in handed)
+
+    def test_non_finite_points_are_dropped(self, polished):
+        bad = [complex(math.inf, 0.0), complex(math.nan, 1.0), complex(1.0, -math.inf)]
+        polished.clear()
+        assert charpoly._distinct_roots(GOLDEN_POLY, bad) == [] and polished == []
+        root = max(newton_roots(GOLDEN_POLY), key=lambda z: z.imag)
+        # a finite point whose modulus is past the float range is polished and dropped
+        roots = charpoly._distinct_roots(GOLDEN_POLY, np.array(bad + [1.5e308 + 1.5e308j, root]))
         assert [r.value for r in roots] == [root.conjugate(), root]
 
     @pytest.mark.parametrize("poly", [GOLDEN_POLY, UNSTABLE_POLY,
@@ -669,10 +729,18 @@ class TestRootCount:
 STARTS = charpoly._RINGS.size * charpoly._ANGLES.size
 
 
+def never_resolved(monkeypatch):
+    """Every Newton run (`_newton_run`, which only the pass calls) reports its point
+    unresolved: no fill ends a pass, and every counted search runs every start."""
+    run = charpoly._newton_run
+    monkeypatch.setattr(charpoly, "_newton_run",
+                        lambda *args: (found := run(*args)) and (found[0], False))
+
+
 @pytest.fixture
 def every_start(monkeypatch):
     """No fill ends a Newton pass: every counted search runs Newton from every start."""
-    monkeypatch.setattr(charpoly, "_fills", lambda keys, cells: False)
+    never_resolved(monkeypatch)
 
 
 @pytest.fixture
@@ -735,14 +803,14 @@ class TestCountTerminatedSearch:
     @pytest.mark.parametrize("gap", [1e-7, 2e-6])
     @pytest.mark.parametrize("root", [-0.5 + 3j, 1 + 1j, -2 + 0.5j])
     def test_near_double_root_same_result_as_every_iteration(self, root, gap, monkeypatch):
-        # |P'| is small near the pair: its converged iterates spread over several
-        # cells, none of them resolved, and the pass must not stop on them. Its
-        # roots stand only when they match the count; else every start decides
+        # |P'| is small near the pair: its converged iterates spread further apart
+        # than DEDUPE_TOL |s|, none of them resolved, and the pass must not stop on
+        # them. Its roots stand only when they match the count; else every start decides
         pair = [root, root + gap * (1 + 0.3j)]
         roots = pair + [z.conjugate() for z in pair]
         poly = integer_fracpoly(roots)
         found, count = charpoly._newton_search(poly, normalize(poly))
-        monkeypatch.setattr(charpoly, "_fills", lambda keys, cells: False)
+        never_resolved(monkeypatch)
         every = charpoly._newton_search(poly, normalize(poly))
         assert (found, count) == every or len(found) == count == 4 != len(every[0])
         assert all(min(abs(r.value - z) for z in roots) < 1e-5 for r in found)
@@ -754,21 +822,36 @@ class TestCountTerminatedSearch:
         assert len(newton_runs) == STARTS
 
     @staticmethod
-    def fills(points, cells):
-        """Whether `points`, all resolved, fill `cells` root cells by the Newton pass's rule."""
-        return charpoly._fills(charpoly._first_per_cell(points), cells)
+    def fill_at(monkeypatch, points, count):
+        """How many of `points`, a pass's resolved points in run order, end the pass on a
+        fill of `count`; None when it runs every start.  The runs give `points`, then
+        nothing, and the pass's reductions give no roots."""
+        runs = iter([(s, True) for s in points])
+        reduced = []
+        monkeypatch.setattr(charpoly, "_root_count", lambda *args: count)
+        monkeypatch.setattr(charpoly, "_newton_run", lambda *args: next(runs, None))
+        monkeypatch.setattr(charpoly, "_distinct_roots",
+                            lambda p, pts: reduced.append(len(pts)) or [])
+        charpoly._newton_search(GOLDEN_POLY, normalize(GOLDEN_POLY))
+        # a fill reduces the points found so far; every start, all of them once more
+        return reduced[0] if reduced[:-1] else None
 
-    def test_a_conjugate_pair_fills_two_cells(self):
-        pair = [-1 + 6j, -1 - 6j + 1e-9]  # one cell, once folded onto Im >= 0
-        real = [-2.0 + 1e-12j, 3.0]  # two cells on the real axis
-        assert self.fills(pair[:1], 2) and not self.fills(pair, 3)
-        assert self.fills(real + pair[:1], 4) and not self.fills(real + pair, 5)
+    @pytest.mark.parametrize("points, count, want", [
+        ([-1 + 6j], 2, 1),  # a pair off the axis counts twice
+        ([-1 + 6j, -1 - 6j + 1e-9], 3, None),  # its conjugate is the same root
+        ([-2.0 + 1e-12j, 3.0, -1 + 6j], 4, 3),  # within DEDUPE_TOL |s| of the axis: once
+        ([-2.0 + 1e-12j, 3.0, -1 + 6j, -1 - 6j + 1e-9], 5, None),
+        ([1e-7, -1e-7], 2, 2),  # 2e-7 apart, though both lie within DEDUPE_TOL of 0
+        ([1e4 + 1e4j, 1e4 + 1e-3 + 1e4j], 3, None),  # 1e-3 apart at |s| ~ 1.4e4: one root
+        ([-1 + 6j, -1 + 6.00001j], 4, 2),  # 1e-5 apart at |s| ~ 6: two roots
+    ], ids=["pair", "conjugate", "near-axis", "near-axis-conjugate", "small-reals",
+            "far-pair", "close-pairs"])
+    def test_resolved_points_fill_by_the_relative_rule(self, monkeypatch, points, count, want):
+        assert self.fill_at(monkeypatch, points, count) == want
 
-    def test_unresolved_points_fill_no_cell(self, newton_runs, monkeypatch):
-        # the three cells of one cloud would cover two pairs
-        assert self.fills([-1 + 6j, -1 + 6.00001j, -1 + 6.00002j], 4)
-        # at a double pair the runs converge unresolved, each to its own cell: had
-        # they filled cells, the second point would have ended the pass
+    def test_unresolved_points_fill_nothing(self, newton_runs, monkeypatch):
+        # at a double pair the runs converge unresolved, to points further apart than
+        # DEDUPE_TOL |s|: had they counted, the second point would have ended the pass
         pn = integer_fracpoly([-0.5 + 3j, -0.5 + 3j, -0.5 - 3j, -0.5 - 3j])
         assert root_count(pn) == 4
         reduced = []
@@ -779,7 +862,8 @@ class TestCountTerminatedSearch:
         converged = list(filter(None, newton_runs))
         points = [s for s, _ in converged]
         assert not any(resolved for _, resolved in converged)
-        assert len(points) == len(charpoly._first_per_cell(points)) > 2
+        kept = []
+        assert sum(charpoly._keep_new(s, kept) for s in points) > 2
         # no fill stopped the pass: its points were reduced to roots once, after every start
         assert reduced == [len(points)] and len(newton_runs) == STARTS
 
@@ -839,7 +923,7 @@ class TestRankedStage:
             assert len(newton_runs) == 9
 
     def test_bounded_work_before_a_fallback(self, monkeypatch, newton_runs):
-        # the golden pair fills 2 of the 4 cells: the pass runs every start, each for
+        # the golden pair fills 2 of a count of 4: the pass runs every start, each for
         # at most MAX_ITER evaluations, and leaves the count short
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         in_runs = []
@@ -902,6 +986,16 @@ class TestRootAtZero:
         assert values[1] == values[0].conjugate() and values[0].real == 0
         assert report.root_count == 2
         assert (report.verdict, report.coverage_caveat) == ("stable", False)  # Re s > 0 rule
+
+    # s^2 - 1e-14, and the same roots from s - 1e-14 s^-1, where P(0) is not defined
+    @pytest.mark.parametrize("terms", [((1.0, 2.0), (-1e-14, 0.0)), ((1.0, 1.0), (-1e-14, -1.0))],
+                             ids=["constant", "negative-exponent"])
+    def test_real_pair_near_zero_is_two_roots(self, terms):
+        # the roots +-1e-7 lie within DEDUPE_TOL of each other, but 2 |s| apart
+        report = find_roots(FracPoly(terms))
+        assert [r.value for r in report.roots] == pytest.approx([-1e-7, 1e-7], rel=1e-15, abs=0)
+        assert report.root_count == len(report.roots) == 2
+        assert (report.verdict, report.coverage_caveat) == ("unstable", False)
 
     # a commensurate root set is complete; a newton-grid one need not be
     @pytest.mark.parametrize("complete", [pytest.param(False, id="newton-grid"),

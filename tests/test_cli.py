@@ -309,12 +309,12 @@ class TestDesign:
                                                                                   rel=0.05)
 
     @pytest.mark.parametrize("plant, design, code, reason", [
-        # every branch of this right-half-plane pole has |delta| >= 3; the design
-        # (delta ~ 3.672) stands, but its model order 1 + delta - alpha is out of range
-        ({"a0": 0.30070129922174715, "a1": -1.9629076690716651, "a2": 1.2268885431551357,
-          "alpha": 0.823758163392412, "beta": 0.15790469754154754},
-         {"type": "pd", "ess": 37.79215923541365,
-          "poles": [[0.9467953735487783, 0.4155707748055969]]}, 4, "GL order 3.848"),
+        # the design for this right-half-plane pole (delta ~ -1.809) stands, but its
+        # model order 1 + delta - alpha is out of range
+        ({"a0": 0.4838397069280421, "a1": -0.8804233827271468, "a2": -0.6411024906058747,
+          "alpha": 2.815982642813327, "beta": 0.6868082918407027},
+         {"type": "pd", "ess": 56.27909689439426,
+          "poles": [[1.1689512831909132, 1.0102895451796439]]}, 4, "GL order -3.624"),
         # (a0 + K) / a2 overflows in the model for a subnormal a2
         ({**PLANT, "a2": 5e-324}, {"type": "pd", "ess": 4.0, "poles": [[-1.0, 6.0]]}, 0,
          "gain must be finite"),

@@ -9,6 +9,10 @@ from fracreg.model import (INPUT, FracPoly, PdController, PiController, Plant,
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
 GOLDEN_PD = PdController(K=24.0, Td=6.9407, delta=0.71859)
+#: The loop of configs/pd_delta_lead_sim.json: delta > alpha, stable.
+LEAD_PLANT = Plant(a0=0.9225351668944356, a1=-0.8435371461297985, a2=-1.0133280608219897,
+                   alpha=0.5402943742160626, beta=0.43812183691062384)
+LEAD_PD = PdController(K=1.2201114630455272, Td=0.9021325595455443, delta=0.7367160641556495)
 
 
 def terms_by_target(eq):
@@ -55,6 +59,34 @@ class TestBuildPdModel:
     def test_zero_controller_zeroes_output(self):
         model = build_pd_model(BENCH_PLANT, PdController(K=0, Td=0, delta=0.5))
         assert all(t.gain == 0 for t in model.output_terms)
+
+    def test_delta_above_alpha_leads(self):
+        # the x2 equation is divided by Td, so every order on x2 is below 1
+        plant, ctrl = LEAD_PLANT, LEAD_PD
+        a, b, d = plant.alpha, plant.beta, ctrl.delta
+        eq2 = terms_by_target(build_pd_model(plant, ctrl).state_terms[1])
+        assert eq2 == pytest.approx({
+            (0, round(2 - d, 12)): -(plant.a0 + ctrl.K) / ctrl.Td,
+            (1, round(1 + b - d, 12)): -plant.a1 / ctrl.Td,
+            (1, round(1 + a - d, 12)): -plant.a2 / ctrl.Td,
+            (INPUT, round(2 - d, 12)): 1 / ctrl.Td}, rel=1e-15)
+
+    def test_delta_equal_to_alpha_merges(self):
+        ctrl = PdController(K=24.0, Td=6.9407, delta=2.2)
+        eq2 = terms_by_target(build_pd_model(BENCH_PLANT, ctrl).state_terms[1])
+        lead = 0.8 + 6.9407
+        assert eq2 == pytest.approx({(0, -0.2): -25.0 / lead, (1, -0.3): -0.5 / lead,
+                                     (INPUT, -0.2): 1 / lead}, rel=1e-15)
+
+    def test_cancelled_lead_hands_over_to_the_next_order(self):
+        # a2 + Td = 0 at delta = alpha: beta leads
+        eq2 = terms_by_target(build_pd_model(
+            BENCH_PLANT, PdController(K=24.0, Td=-0.8, delta=2.2)).state_terms[1])
+        assert eq2 == pytest.approx({(0, 1.1): -50.0, (INPUT, 1.1): 2.0}, rel=1e-15)
+        # and with a1 = 0 no derivative is left: (a0 + K) x1 = w
+        plant = Plant(a0=1.0, a1=0.0, a2=0.8, alpha=2.2, beta=0.9)
+        with pytest.raises(ValueError, match="no derivative term"):
+            build_pd_model(plant, PdController(K=24.0, Td=-0.8, delta=2.2))
 
 
 class TestBuildPiModel:
@@ -148,6 +180,41 @@ class TestTransferConsistency:
     def test_state_model_denominator_matches_char_poly(self, plant, ctrl):
         rebuilt = denominator_from_model(build_pd_model(plant, ctrl), plant)
         direct = char_poly_pd(plant, ctrl)
+        assert len(rebuilt.terms) == len(direct.terms)
+        for (c1, e1), (c2, e2) in zip(rebuilt.terms, direct.terms):
+            assert c1 == pytest.approx(c2, rel=1e-12)
+            assert e1 == pytest.approx(e2, abs=1e-12)
+
+
+def monic_denominator(model):
+    """det(sI - A(s)) = s^2 - s A22(s) - A21(s) of the 2-state model, normalized.
+
+    The x2-row terms of the model are the entries of A(s).  The result is
+    shifted to a smallest exponent of 0 and divided by its leading
+    coefficient, which removes the model's divisor and its s^(L-2).
+    """
+    terms = [(1.0, 2.0)] + [(-t.gain, t.order + (t.target == 1))
+                            for t in model.state_terms[1] if t.target != INPUT]
+    return monic(FracPoly.from_terms(terms))
+
+
+def monic(poly):
+    shift, lead = min(poly.exponents), poly.coefficients[0]
+    return FracPoly.from_terms((c / lead, e - shift) for c, e in poly.terms)
+
+
+class TestLeadingOrderTransfer:
+    @pytest.mark.parametrize("plant, ctrl", [
+        (BENCH_PLANT, GOLDEN_PD),
+        (LEAD_PLANT, LEAD_PD),
+        (BENCH_PLANT, PdController(K=24.0, Td=6.9407, delta=2.2)),
+        (BENCH_PLANT, PdController(K=24.0, Td=-0.8, delta=2.2)),
+        (BENCH_PLANT, PdController(K=24.0, Td=6.9407, delta=0.9)),
+    ], ids=["delta-below", "delta-above", "delta-equal", "delta-equal-cancelled",
+            "delta-equal-beta"])
+    def test_model_denominator_is_the_char_poly(self, plant, ctrl):
+        rebuilt = monic_denominator(build_pd_model(plant, ctrl))
+        direct = monic(char_poly_pd(plant, ctrl))
         assert len(rebuilt.terms) == len(direct.terms)
         for (c1, e1), (c2, e2) in zip(rebuilt.terms, direct.terms):
             assert c1 == pytest.approx(c2, rel=1e-12)
