@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Compare two `root_fingerprint.py --records` files report by report.
+"""Compare two `root_fingerprint.py --records` or two `sim_fingerprint.py --records` files.
 
-Reports are paired by their index in the survey; both files must come from
-the same seed.  The script prints:
+Root reports are paired by their index in the survey; both files must
+come from the same seed.  The script prints:
   - every pair whose categorical fields differ (kind, error, method,
     verdict, root_count, caveat, number of roots);
   - the largest relative root move and the largest relative controller
@@ -15,6 +15,10 @@ ways.  Moves are read only on pairs with the same number of roots, and a
 controller's move is the largest relative change of its fields.  Run it
 on two trees' records to see what a change moved, where the digest says
 only "same" or "not same".
+
+Simulation runs are paired by name.  The script prints every run whose
+step count n or divergence index changed (or that one file lacks), and the
+largest relative move of y_end and of the output's norm, each with its run.
 
 Usage: python scripts/compare_records.py A.json B.json
 """
@@ -30,8 +34,7 @@ CATEGORICAL = ("kind", "error", "method", "verdict", "root_count", "caveat")
 
 def _load(path):
     with open(path) as f:
-        data = json.load(f)
-    return data["seed"], data["reports"]
+        return json.load(f)
 
 
 def _categorical(report):
@@ -57,10 +60,41 @@ def _decade(move):
     return "0" if move == 0 else f"1e{math.floor(math.log10(move))}"
 
 
+def _relative_move(a, b):
+    return abs(a - b) / (abs(a) or 1.0)
+
+
+def compare_runs(runs_a, runs_b):
+    """Print the simulation runs whose n or index changed and the largest value moves."""
+    runs_b = {run["name"]: run for run in runs_b}
+    changed, worst = [], {"y_end": (0.0, None), "norm": (0.0, None)}
+    for a in runs_a:
+        b = runs_b.pop(a["name"], None)
+        if b is None or (a["n"], a["index"]) != (b["n"], b["index"]):
+            changed.append((a["name"], (a["n"], a["index"]), b and (b["n"], b["index"])))
+            continue
+        for key in worst:
+            worst[key] = max(worst[key], (_relative_move(a[key], b[key]), a["name"]),
+                             key=lambda m: m[0])
+    changed += [(name, None, (b["n"], b["index"])) for name, b in runs_b.items()]
+    print(f"{len(runs_a)} runs, {len(changed)} with n or index changes")
+    for name, old, new in changed:
+        print(f"  {name}: (n, index) {old} -> {new}")
+    for key, (move, name) in worst.items():
+        print(f"largest relative {key} move: {move:.3g}" + (f" ({name})" if name else ""))
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__.strip().splitlines()[-1])
-    (seed_a, reports_a), (seed_b, reports_b) = map(_load, sys.argv[1:])
+    data_a, data_b = map(_load, sys.argv[1:])
+    if ("runs" in data_a) != ("runs" in data_b):
+        sys.exit("one file holds simulation runs and the other root reports")
+    if "runs" in data_a:
+        compare_runs(data_a["runs"], data_b["runs"])
+        return
+    seed_a, reports_a = data_a["seed"], data_a["reports"]
+    seed_b, reports_b = data_b["seed"], data_b["reports"]
     if seed_a != seed_b or len(reports_a) != len(reports_b):
         sys.exit(f"not the same survey: seeds {seed_a} and {seed_b}, "
                  f"{len(reports_a)} and {len(reports_b)} reports")

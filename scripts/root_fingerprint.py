@@ -18,8 +18,9 @@ complete the Newton search is:
 The third counts, for each lambda range of the planted PI^lambda survey
 below, the designs solved and those that raised `NoSolutionError`.  The
 fourth splits the newton-grid reports with a root count by how their
-search ended: with no search (a count of 0), after one Newton pass, or
-running every start after the pass stopped on a fill whose roots did not
+search ended, as the report's `search` record gives it: with no search (a
+count of 0), on a fill whose roots matched the count, running every start
+with no fill, or running every start after a fill whose roots did not
 match the count.
 
 With `--records FILE` it also writes every report of the survey to FILE
@@ -63,7 +64,6 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from fracreg import charpoly
 from fracreg import (DesignSpecPd, DesignSpecPi, FracPoly, FracregError, PiController, Plant,
                      char_poly_pd, char_poly_pi, commensurate_roots, design_pd_fractional,
                      design_pd_integer, design_pi, find_roots, newton_roots)
@@ -193,38 +193,6 @@ def _agrees(poly):
             and all(min(abs(z - w) for z in got) <= 1e-6 * abs(w) for w in want))
 
 
-def _record_search_ends(ends):
-    """Append to `ends` how each Newton search ends: "none", "one pass" or "every start".
-
-    Wraps `charpoly._newton_search` and two functions it calls:
-    `charpoly._newton_run`, the Newton run from one start, and
-    `charpoly._distinct_roots`, which reduces a pass's points to roots.  A
-    search with no run had a count of 0.  One that reduces its points twice
-    stopped its pass on a fill whose roots did not match the count, and
-    then ran every start.  Nothing a search returns changes.
-    """
-    search, run, distinct = charpoly._newton_search, charpoly._newton_run, charpoly._distinct_roots
-    calls = Counter()
-
-    def running(*args):
-        calls["run"] += 1
-        return run(*args)
-
-    def reducing(*args):
-        calls["distinct"] += 1
-        return distinct(*args)
-
-    def recording(p, pn):
-        calls.clear()
-        found = search(p, pn)
-        ends.append("none" if not calls["run"] else "every start" if calls["distinct"] > 1
-                    else "one pass")
-        return found
-
-    charpoly._newton_search, charpoly._newton_run = recording, running
-    charpoly._distinct_roots = reducing
-
-
 def _as_json(index, record):
     """One report of the survey as a JSON object (see the module docstring)."""
     if len(record) == 3:  # (label, error name, message)
@@ -245,12 +213,10 @@ def main():
     seed = args.seed
     digest = hashlib.sha256()
     methods, coverage, oracle, outcomes = Counter(), Counter(), Counter(), Counter()
-    searches, ends, records = Counter(), [], []
-    _record_search_ends(ends)
+    searches, records = Counter(), []
     for index, (label, build) in enumerate(survey(seed)):
         try:
             ctrl, poly = build()
-            ends.clear()
             start = time.perf_counter()
             report = find_roots(poly)
         except (FracregError, ValueError) as exc:
@@ -265,7 +231,7 @@ def main():
             if report.method == "newton-grid":
                 coverage[_coverage(report)] += 1
                 if report.root_count is not None:
-                    searches.update(ends)
+                    searches[report.search.end] += 1
             if label == "commensurate":
                 oracle["agrees" if _agrees(poly) else "differs"] += 1
         digest.update(repr(record).encode())
@@ -279,9 +245,9 @@ def main():
     for label in map(_planted_label, PI_LAMBDA_RANGES):
         print(f"{label} designs: solved {outcomes[label, 'solved']}, "
               f"NoSolutionError {outcomes[label, 'NoSolutionError']}")
-    print(f"counted newton-grid reports: no search (count 0) {searches['none']}, "
-          f"one pass {searches['one pass']}, "
-          f"every start after an unconfirmed fill {searches['every start']}")
+    print(f"counted newton-grid reports: no search (count 0) {searches['count 0']}, "
+          f"filled {searches['fill']}, every start, never filled {searches['every start']}, "
+          f"every start after an unconfirmed fill {searches['every start after a fill']}")
     print(f"seed {seed}: sha256 {digest.hexdigest()}")
     print("median µs per call: " + ", ".join(
         f"{name} {1e6 * statistics.median(times):.1f} ({len(times)} calls)"

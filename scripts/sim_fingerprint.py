@@ -20,10 +20,16 @@ alpha = 2.2, beta = 0.9) unless noted:
   - pi-integer: the bundled integer PI loop (configs/pi_integer_sim.json);
   - short-memory: the golden loop at h = 1e-3 over 5 s with a 0.6 s memory.
 
-Usage: PYTHONPATH=src python scripts/sim_fingerprint.py
+With `--records FILE` it also writes every (loop, simulator) run to FILE as
+JSON: name, n, divergence index (or null), y_end and norm (the output's
+2-norm).  `scripts/compare_records.py` compares two such files.
+
+Usage: PYTHONPATH=src python scripts/sim_fingerprint.py [--records FILE]
 """
 
+import argparse
 import hashlib
+import json
 
 import numpy as np
 
@@ -62,14 +68,24 @@ def run(simulate, *args):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--records", metavar="FILE", help="write every run to FILE as JSON")
+    args = parser.parse_args()
+    records = []
     for name, plant, ctrl, cfg in loops():
         build = build_pi_model if isinstance(ctrl, PiController) else build_pd_model
         model = build(plant, ctrl)
         for label, (y, index) in (("state-space", run(simulate_state_space, model, cfg)),
                                   ("direct", run(simulate_direct, plant, ctrl, cfg))):
             digest = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
+            y_end, norm = float(y[-1]), float(np.linalg.norm(y))
             print(f"{name:16s} {label:11s} n {cfg.n_steps} index {'-' if index is None else index}"
-                  f" y_end {float(y[-1])!r} |y| {float(np.linalg.norm(y))!r} sha256 {digest[:16]}")
+                  f" y_end {y_end!r} |y| {norm!r} sha256 {digest[:16]}")
+            records.append({"name": f"{name} {label}", "n": cfg.n_steps, "index": index,
+                            "y_end": y_end, "norm": norm})
+    if args.records:
+        with open(args.records, "w") as out:  # one run a line
+            out.write('{"runs": [\n' + ",\n".join(map(json.dumps, records)) + "\n]}\n")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,9 @@ the distinct roots it found match the count, the root set is complete and
 the search ends there.  Otherwise, and when the count fails (a root on the
 cut), the pass runs from every start.  A count its roots do not match, or
 a failed count, leaves a stable or inconclusive verdict with its coverage
-caveat; the unmatched count is logged.
+caveat; the unmatched count is logged.  The search returns a SearchRecord
+of its runs, resolved runs, evaluations and end, which `find_roots` keeps
+on the report as `search`.
 
 One rule, relative to |s|, decides whether two points are one root: z is
 new when it lies more than DEDUPE_TOL |z| from every point kept before it
@@ -52,7 +54,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .model import FracPoly
 
 __all__ = [
     "RootResult",
+    "SearchRecord",
     "StabilityReport",
     "eval_fracpoly",
     "normalize",
@@ -107,6 +110,21 @@ class RootResult:
     residual: float
 
 
+@dataclass(frozen=True, slots=True)
+class SearchRecord:
+    """What one Newton search did: `starts` runs began, `resolved` of them ended resolved.
+
+    The runs made `evaluations` calls of `evaluate_terms`.  `end` is "count 0"
+    (no search), "fill" (the roots of a fill matched the count), "every start"
+    (no fill, or no count) or "every start after a fill" (they did not match).
+    """
+
+    starts: int
+    resolved: int
+    evaluations: int
+    end: str
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Roots and verdict of `find_roots`.
@@ -114,6 +132,8 @@ class StabilityReport:
     `root_count` is the number of principal-sheet roots known to exist: the
     argument-principle count on the newton-grid path, the size of the
     complete root set on the commensurate path; None when the count failed.
+    `search` is the newton-grid path's SearchRecord, None on the commensurate
+    path; it enters neither the repr nor equality.
     """
 
     roots: tuple
@@ -121,6 +141,7 @@ class StabilityReport:
     method: str
     coverage_caveat: bool
     root_count: int | None
+    search: SearchRecord | None = field(default=None, repr=False, compare=False)
 
 
 def eval_fracpoly(p: FracPoly, s: complex) -> complex:
@@ -336,22 +357,22 @@ def _root_count(coeffs, expts, log_radius, log_eps, samples=None):
 
 
 def _newton_run(pn: FracPoly, scale_n, s, limit):
-    """(point, resolved) where scalar Newton on `pn` from `s` converges, or None.
+    """(point or None, resolved, evaluations) of scalar Newton on `pn` from `s`.
 
-    Newton runs in float arithmetic (`evaluate_terms`) for at most MAX_ITER
-    iterations.  It has converged when |P| is within NEWTON_TOL times the
-    larger of `scale_n` and the size of its terms (if finite), and is
-    dropped when its iterate leaves [1e-14, `limit`], when P' = 0 or when a
+    Newton runs in float arithmetic for at most MAX_ITER iterations, each one
+    call of `evaluate_terms`.  It has converged when |P| is within NEWTON_TOL
+    times the larger of `scale_n` and the size of its terms (if finite), and
+    is dropped when its iterate leaves [1e-14, `limit`], when P' = 0 or when a
     power leaves the float range.  The point is resolved when its next
     Newton step, relative to |s|, |P / (s P')|, is below DEDUPE_TOL: the
     converged iterates of an ill-conditioned root (small |P'|) can lie
     further apart than DEDUPE_TOL |s|, and only resolved points fill a count.
     """
     try:
-        for _ in range(MAX_ITER):
+        for evaluations in range(1, MAX_ITER + 1):
             value, slope, size = evaluate_terms(pn, s)
             if abs(value) <= max(scale_n, NEWTON_TOL * size) < math.inf:
-                return s, bool(slope) and abs(value / slope) < DEDUPE_TOL
+                return s, bool(slope) and abs(value / slope) < DEDUPE_TOL, evaluations
             if not slope:
                 break
             s -= s * value / slope
@@ -359,7 +380,7 @@ def _newton_run(pn: FracPoly, scale_n, s, limit):
                 break
     except ArithmeticError:  # a power past the float range: no root there
         pass
-    return None
+    return None, False, evaluations
 
 
 def _log_warning(message, *args):
@@ -378,7 +399,7 @@ def _log_warning(message, *args):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_search(p: FracPoly, pn: FracPoly):
-    """Newton roots of `p`, as RootResults, and its principal-sheet root count (or None).
+    """(roots, count, record): `p`'s Newton roots, as RootResults, its count, its SearchRecord.
 
     `pn` is `normalize(p)`.  Everything the search reads before its Newton
     runs comes from one numpy evaluation at the logs of `_search_template`:
@@ -395,14 +416,16 @@ def _newton_search(p: FracPoly, pn: FracPoly):
     off the real axis counting twice; its distinct roots are kept when they
     match the count.  A fill is no proof, though: when they do not match,
     the pass goes on through every start left, as it does with no count.
-    A count the distinct roots of every start do not match is logged.
-    Values past the float range drop their starts without a numpy warning.
+    A count the distinct roots of every start do not match is logged, and a
+    failed count is None.  Values past the float range drop their starts
+    without a numpy warning.
     """
     terms = np.array([(c, c * e) for c, e in pn.terms], dtype=complex)  # [c | c e]
     coeffs = terms[:, 0]
     expts = np.array(pn.exponents, dtype=float)
-    if expts.size < 2:  # c s^e has no root s != 0
-        return _distinct_roots(p, []), None
+    if expts.size < 2:  # c s^e has no root s != 0: a count of 0
+        roots = _distinct_roots(p, [])
+        return roots, len(roots), SearchRecord(0, 0, 0, "count 0")
     log_radius, log_eps = _bounds(coeffs, expts)
     # a bound may be astronomically large or small, or infinite
     log_lo, log_hi = (min(max(b, _LOG_START_RANGE[0]), _LOG_START_RANGE[1])
@@ -418,32 +441,33 @@ def _newton_search(p: FracPoly, pn: FracPoly):
     count = _root_count(coeffs, expts, log_radius, log_eps, values[:n, 0])
     if count == 0:
         roots = _distinct_roots(p, [])
-        return roots, len(roots)
+        return roots, len(roots), SearchRecord(0, 0, 0, "count 0")
     scale_n = _residual_scale(pn)
     ranks = np.argsort(np.abs(values[n:, 0] / values[n:, 1]), kind="stable").tolist()
     rings = np.exp(log_lo + (log_hi - log_lo) * _RINGS).tolist()
     limit = 1e6 * rings[-1]  # an iterate past it has diverged
-    starts = (rings[i // _ANGLES.size] * _DIRECTIONS[i % _ANGLES.size] for i in ranks)
-    runs = filter(None, (_newton_run(pn, scale_n, s, limit) for s in starts))
-    points, kept, filled = [], [], 0
-    for s, resolved in runs:
-        points.append(s)
-        if resolved and count is not None and _keep_new(s, kept):
+    runs, kept, filled, end = [], [], 0, "every start"
+    for i in ranks:
+        start = rings[i // _ANGLES.size] * _DIRECTIONS[i % _ANGLES.size]
+        s, resolved, _ = run = _newton_run(pn, scale_n, start, limit)
+        runs.append(run)
+        if resolved and end == "every start" and count is not None and _keep_new(s, kept):
             filled += 1 + _is_new(kept[-1], (s.real,))  # a pair off the real axis counts twice
             if filled >= count:
-                roots = _distinct_roots(p, points)
+                roots = _distinct_roots(p, [s for s, _, _ in runs if s is not None])
                 if len(roots) == count + _zero_is_root(p):
-                    return roots, len(roots)
-                break
-    points += [s for s, _ in runs]  # every start left, once a fill is not confirmed
-    roots = _distinct_roots(p, points)
-    if count is None:
-        return roots, None
-    count += _zero_is_root(p)
-    if len(roots) != count:
-        _log_warning("newton-grid search found %d distinct roots where the argument "
-                     "principle counts %d", len(roots), count)
-    return roots, count
+                    end = "fill"
+                    break
+                end = "every start after a fill"  # the pass goes on through every start left
+    else:  # no fill ended the pass
+        roots = _distinct_roots(p, [s for s, _, _ in runs if s is not None])
+    if count is not None:
+        count += _zero_is_root(p)
+        if len(roots) != count:
+            _log_warning("newton-grid search found %d distinct roots where the argument "
+                         "principle counts %d", len(roots), count)
+    return roots, count, SearchRecord(len(runs), sum(r[1] for r in runs),
+                                      sum(r[2] for r in runs), end)
 
 
 def newton_roots(p: FracPoly):
@@ -567,14 +591,14 @@ def find_roots(p: FracPoly) -> StabilityReport:
         raise ValueError("coefficients must be finite")
     roots = _commensurate_search(p, pn)
     if roots is not None:
-        method, count = "commensurate", len(roots)
+        method, count, search = "commensurate", len(roots), None
     else:
         method = "newton-grid"
-        roots, count = _newton_search(p, pn)
+        roots, count, search = _newton_search(p, pn)
     verdict, caveat = classify_stability([r.value for r in roots], count == len(roots))
     if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0):
         # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading
         # coefficient at infinity: a root s > 0 exists, found or not
         verdict, caveat = UNSTABLE, False
     return StabilityReport(roots=tuple(roots), verdict=verdict, method=method,
-                           coverage_caveat=caveat, root_count=count)
+                           coverage_caveat=caveat, root_count=count, search=search)

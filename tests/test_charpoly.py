@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -223,7 +224,7 @@ class TestFindRoots:
           (133.59236886724895, 0.0), (-132.1323556557776, -0.005187762245819446)], 3.76819e10,
          16),
     ], ids=["5e6", "4e10"])
-    def test_far_real_root_is_one_real_root(self, terms, far, runs, newton_runs):
+    def test_far_real_root_is_one_real_root(self, terms, far, runs):
         # Newton's converged points by a far root lie far more than DEDUPE_TOL apart, and
         # it lies more than DEDUPE_TOL off the axis: resolved, merged and snapped relative
         # to |s|, so its resolved point fills the count and ends the pass
@@ -232,7 +233,7 @@ class TestFindRoots:
         assert values[-1] == pytest.approx(far, rel=1e-5) and values[-1].imag == 0.0
         assert (report.method, report.root_count, len(values)) == ("newton-grid", 3, 3)
         assert (report.verdict, report.coverage_caveat) == ("unstable", False)
-        assert len(newton_runs) <= runs
+        assert report.search.starts <= runs and report.search.end == "fill"
 
     def test_far_root_converges_by_the_relative_residual(self):
         # |P| at the real root s ~ 406.24 is about 1e-4, far above the absolute scale,
@@ -317,7 +318,7 @@ class TestFindRoots:
         assert [r.value.real for r in report.roots if r.value.real > 0] == pytest.approx(
             [0.0024], rel=0.05)
         assert (report.verdict, report.coverage_caveat) == ("unstable", False)
-        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None))
+        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None, None))
         report = find_roots(poly)
         assert report.roots == () and report.root_count is None
         assert (report.verdict, report.coverage_caveat) == ("unstable", False)
@@ -688,12 +689,12 @@ class TestRootCount:
         assert found and not scaled.coverage_caveat
         assert scaled.verdict == base.verdict
 
-    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, newton_runs,
-                                                             caplog):
+    def test_unmatched_count_falls_back_and_keeps_the_caveat(self, monkeypatch, caplog):
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(GOLDEN_POLY)
-        assert len(newton_runs) == STARTS  # the pass never fills the count: every start runs
+        # the pass never fills the count: every start runs
+        assert (report.search.starts, report.search.end) == (STARTS, "every start")
         assert [r.value for r in report.roots] == pytest.approx([-1 - 6j, -1 + 6j], abs=5e-2)
         assert report.root_count == 4
         assert report.verdict == "stable" and report.coverage_caveat
@@ -729,32 +730,19 @@ class TestRootCount:
 STARTS = charpoly._RINGS.size * charpoly._ANGLES.size
 
 
-def never_resolved(monkeypatch):
-    """Every Newton run (`_newton_run`, which only the pass calls) reports its point
-    unresolved: no fill ends a pass, and every counted search runs every start."""
+def resolve_as(monkeypatch, resolved):
+    """Every Newton run (`_newton_run`, which only the pass calls) that converges reports
+    its point as `resolved`: with False no fill ends a pass, and every counted search runs
+    every start."""
     run = charpoly._newton_run
-    monkeypatch.setattr(charpoly, "_newton_run",
-                        lambda *args: (found := run(*args)) and (found[0], False))
+    monkeypatch.setattr(charpoly, "_newton_run", lambda *args: (
+        (found := run(*args))[0], resolved and found[0] is not None, found[2]))
 
 
 @pytest.fixture
 def every_start(monkeypatch):
     """No fill ends a Newton pass: every counted search runs Newton from every start."""
-    never_resolved(monkeypatch)
-
-
-@pytest.fixture
-def newton_runs(monkeypatch):
-    """What each Newton run (`_newton_run` call) returned while the test runs."""
-    runs = []
-    original = charpoly._newton_run
-
-    def counting(*args):
-        runs.append(original(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(charpoly, "_newton_run", counting)
-    return runs
+    resolve_as(monkeypatch, False)
 
 
 class TestCountTerminatedSearch:
@@ -809,32 +797,30 @@ class TestCountTerminatedSearch:
         pair = [root, root + gap * (1 + 0.3j)]
         roots = pair + [z.conjugate() for z in pair]
         poly = integer_fracpoly(roots)
-        found, count = charpoly._newton_search(poly, normalize(poly))
-        never_resolved(monkeypatch)
-        every = charpoly._newton_search(poly, normalize(poly))
+        found, count, _ = charpoly._newton_search(poly, normalize(poly))
+        resolve_as(monkeypatch, False)
+        every = charpoly._newton_search(poly, normalize(poly))[:2]
         assert (found, count) == every or len(found) == count == 4 != len(every[0])
         assert all(min(abs(r.value - z) for z in roots) < 1e-5 for r in found)
 
-    def test_unknown_count_runs_every_iteration(self, newton_runs):
+    def test_unknown_count_runs_every_iteration(self):
         poly = integer_fracpoly([-2.0, -0.5 + 3j, -0.5 - 3j])  # s = -2 lies on the cut
         assert root_count(poly) is None
-        newton_roots(poly)
-        assert len(newton_runs) == STARTS
+        _, count, record = charpoly._newton_search(poly, normalize(poly))
+        assert count is None and (record.starts, record.end) == (STARTS, "every start")
+        assert 0 < record.resolved <= STARTS and record.evaluations >= STARTS
 
     @staticmethod
     def fill_at(monkeypatch, points, count):
         """How many of `points`, a pass's resolved points in run order, end the pass on a
         fill of `count`; None when it runs every start.  The runs give `points`, then
-        nothing, and the pass's reductions give no roots."""
-        runs = iter([(s, True) for s in points])
-        reduced = []
+        nothing, and every reduction gives `count` roots, so the first fill ends the pass."""
+        runs = iter([(s, True, 1) for s in points])
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: count)
-        monkeypatch.setattr(charpoly, "_newton_run", lambda *args: next(runs, None))
-        monkeypatch.setattr(charpoly, "_distinct_roots",
-                            lambda p, pts: reduced.append(len(pts)) or [])
-        charpoly._newton_search(GOLDEN_POLY, normalize(GOLDEN_POLY))
-        # a fill reduces the points found so far; every start, all of them once more
-        return reduced[0] if reduced[:-1] else None
+        monkeypatch.setattr(charpoly, "_newton_run", lambda *args: next(runs, (None, False, 1)))
+        monkeypatch.setattr(charpoly, "_distinct_roots", lambda p, pts: [None] * count)
+        record = charpoly._newton_search(GOLDEN_POLY, normalize(GOLDEN_POLY))[2]
+        return record.starts if record.end == "fill" else None
 
     @pytest.mark.parametrize("points, count, want", [
         ([-1 + 6j], 2, 1),  # a pair off the axis counts twice
@@ -849,30 +835,24 @@ class TestCountTerminatedSearch:
     def test_resolved_points_fill_by_the_relative_rule(self, monkeypatch, points, count, want):
         assert self.fill_at(monkeypatch, points, count) == want
 
-    def test_unresolved_points_fill_nothing(self, newton_runs, monkeypatch):
+    def test_unresolved_points_fill_nothing(self, monkeypatch):
         # at a double pair the runs converge unresolved, to points further apart than
-        # DEDUPE_TOL |s|: had they counted, the second point would have ended the pass
+        # DEDUPE_TOL |s|: had they counted, they would have filled the count
         pn = integer_fracpoly([-0.5 + 3j, -0.5 + 3j, -0.5 - 3j, -0.5 - 3j])
         assert root_count(pn) == 4
-        reduced = []
-        distinct = charpoly._distinct_roots
-        monkeypatch.setattr(charpoly, "_distinct_roots",
-                            lambda p, points: reduced.append(len(points)) or distinct(p, points))
-        charpoly._newton_search(pn, normalize(pn))
-        converged = list(filter(None, newton_runs))
-        points = [s for s, _ in converged]
-        assert not any(resolved for _, resolved in converged)
-        kept = []
-        assert sum(charpoly._keep_new(s, kept) for s in points) > 2
-        # no fill stopped the pass: its points were reduced to roots once, after every start
-        assert reduced == [len(points)] and len(newton_runs) == STARTS
+        record = charpoly._newton_search(pn, normalize(pn))[2]
+        # no fill stopped the pass: every start ran, and none ended resolved
+        assert (record.starts, record.resolved, record.end) == (STARTS, 0, "every start")
+        resolve_as(monkeypatch, True)
+        record = charpoly._newton_search(pn, normalize(pn))[2]
+        assert record.end == "every start after a fill" and record.resolved > 2
 
-    def test_no_start_converges(self, newton_runs):
+    def test_no_start_converges(self):
         # s^q + 1 with q = 1/sqrt(2): s^q = -1 needs arg s = pi / q > pi, so no root
         # lies on the principal sheet; the count of 0 needs no search
         poly = FracPoly.from_terms([(1.0, 0.7071067811865476), (1.0, 0.0)])
         report = find_roots(poly)
-        assert newton_runs == []
+        assert report.search == charpoly.SearchRecord(0, 0, 0, "count 0")
         assert report.roots == ()
         assert (report.verdict, report.coverage_caveat, report.root_count) == ("stable", False, 0)
 
@@ -909,7 +889,7 @@ class TestRankedStage:
     """A positive count is sought by one Newton pass over the ranked starts, ended by a fill."""
 
     @pytest.mark.parametrize("name", PD_POLYS)
-    def test_fills_the_count_without_the_grid(self, name, newton_runs):
+    def test_fills_the_count_without_the_grid(self, name):
         report = find_roots(PD_POLYS[name])
         stored = STORED_PD_ROOTS[name]
         assert (report.verdict, report.root_count, report.coverage_caveat) \
@@ -918,34 +898,47 @@ class TestRankedStage:
         for r, (re, im) in zip(report.roots, stored["roots"]):
             assert abs(r.value - complex(re, im)) <= 1e-11 * abs(complex(re, im))
         # one pass, ended by its fill before the last start
-        assert len(newton_runs) < STARTS
+        assert report.search.starts < STARTS and report.search.end == "fill"
         if name == "seed40":  # its real root is reached from the 9th-ranked start only
-            assert len(newton_runs) == 9
+            assert report.search.starts == 9
 
-    def test_bounded_work_before_a_fallback(self, monkeypatch, newton_runs):
+    def test_bounded_work_before_a_fallback(self, monkeypatch):
         # the golden pair fills 2 of a count of 4: the pass runs every start, each for
         # at most MAX_ITER evaluations, and leaves the count short
         monkeypatch.setattr(charpoly, "_root_count", lambda *args: 4)
-        in_runs = []
-        evaluate = charpoly.evaluate_terms
-
-        def counting(p, s):
-            # until every start has run, each evaluation is a Newton run's
-            in_runs.append(len(newton_runs) < STARTS)
-            return evaluate(p, s)
-
-        monkeypatch.setattr(charpoly, "evaluate_terms", counting)
         report = find_roots(GOLDEN_POLY)
-        assert len(newton_runs) == STARTS
-        assert 0 < sum(in_runs) <= STARTS * charpoly.MAX_ITER
+        assert report.search.starts == STARTS
+        assert 0 < report.search.evaluations <= STARTS * charpoly.MAX_ITER
         assert report.root_count == 4 and len(report.roots) == 2 and report.coverage_caveat
+
+
+class TestSearchRecord:
+    """`find_roots` keeps the SearchRecord of its Newton search on the report as `search`.
+
+    The cut-root and count-0 records are checked by `test_unknown_count_runs_every_iteration`
+    and `test_no_start_converges`."""
+
+    def test_golden_search_ends_on_a_fill(self):
+        record = find_roots(GOLDEN_POLY).search
+        assert record.end == "fill" and 0 < record.resolved <= record.starts < STARTS
+        assert record.starts <= record.evaluations <= record.starts * charpoly.MAX_ITER
+
+    def test_commensurate_report_has_no_record(self):
+        report = find_roots(MIXED_INTEGER_POLY)
+        assert report.method == "commensurate" and report.search is None
+
+    def test_record_enters_neither_equality_nor_repr(self):
+        report = find_roots(GOLDEN_POLY)
+        other = dataclasses.replace(report, search=charpoly.SearchRecord(48, 0, 48, "every start"))
+        assert other.search != report.search and other == report
+        assert repr(other) == repr(report) and "search" not in repr(report)
 
 
 class TestRootAtZero:
     """When no term survives at s = 0, both finders report the root 0j exactly."""
 
     @pytest.mark.usefixtures("every_start")
-    def test_newton_grid(self, newton_runs, caplog):
+    def test_newton_grid(self, caplog):
         with caplog.at_level(logging.WARNING, logger="fracreg"):
             report = find_roots(CANCELLED_POLY)
         values = [r.value for r in report.roots]
@@ -954,7 +947,7 @@ class TestRootAtZero:
         assert all(abs(v) > 1 for v in values[:-1])  # no spurious root near the origin
         assert report.root_count == len(values) == 3
         assert report.verdict == "unstable" and not report.coverage_caveat
-        assert len(newton_runs) == STARTS
+        assert (report.search.starts, report.search.end) == (STARTS, "every start")
         assert not caplog.records
 
     def test_commensurate(self):

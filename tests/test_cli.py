@@ -281,7 +281,7 @@ class TestDesign:
         # P = -0.1148 s^2.708 - 1.879 s^1.584 - 59.01 s^0.00206 + 58.28: the leading and
         # constant coefficients differ in sign, so P has a root s > 0, although the count
         # fails and the Newton search, stubbed here, finds no root
-        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None))
+        monkeypatch.setattr(charpoly, "_newton_search", lambda p, pn: ([], None, None))
         doc = {
             "plant": {"a0": 2.3311671784640082, "a1": -1.8786159693501152,
                       "a2": -0.11476133927267451, "alpha": 2.7076198902019244,
