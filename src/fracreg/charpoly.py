@@ -132,16 +132,22 @@ class StabilityReport:
     `root_count` is the number of principal-sheet roots known to exist: the
     argument-principle count on the newton-grid path, the size of the
     complete root set on the commensurate path; None when the count failed.
-    `search` is the newton-grid path's SearchRecord, None on the commensurate
-    path; it enters neither the repr nor equality.
+    `coverage_caveat` is derived: a verdict other than unstable whose roots
+    do not match `root_count`.  `search` is the newton-grid path's
+    SearchRecord, None on the commensurate path; it enters neither the repr
+    nor equality.
     """
 
     roots: tuple
     verdict: str
     method: str
-    coverage_caveat: bool
+    coverage_caveat: bool = field(init=False)
     root_count: int | None
     search: SearchRecord | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coverage_caveat",
+                           self.verdict != UNSTABLE and self.root_count != len(self.roots))
 
 
 def eval_fracpoly(p: FracPoly, s: complex) -> complex:
@@ -557,20 +563,15 @@ def _commensurate_search(p: FracPoly, pn: FracPoly):
 
 
 def classify_stability(roots, complete: bool):
-    """Map a root set to (verdict, coverage_caveat).
+    """The verdict of a root set.
 
-    A root with Re s > 0, or at s = 0 exactly, makes the verdict unstable,
-    and that is certain.  Otherwise a root set known to be `complete` is
-    certainly stable; an incomplete one is stable with a coverage caveat,
-    or inconclusive when it is empty.
+    A root with Re s > 0, or at s = 0 exactly, makes it unstable.  Otherwise
+    a root set known to be `complete` is stable, and so is an incomplete one
+    unless it is empty, which is inconclusive.
     """
     if any(z.real > 0 or z == 0 for z in roots):
-        return UNSTABLE, False
-    if complete:
-        return STABLE, False
-    if roots:
-        return STABLE, True
-    return INCONCLUSIVE, True
+        return UNSTABLE
+    return STABLE if complete or roots else INCONCLUSIVE
 
 
 def find_roots(p: FracPoly) -> StabilityReport:
@@ -595,10 +596,9 @@ def find_roots(p: FracPoly) -> StabilityReport:
     else:
         method = "newton-grid"
         roots, count, search = _newton_search(p, pn)
-    verdict, caveat = classify_stability([r.value for r in roots], count == len(roots))
-    if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0):
-        # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading
-        # coefficient at infinity: a root s > 0 exists, found or not
-        verdict, caveat = UNSTABLE, False
+    # P is real on s > 0 and runs from c0 at s = 0 to the sign of the leading
+    # coefficient at infinity: when they differ, a root s > 0 exists, found or not
+    verdict = (UNSTABLE if (pn.coefficients[0] > 0) != (pn.coefficients[-1] > 0)
+               else classify_stability([r.value for r in roots], count == len(roots)))
     return StabilityReport(roots=tuple(roots), verdict=verdict, method=method,
-                           coverage_caveat=caveat, root_count=count, search=search)
+                           root_count=count, search=search)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracreg import charpoly
-from fracreg.charpoly import (classify_stability, commensurate_roots,
-                              eval_fracpoly, find_roots, newton_roots,
-                              normalize)
+from fracreg.charpoly import (RootResult, StabilityReport, classify_stability,
+                              commensurate_roots, eval_fracpoly, find_roots,
+                              newton_roots, normalize)
 from fracreg.design import DesignSpecPd, design_pd_fractional
 from fracreg.model import (FracPoly, PdController, PiController, Plant,
                            char_poly_pd, char_poly_pi)
@@ -604,27 +604,43 @@ class TestCommensurateNewtonAgreement:
         assert commensurate_roots(GOLDEN_POLY) is None
 
 
+def classified(roots, complete):
+    """(verdict, caveat) of a report on `roots`, its count matching them when `complete`."""
+    report = StabilityReport(roots=tuple(RootResult(z, 0.0) for z in roots),
+                             verdict=classify_stability(roots, complete), method="newton-grid",
+                             root_count=len(roots) if complete else None)
+    return report.verdict, report.coverage_caveat
+
+
 class TestClassify:
     def test_stable_pair(self):
         # not known to be complete: stable, with the coverage caveat
-        assert classify_stability([-1 + 6j, -1 - 6j], False) == ("stable", True)
+        assert classified([-1 + 6j, -1 - 6j], False) == ("stable", True)
 
     def test_unstable_with_extra_root(self):
-        verdict, caveat = classify_stability([-1 + 6j, -1 - 6j, 1.98 + 0j], False)
+        verdict, caveat = classified([-1 + 6j, -1 - 6j, 1.98 + 0j], False)
         assert verdict == "unstable"
         assert not caveat
 
     def test_empty_inconclusive(self):
-        verdict, _ = classify_stability([], False)
-        assert verdict == "inconclusive"
+        assert classify_stability([], False) == "inconclusive"
 
     def test_commensurate_certifies(self):
-        verdict, caveat = classify_stability([-1 + 0j], True)
+        verdict, caveat = classified([-1 + 0j], True)
         assert verdict == "stable"
         assert not caveat
 
     def test_complete_empty_set_is_stable(self):
-        assert classify_stability([], True) == ("stable", False)
+        assert classified([], True) == ("stable", False)
+
+    def test_caveat_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            StabilityReport(roots=(), verdict="inconclusive", method="newton-grid",
+                            coverage_caveat=False, root_count=None)
+        # the count's own mismatch, not the method, sets it
+        report = StabilityReport(roots=(RootResult(-1 + 0j, 0.0),), verdict="stable",
+                                 method="commensurate", root_count=2)
+        assert report.coverage_caveat
 
 
 def commensurate_fracpoly(roots, m):
@@ -994,4 +1010,4 @@ class TestRootAtZero:
     @pytest.mark.parametrize("complete", [pytest.param(False, id="newton-grid"),
                                           pytest.param(True, id="commensurate")])
     def test_classified_unstable(self, complete):
-        assert classify_stability([-6.0 + 0j, 0j], complete) == ("unstable", False)
+        assert classified([-6.0 + 0j, 0j], complete) == ("unstable", False)
