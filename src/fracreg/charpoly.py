@@ -37,9 +37,10 @@ new when it lies more than DEDUPE_TOL |z| from every point kept before it
 exponent of 0, which has the same roots s != 0 and none at s = 0, and
 finish through `_distinct_roots`: the finite candidates are folded onto
 Im >= 0 and reduced by that rule.  `_polish` Newton-polishes each one,
-point by point in float arithmetic (`evaluate_terms`), and keeps it as a
-RootResult on Im >= 0 when |P| is within NEWTON_TOL times the larger of
-1 + max |c_k| and the size of its terms, sum |c_k| |s|^e_k, if finite.
+point by point in float arithmetic (`evaluate_terms`), until its step is a
+few ulps of |s| or P is at its own rounding, and keeps it as a RootResult
+on Im >= 0 when |P| is within NEWTON_TOL times the larger of 1 + max |c_k|
+and the size of its terms, sum |c_k| |s|^e_k, if finite.
 Newton counts a start as converged by the same rule, from the one
 evaluation of its iteration, and that |P| is the root's reported residual.
 The kept roots are deduplicated by the rule again, the conjugate of each
@@ -82,6 +83,7 @@ MAX_DENOMINATOR = 12
 MAX_DEGREE = 240
 
 _COMMENSURATE_TOL = 1e-9
+_EPS = math.ulp(1.0)  # machine epsilon
 _COUNT_MIN_SAMPLES = 64
 _COUNT_MAX_SAMPLES = 2 ** 12
 
@@ -236,11 +238,13 @@ def _polish(p: FracPoly, points):
     """A few Newton steps on the original polynomial; the true roots, folded onto Im >= 0.
 
     Each point is polished on its own in scalar arithmetic (`evaluate_terms`),
-    and a power past the float range drops it.  Returns RootResults whose
-    residual is |P| at the root kept: the value its acceptance test read.  A
-    root not `_is_new` against its real part is put on it when its real part
-    passes the same residual test; so no root goes onto s = 0, which
-    `_zero_is_root` decides exactly (P may not be defined there).
+    and a power past the float range drops it.  The steps stop, for at most
+    12, when the next one is a few ulps of |s|, |P| <= 4 eps |s P'|, or when P
+    is at its own rounding, |P| <= eps sum |c_k| |s|^e_k.  Returns RootResults
+    whose residual is |P| at the root kept: the value its acceptance test
+    read.  A root not `_is_new` against its real part is put on it when its
+    real part passes the same residual test; so no root goes onto s = 0,
+    which `_zero_is_root` decides exactly (P may not be defined there).
     """
     scale = _residual_scale(p)
     out = []
@@ -250,7 +254,7 @@ def _polish(p: FracPoly, points):
             # a point at s = 0 stops at once (P' = 0) or raises (a negative exponent)
             value, slope, size = evaluate_terms(p, s)
             for _ in range(12):
-                if abs(value) <= 0.01 * scale or slope == 0:
+                if abs(value) <= _EPS * max(4.0 * abs(slope), size) or slope == 0:
                     break
                 s -= value * s / slope
                 value, slope, size = evaluate_terms(p, s)

@@ -333,6 +333,8 @@ def _resolve_design(doc, plant):
             pole = next((p for p in poles if p.imag > 0), poles[0] if poles else None)
             if pole is None:
                 raise ConfigError("'design.poles' must contain at least one pole")
+            if not integer and ("ess" in block) == ("K" in block):
+                raise ConfigError("fractional PD design needs one of 'design.ess' and 'design.K'")
             ess = _num(block, "ess", "design") if "ess" in block else None
             K = _num(block, "K", "design") if "K" in block else None
             if K is not None and not math.isfinite(K):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 from .errors import UnsupportedOrderError
@@ -106,18 +106,17 @@ class PiController:
 class StateModel:
     """First-derivative state equations with fractional terms on the right.
 
-    xdot_i = sum of state_terms[i]; y = sum of output_terms.
+    xdot_i = sum of state_terms[i] for each of the `dim` states; y = sum of output_terms.
     """
 
-    dim: int
+    dim: int = field(init=False)
     state_terms: tuple
     output_terms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", len(self.state_terms))
         if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if len(self.state_terms) != self.dim:
-            raise ValueError("one term list per state equation required")
+            raise ValueError(f"need 2 or 3 state equations, got {self.dim}")
         for term in self._all_terms():
             if not (-MAX_GL_ORDER < term.order < MAX_GL_ORDER):
                 raise UnsupportedOrderError(
@@ -198,33 +197,28 @@ def build_pd_model(plant: Plant, ctrl: PdController) -> StateModel:
         Term(INPUT, 2 - lead, 1.0 / c_lead),
     )
     out = (Term(0, 0.0, ctrl.K), Term(1, ctrl.delta - 1, ctrl.Td))
-    return StateModel(dim=2, state_terms=(eq1, eq2), output_terms=out)
+    return StateModel(state_terms=(eq1, eq2), output_terms=out)
 
 
 def build_pi_model(plant: Plant, ctrl: PiController) -> StateModel:
     """Three-state model of the PI^lambda closed loop.
 
     x1 integrates the control error (w - y), x2 is the output y and x3 its
-    first derivative.
+    first derivative; `StateModel` rejects an order 3 - alpha - lam <= -3 on x1.
     """
     a0, a1, a2 = plant.a0, plant.a1, plant.a2
     alpha, beta = plant.alpha, plant.beta
     K, Ti, lam = ctrl.K, ctrl.Ti, ctrl.lam
-    order_x1 = 3 - alpha - lam
-    if order_x1 <= -MAX_GL_ORDER:
-        raise UnsupportedOrderError(
-            f"order 3-alpha-lam = {order_x1} below supported range (> -{MAX_GL_ORDER})"
-        )
     eq1 = (Term(1, 0.0, -1.0), Term(INPUT, 0.0, 1.0))
     eq2 = (Term(2, 0.0, 1.0),)
     eq3 = (
-        Term(0, order_x1, Ti / a2),
+        Term(0, 3 - alpha - lam, Ti / a2),
         Term(1, 2 - alpha, -(a0 + K) / a2),
         Term(2, 1 + beta - alpha, -a1 / a2),
         Term(INPUT, 2 - alpha, K / a2),
     )
     out = (Term(1, 0.0, 1.0),)
-    return StateModel(dim=3, state_terms=(eq1, eq2, eq3), output_terms=out)
+    return StateModel(state_terms=(eq1, eq2, eq3), output_terms=out)
 
 
 def closed_loop(plant: Plant, ctrl) -> tuple:

@@ -279,6 +279,19 @@ class TestFindRoots:
         assert real == pytest.approx([1.4866065297556020e-7], rel=1e-12, abs=0)
         assert report.method == "newton-grid"
 
+    def test_small_root_is_polished_to_float_accuracy(self):
+        # seed 2 random report 1333 of scripts/root_fingerprint.py: |P| there is far
+        # below any absolute scale while the Newton step is still 1e-9 of |s|, so the
+        # polish stops relative to |s|.  mpmath's findroot at 50 digits gives
+        # 0.0093402963036725784066 + 0.0029273078892472543308i
+        report = find_roots(FracPoly.from_terms([
+            (78.95541654862544, 3.3005500954852236), (-1.8200111554262821, 2.3402128785006453),
+            (0.013734342849537867, 1.4203949083481358)]))
+        want = complex(0.0093402963036725784066, 0.0029273078892472543308)
+        assert [r.value for r in report.roots] == pytest.approx(
+            [0j, want.conjugate(), want], rel=1e-14, abs=0)
+        assert (report.method, report.root_count) == ("newton-grid", 3)
+
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):
             find_roots(FracPoly.from_terms([(1.0, 2.0)]))

@@ -527,6 +527,23 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"config error: unknown key '{key}'\n"
         assert list(tmp_path.iterdir()) == [config]  # no output file
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["design"].pop("ess"),
+         "fractional PD design needs one of 'design.ess' and 'design.K'"),
+        (lambda d: d["design"].update(K=24.0),
+         "fractional PD design needs one of 'design.ess' and 'design.K'"),
+        (lambda d: d["design"].update(poles=[]), "'design.poles' must contain at least one pole"),
+        (lambda d: d.update(controller={"type": "pd", "K": 24.0, "Td": 6.9407, "delta": 0.71859}),
+         "give 'controller' or 'design', not both"),
+    ], ids=["neither-ess-nor-K", "both-ess-and-K", "no-pole", "controller-and-design"])
+    def test_design_block_error_names_its_keys(self, tmp_path, capsys, edit, message):
+        doc = json.loads((CONFIGS / "design_pd_ess4.json").read_text())
+        edit(doc)
+        config = write_config(tmp_path, doc)
+        assert main(["design", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [config]  # no output file
+
     def test_values_of_a_skipped_block_are_not_parsed(self, tmp_path, capsys):
         doc = json.loads((CONFIGS / "golden_pd_sim.json").read_text())
         doc["sim"]["h"] = "fast"  # `simulate` rejects it; `poles` reads only the sim keys

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from fracreg.errors import UnsupportedOrderError
 from fracreg.model import (INPUT, FracPoly, PdController, PiController, Plant,
-                           Term, build_pd_model, build_pi_model, char_poly_pd,
+                           StateModel, Term, build_pd_model, build_pi_model, char_poly_pd,
                            char_poly_pi, closed_loop)
 
 BENCH_PLANT = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.2, beta=0.9)
@@ -38,6 +38,14 @@ class TestTypes:
     def test_pi_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             PiController(K=1, Ti=1, lam=0.0)
+
+    def test_state_model_dim_is_its_number_of_equations(self):
+        eqs = ((Term(1, 0.0, 1.0),), (Term(0, 0.0, -1.0), Term(INPUT, 0.0, 1.0)))
+        assert StateModel(state_terms=eqs, output_terms=(Term(0, 0.0, 1.0),)).dim == 2
+        with pytest.raises(TypeError):  # derived, not given
+            StateModel(dim=2, state_terms=eqs, output_terms=())
+        with pytest.raises(ValueError, match="need 2 or 3 state equations, got 1"):
+            StateModel(state_terms=eqs[:1], output_terms=())
 
 
 class TestBuildPdModel:

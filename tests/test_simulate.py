@@ -566,6 +566,15 @@ def test_tiny_step_with_a_large_order_is_singular(simulate):
             simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg)
 
 
+def test_leading_weights_that_cancel_are_singular():
+    # at h = 0.01 the weight h^-1 of a2 s^1 cancels a0 + K = -100: the direct
+    # scheme's first equation has no y[t] to solve for
+    plant = Plant(a0=1.0, a1=0.0, a2=1.0, alpha=1.0, beta=0.5)
+    with pytest.raises(SingularStepError, match="leading GL weights sum to 0"):
+        simulate_direct(plant, PdController(K=-101.0, Td=0.0, delta=0.5),
+                        SimConfig(step=0.01, t_end=1.0))
+
+
 class TestRegressionPins:
     """Trajectory fingerprints recorded from the direct O(n^2) GL sums.
 
