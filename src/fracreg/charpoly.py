@@ -513,6 +513,8 @@ def _distinct_roots(p: FracPoly, points):
 def commensurate_base(p: FracPoly):
     """Smallest m <= MAX_DENOMINATOR with all exponents multiples of 1/m.
 
+    An exponent e counts as one when e m is within 1e-9 m min(1, e) of an
+    integer: relative to e below 1, so that a tiny e is not taken for 0.
     None also when the integer polynomial in s^(1/m) would have a degree
     above MAX_DEGREE: its companion matrix would cost too much.
     """
@@ -521,7 +523,7 @@ def commensurate_base(p: FracPoly):
         if not expts[0] * m <= MAX_DEGREE:  # the degree grows with m
             return None
         for e in expts:  # math.remainder: e m less the nearest integer; nan for a nan e
-            if not abs(math.remainder(e * m, 1.0)) <= _COMMENSURATE_TOL * m:
+            if not abs(math.remainder(e * m, 1.0)) <= _COMMENSURATE_TOL * m * min(1.0, e):
                 break
         else:
             return m

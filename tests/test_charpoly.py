@@ -355,6 +355,23 @@ class TestFindRoots:
         q = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE / 2), (1.0, 0.0)])
         assert charpoly.commensurate_base(q) == 1
 
+    def test_tiny_exponent_is_not_taken_for_zero(self):
+        # s + s^1e-10 - 1: 1e-10 m lies within 1e-9 m of the integer 0 for every m
+        plant = Plant(a0=1.0, a1=0.0, a2=1.0, alpha=1.0, beta=0.5)
+        poly = char_poly_pd(plant, PdController(K=-2.0, Td=1.0, delta=1e-10))
+        assert poly.exponents == (1.0, 1e-10, 0.0)
+        assert charpoly.commensurate_base(poly) is None
+        # the real root by bisection on s + expm1(1e-10 log s), which changes sign on [lo, hi]
+        lo, hi = 1e-12, 1.0
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if mid + math.expm1(1e-10 * math.log(mid)) > 0 else (mid, hi)
+        report = find_roots(poly)
+        assert (report.method, report.verdict) == ("newton-grid", "unstable")
+        reals = [r.value.real for r in report.roots if r.value.imag == 0]
+        # P near 1 - s^1e-10 rounds to about eps, which is 5e-8 of the root's size
+        assert reals and min(abs(x - lo) for x in reals) <= 1e-6 * lo
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_commensurate_base_matches_the_scalar_definition(self, data):
@@ -380,7 +397,7 @@ def scalar_commensurate_base(p):
     for m in range(1, charpoly.MAX_DENOMINATOR + 1):
         if pn.exponents[0] * m > charpoly.MAX_DEGREE:
             return None
-        if all(abs(e * m - round(e * m)) <= charpoly._COMMENSURATE_TOL * m
+        if all(abs(e * m - round(e * m)) <= charpoly._COMMENSURATE_TOL * m * min(1.0, e)
                for e in pn.exponents):
             return m
     return None
