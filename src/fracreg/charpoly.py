@@ -563,8 +563,7 @@ def _commensurate_search(p: FracPoly, pn: FracPoly):
         companion[:1] = -ratios[1:]
         w_roots = np.linalg.eigvals(companion)
         principal = (np.abs(w_roots) > 0) & (np.abs(np.angle(w_roots)) <= math.pi / m + 1e-12)
-        # w ** m root by root: the array power can differ in the last bit
-        points = [complex(w ** m) for w in w_roots[principal]]
+        points = (w_roots[principal] ** m).tolist()
     return _distinct_roots(p, points)
 
 

@@ -7,9 +7,9 @@ polynomial negated, is solved branch by branch (`_pd_branch_candidates`),
 and the first branch whose residual is within tolerance is the design.
 The PI^lambda placement scans one scalar function of lambda for its
 zeros and refines them by a bracketed regula falsi (see `design_pi`); no
-design runs Newton.  What sees only a few values at a time (a bracket's
-refinement, the residual check at the poles) runs in float arithmetic,
-not numpy.  A successful design is not necessarily stable
+design runs Newton.  What sees only a few values at a time (both PD designs,
+a bracket's refinement, the residual check at the poles) runs in float
+arithmetic, not numpy.  A successful design is not necessarily stable
 (negative derivative orders can introduce extra right-half-plane poles);
 stability is reported separately, never enforced here.
 """
@@ -134,10 +134,9 @@ def _pd_branch_candidates(plant: Plant, K: float, pole: complex):
         return []
     if r == 0:
         return [(0.0, 1.0)]
-    if abs(s.imag) <= np.finfo(float).eps * abs(s.real):
+    if abs(s.imag) <= math.ulp(1.0) * abs(s.real):
         return []
-    # numpy's arg, as a float: cmath.phase differs from it in the last bit now and then
-    theta, phi = np.angle([s, r]).tolist()
+    theta, phi = cmath.phase(s), cmath.phase(r)
     candidates = []
     for offset, sign in ((0.0, 1.0), (math.pi, -1.0)):
         for n in range(-2, 3):
@@ -185,7 +184,7 @@ def design_pd_fractional(spec: DesignSpecPd) -> PdController:
     plant, pole = spec.plant, spec.pole
     best = math.inf
     for td, delta in _pd_branch_candidates(plant, K, pole):
-        ctrl = PdController(K=K, Td=float(td), delta=float(delta))
+        ctrl = PdController(K=K, Td=td, delta=delta)
         placed, residual = _placed(char_poly_pd(plant, ctrl), [pole])
         if placed:
             return ctrl
@@ -195,16 +194,14 @@ def design_pd_fractional(spec: DesignSpecPd) -> PdController:
 
 
 def design_pd_integer(spec: DesignSpecPd) -> PdController:
-    """Classical PD (delta = 1): the pole placement is linear in (K, Td)."""
+    """Classical PD (delta = 1): K + Td p = -base is linear in (K, Td), solved in floats."""
     plant, pole = spec.plant, spec.pole
     try:
         base = (plant.a2 * pole ** plant.alpha + plant.a1 * pole ** plant.beta + plant.a0)
     except OverflowError:
         raise NoSolutionError(f"pole {pole} is past the float range for integer PD design")
-    mat = np.array([[1.0, pole.real], [0.0, pole.imag]])
-    rhs = -np.array([base.real, base.imag])
-    K, Td = np.linalg.solve(mat, rhs)  # triangular, with Im pole != 0 on the diagonal
-    return PdController(K=float(K), Td=float(Td), delta=1.0)
+    Td = -base.imag / pole.imag  # Im pole != 0
+    return PdController(K=-base.real - pole.real * Td, Td=Td, delta=1.0)
 
 
 def _pi_equations(plant: Plant, reps):
