@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,10 @@ class TestNormalize:
 
     def test_single_negative_term(self):
         assert normalize(FracPoly.from_terms([(3.0, -0.7)])).terms == ((3.0, 0.0),)
+
+    def test_empty_polynomial(self):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            normalize(FracPoly(()))
 
 
 class TestFindRoots:
@@ -354,6 +359,15 @@ class TestFindRoots:
         assert find_roots(p).method == "newton-grid"
         q = FracPoly.from_terms([(1.0, charpoly.MAX_DEGREE / 2), (1.0, 0.0)])
         assert charpoly.commensurate_base(q) == 1
+
+    def test_companion_ratios_past_the_float_range(self):
+        # 1e-300 s^2 + 1e300: the ratio 1e600 of the companion matrix overflows
+        p = FracPoly.from_terms([(1e-300, 2.0), (1e300, 0.0)])
+        assert charpoly.commensurate_base(p) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert commensurate_roots(p) is None
+            assert find_roots(p).method == "newton-grid"
 
     def test_tiny_exponent_is_not_taken_for_zero(self):
         # s + s^1e-10 - 1: 1e-10 m lies within 1e-9 m of the integer 0 for every m

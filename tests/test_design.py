@@ -85,6 +85,17 @@ class TestDesignPdFractional:
         with pytest.raises(ValueError):
             DesignSpecPd(plant=BENCH_PLANT, pole=POLE, ess_percent=4.0, K_override=24.0)
 
+    def test_no_gain_spec_rejected(self):
+        with pytest.raises(ValueError, match="PD design needs ess_percent or K_override"):
+            design_pd_fractional(DesignSpecPd(plant=BENCH_PLANT, pole=POLE))
+
+    def test_pole_already_placed_needs_no_derivative(self):
+        # s^2 + 2s + 1 + K with K = 4 (e_ss 20 %) has the roots -1 +- 2i: R is 0 there
+        plant = Plant(a0=1.0, a1=2.0, a2=1.0, alpha=2.0, beta=1.0)
+        assert _pd_branch_candidates(plant, 4.0, -1 + 2j) == [(0.0, 1.0)]
+        ctrl = design_pd_fractional(DesignSpecPd(plant=plant, pole=-1 + 2j, ess_percent=20.0))
+        assert ctrl == PdController(K=4.0, Td=0.0, delta=1.0)
+
 
 def pd_residual(plant, ctrl, pole):
     """|P(pole)| of the PD^delta loop and the tolerance a design must meet there."""
@@ -139,6 +150,22 @@ class TestDesignPdInteger:
     def test_residual_is_machine_small(self):
         ctrl = design_pd_integer(DesignSpecPd(plant=BENCH_PLANT, pole=POLE))
         assert abs(eval_fracpoly(char_poly_pd(BENCH_PLANT, ctrl), POLE)) < 1e-9
+
+    def test_matches_the_triangular_solve(self):
+        # the 2 x 2 solve of K + Td p = -base by np.linalg.solve, kept as the reference:
+        # LAPACK may fuse K's multiply-add, so K may differ from it in its last bits
+        rng = np.random.default_rng(34)
+        n = 10_000
+        poles = 10.0 ** rng.uniform(-3.0, 3.0, n) * np.exp(1j * rng.uniform(0.0, math.pi, n))
+        plant = BENCH_PLANT
+        for pole in poles.tolist():
+            assert pole.imag > 0
+            ctrl = design_pd_integer(DesignSpecPd(plant=plant, pole=pole))
+            base = plant.a2 * pole ** plant.alpha + plant.a1 * pole ** plant.beta + plant.a0
+            K, Td = np.linalg.solve([[1.0, pole.real], [0.0, pole.imag]],
+                                    [-base.real, -base.imag]).tolist()
+            assert ctrl.Td == Td
+            assert abs(ctrl.K - K) <= 2 * math.ulp(max(abs(base.real), abs(pole.real * Td)))
 
     def test_double_integrator_plant(self):
         # s^2 + Td s + K with poles -1 +- i requires (s+1)^2 + 1 = s^2 + 2s + 2

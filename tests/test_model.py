@@ -47,6 +47,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="need 2 or 3 state equations, got 1"):
             StateModel(state_terms=eqs[:1], output_terms=())
 
+    def test_state_model_rejects_a_target_past_its_states(self):
+        eqs = ((Term(1, 0.0, 1.0),), (Term(0, 0.0, -1.0), Term(INPUT, 0.0, 1.0)))
+        with pytest.raises(ValueError, match="bad term target 5"):
+            StateModel(state_terms=eqs, output_terms=(Term(5, 0.0, 1.0),))
+
 
 class TestBuildPdModel:
     def test_benchmark_gains_and_orders(self):
@@ -241,6 +246,10 @@ class TestFracPoly:
             FracPoly(terms=((1.0, 2.0), (1.0, exponent), (1.0, 0.0)))
         with pytest.raises(ValueError, match="exponents must be finite"):
             FracPoly.from_terms([(1.0, exponent), (1.0, 0.0)])
+
+    def test_rejects_zero_coefficient(self):
+        with pytest.raises(ValueError, match="zero coefficients must be dropped"):
+            FracPoly(terms=((1.0, 2.0), (0.0, 1.0), (1.0, 0.0)))
 
     def test_from_terms_drops_zero(self):
         poly = FracPoly.from_terms([(0.0, 2.0), (1.0, 1.0)])

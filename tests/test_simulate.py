@@ -7,8 +7,8 @@ from scipy.signal import lti
 from fracreg.errors import DivergedError, ResourceLimitError, SingularStepError
 from fracreg.glcalc import _BLOCK, _truncation, gl_coefficients, gl_convolve
 from fracreg.charpoly import find_roots
-from fracreg.model import (INPUT, PdController, PiController, Plant, Term, build_pd_model,
-                           build_pi_model, char_poly_pd, closed_loop)
+from fracreg.model import (INPUT, FracPoly, PdController, PiController, Plant, Term,
+                           build_pd_model, build_pi_model, char_poly_pd, closed_loop)
 from fracreg.simulate import (DIVERGENCE_LIMIT, SimConfig, StepInput, Trajectory,
                               _euler_block, _gl_kernels, _input_samples, simulate_direct,
                               simulate_state_space, steady_state_estimate)
@@ -237,6 +237,82 @@ class TestDirect:
 
         ratio = gap(cfg_coarse) / gap(cfg_fine)
         assert 1.6 <= ratio <= 2.4
+
+
+def exact_step_response(y_terms, w_terms, roots, t):
+    """The exact unit-step response of P(s) Y = N(s) W at the times `t` > 0, in numpy.
+
+    `y_terms` and `w_terms` are `closed_loop`'s sides, P and N as (coeff,
+    order) pairs, and `roots` is P's complete set of principal-sheet roots,
+    each simple and none at s = 0.  With F = N / (s P), the keyhole contour
+    around the cut gives
+
+        y(t) = G0 + sum_p e^(pt) N(p) / (p P'(p))
+               + (1/pi) int_0^inf e^(-rt) Im F(r e^(-i pi)) dr,
+
+    where G0 is the limit of N / P at s -> 0, from the lowest-order terms.
+    The cut integral is a trapezoid sum in x = log r, with step 0.005 over
+    [-80, 60].  F = s^(-1/2) gives 1 / sqrt(pi t).
+    """
+    P, N = (np.array(FracPoly.from_terms(terms).terms).T for terms in (y_terms, w_terms))
+    (c_p, q_p), (c_n, q_n) = P[:, -1], N[:, -1]  # the lowest orders
+    if q_n < q_p:
+        raise ValueError("N / P is unbounded at s = 0")
+    g0 = c_n / c_p if q_n == q_p else 0.0
+
+    def side(terms, log_s, slope=False):
+        """sum c s^q at the points of `log_s`, or s times its derivative, sum c q s^q."""
+        coeffs, orders = terms
+        return np.exp(np.multiply.outer(log_s, orders)) @ (coeffs * orders if slope else coeffs)
+
+    t = np.asarray(t, dtype=float)
+    roots = np.array(roots, dtype=complex)
+    residues = side(N, np.log(roots)) / side(P, np.log(roots), slope=True)
+    y = g0 + (np.exp(np.multiply.outer(t, roots)) @ residues).real
+    x = np.linspace(-80.0, 60.0, 28001)  # step 0.005
+    log_s = x - 1j * np.pi
+    # Im F dr = r Im F dx, and r F = -N / P on the cut's lower side, where s = -r
+    cut = np.exp(-np.multiply.outer(t, np.exp(x))) * -(side(N, log_s) / side(P, log_s)).imag
+    return y + 0.005 * (cut.sum(axis=-1) - 0.5 * (cut[..., 0] + cut[..., -1])) / np.pi
+
+
+#: The times the oracle checks the simulations at.
+ORACLE_TIMES = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
+
+
+class TestExactStepResponse:
+    """Both schemes against the exact response from the roots (`exact_step_response`)."""
+
+    def test_inverse_square_root(self):
+        t = np.array([0.1, 1.0, 12.0])
+        y = exact_step_response([(1.0, 0.0)], [(1.0, 0.5)], [], t)
+        assert np.max(np.abs(y - 1.0 / np.sqrt(np.pi * t))) <= 1e-11
+
+    def test_integer_loop_matches_the_closed_form(self):
+        plant = Plant(a0=1.0, a1=0.5, a2=0.8, alpha=2.0, beta=1.0)
+        ctrl = PdController(K=24.0, Td=4.0, delta=1.0)
+        report = find_roots(char_poly_pd(plant, ctrl))
+        exact = exact_step_response(*closed_loop(plant, ctrl), [r.value for r in report.roots],
+                                    ORACLE_TIMES)
+        system = lti([ctrl.Td, ctrl.K], [plant.a2, plant.a1 + ctrl.Td, plant.a0 + ctrl.K])
+        _, y = system.step(T=np.linspace(0.0, 12.0, 121))  # lti needs a uniform grid
+        assert np.max(np.abs(exact - y[np.rint(ORACLE_TIMES / 0.1).astype(int)])) <= 1e-9
+
+    def test_golden_loop_errors_halve_with_step(self):
+        report = find_roots(char_poly_pd(BENCH_PLANT, GOLDEN_PD))
+        assert report.root_count == len(report.roots)  # a complete root set
+        exact = exact_step_response(*closed_loop(BENCH_PLANT, GOLDEN_PD),
+                                    [r.value for r in report.roots], ORACLE_TIMES)
+        model = build_pd_model(BENCH_PLANT, GOLDEN_PD)
+        errors = {"state space": [], "direct": []}
+        for h in (1e-3, 5e-4, 2.5e-4):
+            cfg = SimConfig(step=h, t_end=12.0)
+            at = np.rint(ORACLE_TIMES / h).astype(int)
+            for name, traj in (("state space", simulate_state_space(model, cfg)),
+                               ("direct", simulate_direct(BENCH_PLANT, GOLDEN_PD, cfg))):
+                errors[name].append(np.max(np.abs(traj.output[at] - exact)))
+        for name, (coarse, middle, fine) in errors.items():
+            assert 1.6 <= coarse / middle <= 2.4 and 1.6 <= middle / fine <= 2.4, (name, errors)
 
 
 def stable_lead_loops(seed, n, equal=False):
